@@ -1,11 +1,19 @@
-"""Measure values with provenance and confidence intervals."""
+"""Measure values with provenance and confidence intervals.
+
+Monte Carlo hit fractions get a normal-approximation interval in the bulk and
+exact Clopper-Pearson bounds when hits (or misses) are scarce.  The exact
+bounds are quantiles of beta distributions, computed as the inverse
+regularized incomplete beta function ``scipy.special.betaincinv``; the normal
+quantile is ``scipy.special.ndtri``.  Both come from ``scipy.special`` so that
+importing diolab does not load ``scipy.stats``.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv, ndtri
 
 __all__ = ["MeasureEstimate", "binomial_ci"]
 
@@ -18,23 +26,24 @@ def binomial_ci(hits: int, samples: int, confidence: float = 0.95) -> tuple[floa
     """Confidence interval for a hit fraction.
 
     Normal approximation in the bulk; exact Clopper-Pearson bounds when either
-    tail has fewer than EXACT_CI_HITS observations.
+    tail has fewer than EXACT_CI_HITS observations.  ``confidence`` must lie
+    strictly between 0 and 1.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 0 <= hits <= samples:
         raise ValueError("hits outside [0, samples]")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence {confidence!r} outside (0, 1)")
     p = hits / samples
     alpha = 1.0 - confidence
     if min(hits, samples - hits) < EXACT_CI_HITS:
-        lo = 0.0 if hits == 0 else float(_beta.ppf(alpha / 2, hits, samples - hits + 1))
-        hi = 1.0 if hits == samples else float(_beta.ppf(1 - alpha / 2, hits + 1, samples - hits))
+        lo = 0.0 if hits == 0 else float(betaincinv(hits, samples - hits + 1, alpha / 2))
+        hi = 1.0 if hits == samples else float(betaincinv(hits + 1, samples - hits, 1 - alpha / 2))
         return lo, hi
     z = 1.959963984540054  # two-sided 95% normal quantile
     if confidence != 0.95:
-        from scipy.stats import norm
-
-        z = float(norm.ppf(1 - alpha / 2))
+        z = float(ndtri(1 - alpha / 2))
     half = z * math.sqrt(p * (1.0 - p) / samples)
     return max(0.0, p - half), min(1.0, p + half)
 

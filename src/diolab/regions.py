@@ -143,10 +143,6 @@ class IntervalUnion:
         tails = np.append(heads[1:], s.size) - 1
         return cls(s[heads].copy(), cm[tails].copy())
 
-    @classmethod
-    def empty(cls) -> "IntervalUnion":
-        return cls(np.empty(0), np.empty(0))
-
     def __len__(self) -> int:
         return self.starts.size
 
@@ -170,12 +166,6 @@ class IntervalUnion:
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         both = self._inside(mids) & other._inside(mids)
         return float(np.sum((cuts[1:] - cuts[:-1])[both]))
-
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.from_intervals(
-            np.concatenate([self.starts, other.starts]),
-            np.concatenate([self.ends, other.ends]),
-        )
 
 
 # ---------------------------------------------------------------------------
