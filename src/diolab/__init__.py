@@ -76,6 +76,7 @@ from .regions import (
     PiecewiseCdf,
     RegionSpec,
     coprime_dist_cdf,
+    intersection_matrix,
     product_region_measure_coprime,
     product_region_measure_plain,
     region_measure,

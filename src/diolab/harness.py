@@ -31,7 +31,7 @@ from .psi import (
     partial_sum_scan,
     power_log,
 )
-from .regions import RegionSpec, region_measure, slice_union, truncated_union_1d
+from .regions import RegionSpec, intersection_matrix, region_measure, slice_union, truncated_union_1d
 from .sampler import (
     GENERATOR_ID,
     ExperimentConfig,
@@ -187,21 +187,15 @@ def run_dichotomy_scan(battery: Battery, workers: int = 1) -> DichotomyReport:
 def exact_event_stats_1d(
     f: ApproxFunction, Q0: int, Q: int, coprime: bool = True
 ) -> EventStats:
-    """All-exact 1-D event system: singles and pairs from interval geometry."""
-    unions = []
-    qs = list(range(Q0, Q + 1))
-    for q in qs:
-        unions.append(slice_union(q, f(q), coprime=coprime))
-    k = len(unions)
-    singles = np.array([u.measure for u in unions])
-    pairs = np.empty((k, k))
-    for i in range(k):
-        pairs[i, i] = singles[i]
-        for j in range(i + 1, k):
-            v = unions[i].intersection_measure(unions[j])
-            pairs[i, j] = v
-            pairs[j, i] = v
-    return EventStats(singles, pairs)
+    """All-exact 1-D event system: singles and pairs from interval geometry.
+
+    ``intersection_matrix`` builds the pairs in one vectorised pass per row,
+    bit for bit those of ``intersection_measure``; an empty slice gives a
+    zero row and column.
+    """
+    unions = [slice_union(q, f(q), coprime=coprime) for q in range(Q0, Q + 1)]
+    pairs = intersection_matrix(unions)
+    return EventStats(pairs.diagonal().copy(), pairs)
 
 
 @dataclass

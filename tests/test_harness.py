@@ -13,7 +13,7 @@ from diolab.harness import (
     theorem2_demo_battery,
 )
 from diolab.psi import SumCriterion, WeightFn, power_log, table_psi
-from diolab.regions import truncated_union_1d
+from diolab.regions import slice_union, truncated_union_1d
 from diolab.sampler import ExperimentConfig, estimate_union_measure, sample_points, solution_counts
 
 
@@ -145,6 +145,33 @@ class TestBcEvidence:
             assert stats.pairs[i, i] == pytest.approx(stats.singles[i])
             for j in range(k):
                 assert stats.pairs[i, j] <= min(stats.singles[i], stats.singles[j]) + 1e-12
+
+    @staticmethod
+    def pairwise_reference(f, Q0, Q):
+        # reference: one intersection_measure call per pair
+        unions = [slice_union(q, f(q), coprime=True) for q in range(Q0, Q + 1)]
+        k = len(unions)
+        pairs = np.empty((k, k))
+        for i in range(k):
+            pairs[i, i] = unions[i].measure
+            for j in range(i + 1, k):
+                pairs[i, j] = pairs[j, i] = unions[i].intersection_measure(unions[j])
+        return pairs
+
+    def test_exact_pairs_equal_pairwise_loop(self):
+        f = power_log(0.25, 1, 0)
+        stats = exact_event_stats_1d(f, 1, 192, coprime=True)
+        assert stats.pairs.tobytes() == self.pairwise_reference(f, 1, 192).tobytes()
+        assert stats.singles.tobytes() == np.diag(stats.pairs).tobytes()
+
+    def test_exact_pairs_with_empty_slices(self):
+        f = table_psi([0.2, 0.0, 0.05, 0.0, 0.01, 0.03])
+        stats = exact_event_stats_1d(f, 1, 9, coprime=True)
+        assert stats.pairs.tobytes() == self.pairwise_reference(f, 1, 9).tobytes()
+        empty = [q - 1 for q in range(1, 10) if f(q) == 0.0]
+        assert empty == [1, 3, 6, 7, 8]
+        assert not stats.pairs[empty].any() and not stats.pairs[:, empty].any()
+        assert stats.pairs[0, 4] > 0.0  # [0, 0.2] meets q = 5 around 1/5
 
     def test_independence_source_matches_analytic(self):
         cfg = ExperimentConfig(

@@ -3,14 +3,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diolab.arith import dist_nearest, dist_nearest_coprime, euler_phi
 from diolab.errors import ResourceBudgetError
 from diolab.psi import power_log, table_psi
 from diolab.regions import (
+    MERGE_EPS,
     IntervalUnion,
     RegionSpec,
     coprime_dist_cdf,
+    intersection_matrix,
     product_region_measure_coprime,
     product_region_measure_plain,
     region_measure,
@@ -71,6 +75,70 @@ class TestIntervalUnion:
             mids = 0.5 * (grid[:-1] + grid[1:])
             brute = np.mean(a._inside(mids) & b._inside(mids))
             assert a.intersection_measure(b) == pytest.approx(brute, abs=2e-4)
+
+    def test_intersection_keeps_overlaps_a_few_ulps_wide(self):
+        # A = [0, x], B = [x - m ulp, 1] for m = 1..3: the midpoint of two cuts
+        # this close can round onto x, so a segment is classified by its left cut
+        rng = np.random.default_rng(13)
+        for x in rng.random(2000):
+            y = x
+            for _ in range(3):
+                y = np.nextafter(y, -1.0)
+                a = IntervalUnion(np.array([0.0]), np.array([x]))
+                b = IntervalUnion(np.array([y]), np.array([1.0]))
+                assert a.intersection_measure(b) == x - y
+                assert b.intersection_measure(a) == x - y
+
+
+def ulp_neighbours(x: float) -> list[float]:
+    down, up = np.nextafter(x, -1.0), np.nextafter(x, 2.0)
+    return [float(v) for v in (np.nextafter(down, -1.0), down, x, up, np.nextafter(up, 2.0))]
+
+
+@st.composite
+def union_lists(draw):
+    """Unions over a shared pool of endpoints and their ulp neighbours."""
+    base = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    pool = sorted({v for x in base + [0.0, 1.0] for v in ulp_neighbours(x)})
+    index = st.integers(0, len(pool) - 1)
+    unions = []
+    for _ in range(draw(st.integers(0, 6))):
+        pairs = draw(st.lists(st.tuples(index, index), max_size=8))
+        merge_eps = draw(st.sampled_from([0.0, MERGE_EPS]))
+        unions.append(IntervalUnion.from_intervals(
+            [pool[a] for a, _ in pairs], [pool[b] for _, b in pairs], merge_eps=merge_eps))
+    return unions
+
+
+def assert_matches_pairwise(unions: list[IntervalUnion]):
+    got = intersection_matrix(unions)
+    want = np.array([[a.intersection_measure(b) for b in unions] for a in unions])
+    assert got.shape == (len(unions),) * 2
+    assert got.tobytes() == want.reshape(got.shape).tobytes()
+    assert np.array_equal(got, got.T)
+    assert np.diag(got).tolist() == [u.measure for u in unions]
+    singles = np.diag(got)
+    assert np.all(got <= np.minimum.outer(singles, singles))
+
+
+class TestIntersectionMatrix:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(union_lists())
+    @example([])
+    @example([IntervalUnion.from_intervals([], [])] * 2)
+    def test_equals_pairwise_oracle(self, unions):
+        assert_matches_pairwise(unions)
+
+    def test_long_component_runs(self):
+        # pairs with hundreds of components: np.add.reduceat alone is not
+        # np.sum past 8 terms, so this pins the zero-headed grouping
+        rng = np.random.default_rng(14)
+        unions = [IntervalUnion.from_intervals([0.0], [1.0])]
+        for size in range(5, 400, 15):
+            # cubed points span many binades, so the sums round
+            pts = np.sort(rng.random(2 * size) ** 3)
+            unions.append(IntervalUnion.from_intervals(pts[0::2], pts[1::2]))
+        assert_matches_pairwise(unions)
 
 
 class TestRegionMeasure1d:
