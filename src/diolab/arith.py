@@ -73,13 +73,6 @@ class PhiTable:
             raise IndexError(f"q={q} outside table range [1, {self.limit}]")
         return int(self.values[q])
 
-    def ratio(self, qs: np.ndarray) -> np.ndarray:
-        """phi(q)/q for an integer array of q values within the table."""
-        qs = np.asarray(qs, dtype=np.int64)
-        if qs.size and (qs.min() < 1 or qs.max() > self.limit):
-            raise IndexError("q values outside table range")
-        return self.values[qs] / qs
-
 
 _table_lock = threading.Lock()
 _default_table: PhiTable | None = None
@@ -203,26 +196,24 @@ def coprime_residues(q: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
+def _cyclic_gaps(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coprime residues of q and the gap from each to the next, cyclically (summing to q)."""
+    res = coprime_residues(q)
+    gaps = np.empty_like(res)
+    np.subtract(res[1:], res[:-1], out=gaps[:-1])
+    gaps[-1] = res[0] + q - res[-1]  # the wrap-around gap; q itself when q has one unit
+    return res, gaps
+
+
 def coprime_gaps(q: int) -> list[tuple[int, int]]:
     """(residue, gap to next coprime residue) pairs, cyclic, gaps summing to q."""
-    res = coprime_residues(q)
-    if res.size == 1:
-        return [(int(res[0]), q)]
-    gaps = np.empty(res.size, dtype=np.int64)
-    gaps[:-1] = np.diff(res)
-    gaps[-1] = res[0] + q - res[-1]
+    res, gaps = _cyclic_gaps(q)
     return list(zip(res.tolist(), gaps.tolist()))
 
 
 def gap_multiset(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct cyclic gap lengths between coprime residues, with counts."""
-    res = coprime_residues(q)
-    if res.size == 1:
-        return np.array([q], dtype=np.int64), np.array([1], dtype=np.int64)
-    gaps = np.empty(res.size, dtype=np.int64)
-    gaps[:-1] = np.diff(res)
-    gaps[-1] = res[0] + q - res[-1]
-    return np.unique(gaps, return_counts=True)
+    return np.unique(_cyclic_gaps(q)[1], return_counts=True)
 
 
 def padic_abs(q: int, p: int) -> Fraction:

@@ -25,7 +25,6 @@ from .fibering import (
     ProductSet,
     all_member_matrices,
     cross_fibering_check,
-    product_measure,
 )
 from .harness import (
     Battery,
@@ -209,8 +208,7 @@ def cmd_fiber_check(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"error: validation failed: {exc}")
     rep = cross_fibering_check(S)
-    m = product_measure(S)
-    print(f"left: {rep.left.kind} (measure {m})")
+    print(f"left: {rep.left.kind} (measure {rep.left.measure})")
     print(f"right_x: {rep.right_x} (mu-mass of nu-trivial row fibers)")
     print(f"right_y: {rep.right_y} (nu-mass of mu-trivial column fibers)")
     print(f"equivalence: {'holds' if rep.equivalence_holds else 'VIOLATED'}")

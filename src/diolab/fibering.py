@@ -134,27 +134,22 @@ def fiber_y(S: ProductSet, y) -> tuple:
     return tuple(a for a, m in zip(S.X.atoms, col) if m)
 
 
-def _row_measures(S: ProductSet) -> list[Fraction]:
-    return [S.Y.measure(S.member[i]) for i in range(len(S.X))]
-
-
-def _col_measures(S: ProductSet) -> list[Fraction]:
-    return [S.X.measure(S.member[:, j]) for j in range(len(S.Y))]
-
-
-def product_measure(S: ProductSet) -> Fraction:
-    """(mu x nu)(S), computed in both iteration orders; they must agree exactly."""
-    by_rows = sum(
-        (wx * nu for wx, nu in zip(S.X.weights, _row_measures(S))), Fraction(0)
-    )
-    by_cols = sum(
-        (wy * mu for wy, mu in zip(S.Y.weights, _col_measures(S))), Fraction(0)
-    )
+def _fiber_measures(S: ProductSet) -> tuple[list[Fraction], list[Fraction], Fraction]:
+    """Row and column fiber measures and (mu x nu)(S); its two iteration orders must agree exactly."""
+    rows = [S.Y.measure(S.member[i]) for i in range(len(S.X))]
+    cols = [S.X.measure(S.member[:, j]) for j in range(len(S.Y))]
+    by_rows = sum((wx * nu for wx, nu in zip(S.X.weights, rows)), Fraction(0))
+    by_cols = sum((wy * mu for wy, mu in zip(S.Y.weights, cols)), Fraction(0))
     if by_rows != by_cols:
         raise AssertionError(
             "iterated integrals disagree; exact arithmetic invariant violated"
         )
-    return by_rows
+    return rows, cols, by_rows
+
+
+def product_measure(S: ProductSet) -> Fraction:
+    """(mu x nu)(S), computed in both iteration orders; they must agree exactly."""
+    return _fiber_measures(S)[2]
 
 
 @dataclass(frozen=True)
@@ -173,15 +168,8 @@ def cross_fibering_check(S: ProductSet) -> FiberReport:
     must hold for every input; a False value signals a bug, not a valid
     mathematical outcome.
     """
-    rows = _row_measures(S)
-    cols = _col_measures(S)
-    by_rows = sum((wx * nu for wx, nu in zip(S.X.weights, rows)), Fraction(0))
-    by_cols = sum((wy * mu for wy, mu in zip(S.Y.weights, cols)), Fraction(0))
-    if by_rows != by_cols:
-        raise AssertionError(
-            "iterated integrals disagree; exact arithmetic invariant violated"
-        )
-    left = Triviality.of(by_rows)
+    rows, cols, measure = _fiber_measures(S)
+    left = Triviality.of(measure)
     right_x = sum(
         (wx for wx, nu in zip(S.X.weights, rows) if nu == 0 or nu == 1),
         Fraction(0),
@@ -215,8 +203,7 @@ class ProductDecomposition:
 
 
 def decompose(S: ProductSet) -> ProductDecomposition:
-    rows = _row_measures(S)
-    cols = _col_measures(S)
+    rows, cols, _ = _fiber_measures(S)
     x0 = [i for i, m in enumerate(rows) if m == 0]
     x1 = [i for i, m in enumerate(rows) if m == 1]
     xnt = [i for i, m in enumerate(rows) if 0 < m < 1]

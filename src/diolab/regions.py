@@ -99,14 +99,18 @@ class RegionSpec:
 # interval unions
 
 
+def _sweep(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intervals in stable start order, with the running maximum of their ends."""
+    order = np.argsort(starts, kind="stable")
+    s, e = starts[order], ends[order]
+    return s, e, np.maximum.accumulate(e)
+
+
 def union_measure_raw(starts: np.ndarray, ends: np.ndarray) -> float:
     """Measure of a union of intervals given as parallel start/end arrays."""
     if starts.size == 0:
         return 0.0
-    order = np.argsort(starts, kind="stable")
-    s = starts[order]
-    e = ends[order]
-    cm = np.maximum.accumulate(e)
+    s, e, cm = _sweep(starts, ends)
     frontier = np.empty_like(cm)
     frontier[0] = -np.inf
     frontier[1:] = cm[:-1]
@@ -134,9 +138,7 @@ class IntervalUnion:
         starts, ends = starts[keep], ends[keep]
         if starts.size == 0:
             return cls(starts, ends)
-        order = np.argsort(starts, kind="stable")
-        s, e = starts[order], ends[order]
-        cm = np.maximum.accumulate(e)
+        s, _, cm = _sweep(starts, ends)
         new_group = np.empty(s.size, dtype=bool)
         new_group[0] = True
         new_group[1:] = s[1:] > cm[:-1] + merge_eps
@@ -212,16 +214,24 @@ def intersection_matrix(unions: list[IntervalUnion]) -> np.ndarray:
 # q-slice intervals in dimension 1
 
 
+def _slice_centers(q: int, delta, coprime: bool) -> np.ndarray:
+    """Centres c of the intervals (c -+ delta)/q of one 1-D slice; delta > 0, float or Fraction."""
+    if not coprime:
+        return np.arange(0, q + 1, dtype=np.int64)
+    res = coprime_residues(q)
+    centers = np.concatenate([res - q, res, res + q])
+    # exact for integer c: c > a iff c > floor(a), c < b iff c < ceil(b); the
+    # centres lie in [-q, 2q), so clamping there only keeps an infinite delta finite
+    lo = math.floor(max(-q - 1, -delta))
+    hi = math.ceil(min(2 * q + 1, q + delta))
+    return centers[(centers > lo) & (centers < hi)]
+
+
 def _slice_raw_intervals(q: int, delta: float, coprime: bool) -> tuple[np.ndarray, np.ndarray]:
     """Raw (unclipped, unmerged) intervals of one 1-D slice."""
     if delta <= 0.0:
         return np.empty(0), np.empty(0)
-    if coprime:
-        res = coprime_residues(q).astype(np.float64)
-        centers = np.concatenate([res - q, res, res + q])
-        centers = centers[(centers > -delta) & (centers < q + delta)]
-    else:
-        centers = np.arange(0, q + 1, dtype=np.float64)
+    centers = _slice_centers(q, delta, coprime)
     return (centers - delta) / q, (centers + delta) / q
 
 
@@ -311,10 +321,6 @@ class PiecewiseCdf:
     def max_distance(self) -> float:
         return self.gaps[-1] / 2.0
 
-    @property
-    def phi_ratio(self) -> float:
-        return self.phi / self.modulus
-
     def _split(self, two_t: float) -> tuple[int, int]:
         """(count of gaps > 2t, weighted sum of gaps <= 2t)."""
         idx = bisect_right(self.gaps, two_t)
@@ -333,9 +339,7 @@ class PiecewiseCdf:
             return Fraction(0)
         if 2 * t >= self.gaps[-1]:
             return Fraction(1)
-        idx = bisect_right(self.gaps, 2 * t)
-        n_above = self.phi - self._ccounts[idx]
-        s_below = self._cgsum[idx]
+        n_above, s_below = self._split(2 * t)
         return (2 * t * n_above + s_below) / self.modulus
 
     @property
@@ -533,14 +537,8 @@ def _rational_slice_intervals(q: int, delta: Fraction, coprime: bool) -> list[tu
     if delta <= 0:
         return []
     out = []
-    if coprime:
-        res = coprime_residues(q).tolist()
-        centers = [r - q for r in res] + res + [r + q for r in res]
-        centers = [c for c in centers if -delta < c < q + delta]
-    else:
-        centers = list(range(0, q + 1))
     one = Fraction(1)
-    for c in centers:
+    for c in _slice_centers(q, delta, coprime).tolist():
         lo = max(Fraction(0), Fraction(c - delta, q))
         hi = min(one, Fraction(c + delta, q))
         if hi > lo:

@@ -292,9 +292,17 @@ def _scan_chunk(
     return first_hit
 
 
-def _chunk_bounds(samples: int, workers: int) -> list[tuple[int, int]]:
+def _map_chunks(run: Callable[[int, int], object], samples: int, workers: int) -> list:
+    """run(start, stop) over up to ``workers`` contiguous chunks of [0, samples), in chunk order."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     bounds = [samples * w // workers for w in range(workers + 1)]
-    return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    chunks = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    if workers == 1:
+        return [run(a, b) for a, b in chunks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run, a, b) for a, b in chunks]
+        return [f.result() for f in futures]
 
 
 def estimate_union_measure(
@@ -307,7 +315,7 @@ def estimate_union_measure(
     With psi identically zero on the range the union is empty by the strict
     inequality, reported as exact zeros.
     """
-    if workers < 1:
+    if workers < 1:  # checked here too: the all-zero shortcut below dispatches nothing
         raise ValueError("workers must be >= 1")
     qs = np.arange(cfg.Q0, cfg.Q + 1, dtype=np.int64)
     psis = cfg.family.values(qs)
@@ -315,17 +323,11 @@ def estimate_union_measure(
         raise ValueError("family must evaluate finite on [Q0, Q]")
     if not np.any(psis > 0.0):
         return [(qc, MeasureEstimate.exact(0.0)) for qc in cfg.checkpoints]
-    chunks = _chunk_bounds(cfg.samples, workers)
 
-    def run(bound: tuple[int, int]) -> np.ndarray:
-        return _scan_chunk(cfg.seed, bound[0], bound[1], cfg.n, qs, psis, cfg.mode, cfg.coprime)
+    def run(start: int, stop: int) -> np.ndarray:
+        return _scan_chunk(cfg.seed, start, stop, cfg.n, qs, psis, cfg.mode, cfg.coprime)
 
-    if workers == 1:
-        parts = [run(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, chunks))
-    first_hit = np.concatenate(parts)
+    first_hit = np.concatenate(_map_chunks(run, cfg.samples, workers))
     out = []
     for qc in cfg.checkpoints:
         hits = int(np.count_nonzero((first_hit > 0) & (first_hit <= qc)))
@@ -348,20 +350,15 @@ def estimate_pairwise_intersection(
     psi_q, psi_r = f(q), f(r)
     if not (math.isfinite(psi_q) and math.isfinite(psi_r)):
         raise ValueError("psi must be finite at q and r")
-    chunks = _chunk_bounds(samples, workers)
 
-    def run(bound: tuple[int, int]) -> int:
-        xs = sample_points(seed, bound[0], bound[1], n)
+    def run(start: int, stop: int) -> int:
+        xs = sample_points(seed, start, stop, n)
         member = _membership_bulk(xs, q, psi_q, mode, coprime)
         if r != q:
             member &= _membership_bulk(xs, r, psi_r, mode, coprime)
         return int(np.count_nonzero(member))
 
-    if workers == 1:
-        hits = sum(run(c) for c in chunks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(run, chunks))
+    hits = sum(_map_chunks(run, samples, workers))
     return MeasureEstimate.monte_carlo(hits, samples, seed, GENERATOR_ID)
 
 
@@ -376,14 +373,7 @@ def solution_count(
     """#{q <= Q : x is in the q-slice}; the finite truncation counter."""
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    xv = np.asarray(x, dtype=np.float64)
-    qs = np.arange(1, Q + 1, dtype=np.int64)
-    psis = f.values(qs)
-    if not np.all(np.isfinite(psis)):
-        raise ValueError("family must evaluate finite on [1, Q]")
-    z = qs[:, None].astype(np.float64) * xv[None, :]
-    member = _member_rows(z, qs, psis, mode, coprime, strict)
-    return int(np.count_nonzero(member))
+    return solution_counts(x, f, [Q], mode, coprime, strict)[0][1]
 
 
 def solution_counts(

@@ -80,6 +80,20 @@ class TestFiberCheck:
         assert code == 0
         assert "left: Full (measure 1)" in out
         assert "equivalence: holds" in out
+        # x=2 has weight 0: its nontrivial row fiber (nu-measure 2/3) carries no mu-mass
+        f.write_text(json.dumps({
+            "weights_x": ["1/2", "1/2", "0"],
+            "weights_y": ["1/3", "2/3"],
+            "member": [[1, 0], [1, 1], [0, 1]],
+        }))
+        code, out, _ = run_cli(capsys, "fiber-check", str(f))
+        assert code == 0
+        assert out.splitlines()[:3] == [
+            "left: Nontrivial (measure 2/3)",
+            "right_x: 1/2 (mu-mass of nu-trivial row fibers)",
+            "right_y: 1/3 (nu-mass of mu-trivial column fibers)",
+        ]
+        assert "equivalence: holds" in out
 
     def test_weight_validation_error(self, capsys, tmp_path):
         f = tmp_path / "bad.json"

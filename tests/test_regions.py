@@ -23,6 +23,7 @@ from diolab.regions import (
     truncated_union_1d,
     uniform_product_cdf,
 )
+from diolab.regions import _rational_slice_intervals, _slice_raw_intervals, union_measure_raw
 from diolab.sampler import sample_points
 
 
@@ -409,6 +410,52 @@ class TestTruncatedUnion:
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
             truncated_union_1d(power_log(1, 1, 0), 1, 5000, budget=100)
+
+
+def brute_centers(q: int, delta) -> list[int]:
+    """Numerators c coprime to q with -delta < c < q + delta, compared one by one."""
+    return [c for c in range(-q, 2 * q) if math.gcd(c, q) == 1 and -delta < c < q + delta]
+
+
+def fraction_union_measure(intervals) -> Fraction:
+    total, cursor = Fraction(0), Fraction(0)
+    for lo, hi in sorted(intervals):
+        total += max(hi, cursor) - max(lo, cursor)
+        cursor = max(hi, cursor)
+    return total
+
+
+class TestSliceCenters:
+    """Coprime slices with delta at an integer, where -delta < c < q + delta meets equality."""
+
+    @pytest.mark.parametrize("q", [5, 12, 30])
+    def test_float_delta_at_and_one_ulp_beside_an_integer(self, q):
+        for k in (1.0, 2.0):
+            for d in (math.nextafter(k, 0.0), k, math.nextafter(k, 3.0)):
+                c = np.array(brute_centers(q, d), dtype=np.float64)
+                starts, ends = (c - d) / q, (c + d) / q
+                raw = _slice_raw_intervals(q, d, True)
+                assert np.array_equal(raw[0], starts) and np.array_equal(raw[1], ends)
+                want = IntervalUnion.from_intervals(starts, ends)
+                got = slice_union(q, d, coprime=True)
+                assert np.array_equal(got.starts, want.starts) and np.array_equal(got.ends, want.ends)
+                swept = truncated_union_1d(table_psi([0] * (q - 1) + [d]), q, q, coprime=True)
+                clipped = np.clip(starts, 0.0, 1.0), np.clip(ends, 0.0, 1.0)
+                assert swept.value == min(1.0, union_measure_raw(*clipped))
+
+    @pytest.mark.parametrize("q", [5, 12, 30])
+    def test_fraction_delta_at_and_1e_20_beside_an_integer(self, q):
+        eps = Fraction(1, 10**20)
+        for k in (1, 2):
+            for d in (k - eps, Fraction(k), k + eps):
+                want = [
+                    (max(Fraction(0), Fraction(c - d, q)), min(Fraction(1), Fraction(c + d, q)))
+                    for c in brute_centers(q, d)
+                ]
+                want = [(lo, hi) for lo, hi in want if hi > lo]
+                assert _rational_slice_intervals(q, d, True) == want
+                swept = truncated_union_1d(table_psi([0] * (q - 1) + [d]), q, q, coprime=True)
+                assert swept.value == float(fraction_union_measure(want))
 
 
 def test_max_mode_measures():

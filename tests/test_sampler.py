@@ -187,6 +187,22 @@ class TestPairwise:
         assert est.value <= 10.0 * m_q * m_r
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda w: estimate_union_measure(
+            ExperimentConfig(family=power_log(0.25, 1, 0), n=1, Q=8, samples=100, seed=1), workers=w
+        ),
+        lambda w: estimate_pairwise_intersection(3, 5, power_log(0.25, 1, 0), 1, samples=100, workers=w),
+    ],
+    ids=["union", "pairwise"],
+)
+def test_estimators_reject_worker_counts_below_one(estimate, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        estimate(workers)
+
+
 class TestSolutionCount:
     def test_even_q_example(self):
         assert solution_count([0.5], table_psi([0.3] * 10), 10) == 5
