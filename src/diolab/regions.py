@@ -89,7 +89,7 @@ class RegionSpec:
             raise ValueError("q must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.delta < 0:
+        if not self.delta >= 0:  # also rejects nan
             raise ValueError("delta must be >= 0")
         if self.mode not in ("product", "max"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -285,7 +285,7 @@ def uniform_product_cdf(n: int, t: float) -> float:
 
 def product_region_measure_plain(n: int, delta: float) -> MeasureEstimate:
     """|{x in [0,1]^n : prod ||q x_i|| < delta}|, independent of q."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be >= 0")
     return MeasureEstimate.closed_form(uniform_product_cdf(n, (2.0**n) * delta))
 
@@ -497,7 +497,7 @@ def product_region_measure_coprime(
         raise ValueError("n must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be >= 0")
     cdf = coprime_dist_cdf(q)
     value, err = _product_cdf_rec(cdf, n, delta, tol)

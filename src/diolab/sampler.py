@@ -12,10 +12,14 @@ Generator: ``splitmix64-v1``.  Draw k of a stream is
 coordinate j of sample i consumes draw k = i*dim + j, and doubles take the
 top 53 bits of the 64-bit word.  Estimates record the generator id and seed.
 
-Performance note: coprime membership uses the plain distances as a filter
+Performance note: a scan chunk allocates its work arrays once and runs
+each q on views of them with ``out=`` ufuncs; retired samples are swapped
+out, not copied away.  Fresh arrays per q made the allocator return and
+re-fault their pages, which above ~10,000 samples cost more than the
+arithmetic.  Coprime membership uses the plain distances as a filter
 (``||qx||' >= ||qx||`` coordinatewise), resolves rounded numerators with a
-vectorized gcd, and falls back to the exact outward coprime search only for
-the rare rows where the rounded numerator shares a factor with q.
+vectorized gcd, and runs the outward coprime search as one vector pass
+over the entries whose rounded numerator shares a factor with q.
 """
 
 from __future__ import annotations
@@ -111,59 +115,84 @@ def membership(
     return agg < psi_q if strict else agg <= psi_q
 
 
-def _plain_distances(z: np.ndarray) -> np.ndarray:
-    """Distances of each entry of z to the nearest integer, z preserved."""
-    d = np.floor(z)
+def _plain_distances(z: np.ndarray, out=None) -> np.ndarray:
+    """Distances of each entry of z to the nearest integer, into ``out`` if given.
+
+    z is overwritten: it holds 1 - frac once frac is taken.
+    """
+    d = np.floor(z, out=out)
     np.subtract(z, d, out=d)
-    upper = np.subtract(1.0, d)
-    np.minimum(d, upper, out=d)
+    np.minimum(d, np.subtract(1.0, d, out=z), out=d)
     return d
 
 
-def _aggregate(d: np.ndarray, mode: str) -> np.ndarray:
+def _aggregate(d: np.ndarray, mode: str, out=None) -> np.ndarray:
+    n = d.shape[1]
     if mode == "product":
-        n = d.shape[1]
         if n == 1:
             return d[:, 0]
-        agg = d[:, 0] * d[:, 1]
+        agg = np.multiply(d[:, 0], d[:, 1], out=out)
         for j in range(2, n):
             agg *= d[:, j]
         return agg
-    return np.max(d, axis=1) ** d.shape[1]
+    agg = np.max(d, axis=1, out=out)
+    agg **= n
+    return agg
+
+
+def _coprime_distances(y: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+    """``nearest_coprime_distance(y[i], modulus[i])`` for every i, all at once.
+
+    Only for entries whose rounding shares a factor with their modulus: the
+    scan starts at k = 1, near side first, as the scalar search does, and
+    resolved entries drop out.
+    """
+    p0 = np.rint(y)
+    delta = y - p0
+    near = np.where(delta > 0, 1, -1)
+    delta, p0 = np.abs(delta), p0.astype(np.int64)
+    out, idx, k = np.empty_like(delta), np.arange(y.size), 0
+    while idx.size:
+        k += 1
+        if k > modulus.max():
+            raise RuntimeError("no coprime integer found within the proven bound")
+        step = near * k
+        hit_near = np.gcd(p0 + step, modulus) == 1
+        hit = hit_near | (np.gcd(p0 - step, modulus) == 1)
+        out[idx[hit]] = np.where(hit_near, k - delta, k + delta)[hit]
+        miss = ~hit
+        idx, p0, near, delta, modulus = idx[miss], p0[miss], near[miss], delta[miss], modulus[miss]
+    return out
 
 
 def _member_rows(
-    z: np.ndarray, q, psi, mode: str, coprime: bool, strict: bool
+    x: np.ndarray, q, psi, mode: str, coprime: bool, strict: bool, bufs=None
 ) -> np.ndarray:
-    """Membership for rows of z = q*x products; q and psi scalar or per-row.
+    """Membership of each row of x in the q-slice; q and psi scalar or per-row.
 
-    Plain distances come straight from z; the coprime variant fixes up only
-    the candidate rows that pass the plain filter.
+    Plain distances of z = q*x filter; the coprime variant recomputes z for
+    the candidate rows only and fixes them up.  ``bufs`` is an optional
+    (z, d, agg, member) set of output buffers, the first two shaped like x.
     """
-    d = _plain_distances(z)
-    agg = _aggregate(d, mode)
-    member = agg < psi if strict else agg <= psi
+    z_out, d_out, agg_out, member_out = bufs or (None,) * 4
+    qf = q[:, None].astype(np.float64) if isinstance(q, np.ndarray) else float(q)
+    compare = np.less if strict else np.less_equal
+    d = _plain_distances(np.multiply(qf, x, out=z_out), d_out)
+    member = compare(_aggregate(d, mode, agg_out), psi, out=member_out)
     if not coprime or not member.any():
         return member
     # plain distances only filter; resolve candidates against coprime numerators
     rows = np.flatnonzero(member)
-    p = np.rint(z[rows]).astype(np.int64)
-    q_rows = q[rows][:, None] if isinstance(q, np.ndarray) else np.int64(q)
-    good = np.gcd(p, q_rows) == 1
-    all_good = good.all(axis=1)
-    out = np.zeros_like(member)
-    out[rows[all_good]] = True
-    mixed = rows[~all_good]
-    mixed_good = good[~all_good]
-    for ridx, r in enumerate(mixed):
-        qi = int(q[r]) if isinstance(q, np.ndarray) else int(q)
-        pv = float(psi[r]) if isinstance(psi, np.ndarray) else float(psi)
-        dd = d[r].copy()
-        for jcol in np.flatnonzero(~mixed_good[ridx]):
-            dd[jcol] = nearest_coprime_distance(float(z[r, jcol]), qi)
-        agg_r = float(np.prod(dd)) if mode == "product" else float(np.max(dd)) ** dd.size
-        out[r] = agg_r < pv if strict else agg_r <= pv
-    return out
+    qc = q[rows] if isinstance(q, np.ndarray) else np.full(rows.size, q)
+    zc = qc[:, None].astype(np.float64) * x[rows]
+    bad = np.gcd(np.rint(zc).astype(np.int64), qc[:, None]) != 1
+    if bad.any():
+        r, c = np.nonzero(bad)
+        dc = d[rows]
+        dc[r, c] = _coprime_distances(zc[r, c], qc[r])
+        psic = psi[rows] if isinstance(psi, np.ndarray) else psi
+        member[rows] = compare(_aggregate(dc, mode), psic)
+    return member
 
 
 def _membership_bulk(
@@ -172,7 +201,7 @@ def _membership_bulk(
     """Vectorized membership of many points in one q-slice."""
     if psi_q <= 0.0 and strict:
         return np.zeros(xs.shape[0], dtype=bool)
-    return _member_rows(float(q) * xs, q, psi_q, mode, coprime, strict)
+    return _member_rows(xs, q, psi_q, mode, coprime, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +303,30 @@ def _scan_chunk(
     mode: str,
     coprime: bool,
 ) -> np.ndarray:
-    """First hitting q per sample in [start, stop); 0 when never a member."""
-    xs = sample_points(seed, start, stop, n)
+    """First hitting q per sample in [start, stop); 0 when never a member.
+
+    One set of work buffers serves every q: the live samples are the first
+    ``live`` rows of x, and the live rows past the new end fill the slots of
+    each q's hits, so retiring costs O(hits).  Row order never matters.
+    """
+    x = sample_points(seed, start, stop, n)
     first_hit = np.zeros(stop - start, dtype=np.int64)
     orig = np.arange(stop - start)
+    z, d = np.empty_like(x), np.empty_like(x)
+    agg, member = np.empty(stop - start), np.empty(stop - start, dtype=bool)
+    live = stop - start
     for q, psi_q in zip(qs.tolist(), psis.tolist()):
         if psi_q <= 0.0:
             continue
-        member = _membership_bulk(xs, q, psi_q, mode, coprime)
-        if member.any():
-            first_hit[orig[member]] = q
-            keep = ~member
-            xs = xs[keep]
-            orig = orig[keep]
-            if orig.size == 0:
+        bufs = z[:live], d[:live], agg[:live], member[:live]
+        hit = _member_rows(x[:live], q, psi_q, mode, coprime, True, bufs)
+        if hit.any():
+            rows = np.flatnonzero(hit)
+            first_hit[orig[rows]] = q
+            live -= rows.size
+            holes, movers = rows[rows < live], live + np.flatnonzero(~hit[live:])
+            x[holes], orig[holes] = x[movers], orig[movers]
+            if live == 0:
                 break
     return first_hit
 
@@ -394,8 +433,7 @@ def solution_counts(
     psis = f.values(qs)
     if not np.all(np.isfinite(psis)):
         raise ValueError("family must evaluate finite on [1, Q]")
-    z = qs[:, None].astype(np.float64) * xv[None, :]
-    member = _member_rows(z, qs, psis, mode, coprime, strict)
+    member = _member_rows(np.broadcast_to(xv, (Q, xv.size)), qs, psis, mode, coprime, strict)
     cum = np.cumsum(member)
     return [(g, int(cum[g - 1])) for g in grid]
 

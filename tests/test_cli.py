@@ -35,6 +35,17 @@ class TestMeasure:
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[3] == "0"
 
+    def test_nan_delta_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "measure", "--q", "12", "--delta", "nan", "--coprime")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "delta" in err
+
+    def test_infinite_delta_is_full_measure(self, capsys):
+        code, out, _ = run_cli(capsys, "measure", "--q", "12", "--delta", "inf", "--coprime")
+        assert code == 0
+        assert float(out.strip().splitlines()[1].split(",")[3]) == 1.0
+
 
 class TestUnion:
     def test_single_value(self, capsys):

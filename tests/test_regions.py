@@ -153,6 +153,15 @@ class TestRegionMeasure1d:
     def test_plain_clip(self):
         assert region_measure_1d(RegionSpec(3, 1, 0.7)).value == 1.0
 
+    @pytest.mark.parametrize("delta", [math.nan, -0.1, Fraction(-1, 3)])
+    def test_rejects_negative_or_nan_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            RegionSpec(12, 1, delta)
+        with pytest.raises(ValueError, match="delta"):
+            product_region_measure_plain(2, delta)
+        with pytest.raises(ValueError, match="delta"):
+            product_region_measure_coprime(12, 2, delta)
+
     def test_closed_form_vs_sweep(self):
         # dual route: disjoint-interval formula against the explicit union
         rng = np.random.default_rng(11)

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from diolab.arith import nearest_coprime_distance
 from diolab.errors import ResourceBudgetError
 from diolab.psi import power_log, table_psi
 from diolab.regions import RegionSpec, region_measure_1d
 from diolab.sampler import (
     GENERATOR_ID,
     ExperimentConfig,
+    _coprime_distances,
     _membership_bulk,
+    _scan_chunk,
     estimate_pairwise_intersection,
     estimate_union_measure,
     linear_forms_count,
@@ -154,6 +159,106 @@ class TestEstimateUnion:
         assert est.seed == 9
 
 
+def dense_scan(seed, start, stop, n, qs, psis, mode, coprime):
+    """Oracle for _scan_chunk: a fresh membership pass over the survivors at every q."""
+    xs = sample_points(seed, start, stop, n)
+    first_hit = np.zeros(stop - start, dtype=np.int64)
+    orig = np.arange(stop - start)
+    for q, psi_q in zip(qs.tolist(), psis.tolist()):
+        if psi_q <= 0.0:
+            continue
+        member = _membership_bulk(xs, q, psi_q, mode, coprime)
+        if member.any():
+            first_hit[orig[member]] = q
+            keep = ~member
+            xs = xs[keep]
+            orig = orig[keep]
+            if orig.size == 0:
+                break
+    return first_hit
+
+
+# Non-monotone psi levels: zeros, small values, and a few large enough to
+# retire most rows at one q.  Windows sit at small q and around the
+# primorials 2310 and 30030, where the outward coprime search walks far.
+PSI_LEVELS = (0.0, 0.0, 1e-4, 1e-3, 1e-3, 0.01, 0.05, 0.3, 1.0)
+
+
+def table_window(q0, levels):
+    f = table_psi([0.0] * (q0 - 1) + list(levels))
+    return f, np.arange(q0, q0 + len(levels), dtype=np.int64)
+
+
+class TestScanChunk:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 10_000),
+        size=st.integers(0, 700),
+        n=st.sampled_from([1, 2, 3]),
+        mode=st.sampled_from(["product", "max"]),
+        coprime=st.booleans(),
+        q0=st.sampled_from([1, 2290, 30010]),
+        levels=st.lists(st.sampled_from(PSI_LEVELS), min_size=1, max_size=40),
+    )
+    @example(seed=1, start=0, size=0, n=2, mode="product", coprime=True, q0=1, levels=[0.3])
+    @example(seed=1, start=0, size=1, n=2, mode="product", coprime=True, q0=2290, levels=[1.0] * 40)
+    @example(seed=7, start=123, size=500, n=3, mode="max", coprime=True, q0=30010, levels=[0.05, 0.0, 0.3] * 12)
+    def test_matches_dense_scan(self, seed, start, size, n, mode, coprime, q0, levels):
+        f, qs = table_window(q0, levels)
+        psis = f.values(qs)
+        args = (seed, start, start + size, n, qs, psis, mode, coprime)
+        got = _scan_chunk(*args)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, dense_scan(*args))
+
+    @pytest.mark.parametrize("mode, n", [("product", 2), ("max", 3)])
+    def test_union_estimates_equal_across_worker_counts(self, mode, n):
+        levels = [1e-3, 0.0, 0.02, 0.3, 0.0, 1e-4] * 7
+        f, qs = table_window(2290, levels)
+        cfg = ExperimentConfig(
+            family=f, n=n, mode=mode, coprime=True, Q0=int(qs[0]), Q=int(qs[-1]), samples=3001, seed=13
+        )
+        runs = [estimate_union_measure(cfg, workers=w) for w in (1, 2, 3)]
+        assert runs[0][-1][1].value > 0.0
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+class TestCoprimeDistances:
+    @staticmethod
+    def assert_matches_scalar(y, moduli):
+        """Bitwise agreement with the scalar search on entries whose rounding shares a factor."""
+        moduli = np.broadcast_to(moduli, y.shape).astype(np.int64)
+        bad = np.gcd(np.rint(y).astype(np.int64), moduli) > 1
+        got = _coprime_distances(y[bad], moduli[bad])
+        want = np.array([nearest_coprime_distance(v, int(m)) for v, m in zip(y[bad].tolist(), moduli[bad])])
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        return int(bad.sum())
+
+    @pytest.mark.parametrize("q", [1, 7, 30030, 510510])
+    def test_single_modulus(self, q):
+        rng = np.random.default_rng(q)
+        y = np.concatenate([
+            rng.uniform(-q, q, 20_000),
+            np.arange(-60, 60) + 0.5,  # ties: rint and round both go to even
+            rng.integers(-q, q, 500) + 0.5,
+            rng.integers(-q, q, 500) * 1.0,
+        ])
+        checked = self.assert_matches_scalar(y, np.int64(q))
+        assert (checked == 0) == (q == 1)
+
+    def test_per_row_moduli(self):
+        # the solution_counts path: one modulus per row of z = q * x
+        rng = np.random.default_rng(5)
+        qs = np.concatenate([[1, 2, 6, 12, 30, 210, 2310, 30030, 510510], rng.integers(1, 10**6, 3000)])
+        z = qs[:, None] * np.concatenate([rng.random((qs.size, 2)), [[0.5, 0.25]] * qs.size], axis=1)
+        assert self.assert_matches_scalar(z, qs[:, None]) > 1000
+
+    def test_empty(self):
+        assert _coprime_distances(np.empty(0), np.empty(0, dtype=np.int64)).shape == (0,)
+
+
 class TestPairwise:
     def test_zero_family(self):
         est = estimate_pairwise_intersection(3, 5, power_log(0, 0, 0), 1, samples=500, seed=0)
@@ -227,6 +332,21 @@ class TestSolutionCount:
         f = table_psi([0.5])
         assert solution_count([0.5], f, 1, strict=False) == 1
         assert solution_count([0.5], f, 1, strict=True) == 0
+        # at q = 2 the nearest unit to 2 * 0 is at distance exactly 1 = psi(2)
+        g = table_psi([0.0, 1.0])
+        assert solution_counts([0.0], g, [1, 2], coprime=True, strict=False) == [(1, 1), (2, 2)]
+        assert solution_counts([0.0], g, [1, 2], coprime=True, strict=True) == [(1, 0), (2, 0)]
+
+    @pytest.mark.parametrize("mode", ["product", "max"])
+    def test_coprime_counts_match_scalar_membership(self, mode):
+        f = power_log(2.0, 0.5, 0)
+        grid = [1, 30, 210, 600]
+        rng = np.random.default_rng(17)
+        points = [list(rng.random(k)) for k in (1, 2, 2, 3)] + [[0.5, 1 / 3], [-0.25, 1.75]]
+        for x in points:
+            hits = np.cumsum([membership(x, q, f, mode=mode, coprime=True) for q in range(1, grid[-1] + 1)])
+            want = [(g, int(hits[g - 1])) for g in grid]
+            assert solution_counts(x, f, grid, mode=mode, coprime=True) == want
 
 
 class TestLinearForms:
