@@ -26,7 +26,6 @@ from .errors import (
 from .borel_cantelli import (
     EventStats,
     bc_lower_bound,
-    bc_lower_bound_interval,
     bc_scan,
     quasi_independence_ratio,
 )

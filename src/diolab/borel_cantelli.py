@@ -10,11 +10,12 @@ union measures.  The limsup over Q is reported as a running maximum over a
 geometric checkpoint grid (ratio 2 by default); the grid is a computable
 stand-in, configurable by the caller.
 
-Pair measures can come from three sources, recorded by the caller: exact
-interval geometry (1-D), Monte Carlo estimates, or the analytic independence
-model mu(E_s) * mu(E_t).  The independence model uses the accumulator
-identity  sum_{s,t} = S1 + S1**2 - S2  (S1 = sum mu, S2 = sum mu**2) instead
-of the literal double loop; the two are cross-checked by the test suite.
+Pair measures are either a full (Q, Q) matrix, filled by the caller from
+exact interval geometry (1-D) or from a Monte Carlo pair-hit table, or the
+analytic independence model mu(E_s) * mu(E_t).  The independence model uses
+the accumulator identity  sum_{s,t} = S1 + S1**2 - S2  (S1 = sum mu,
+S2 = sum mu**2) instead of the literal double loop; the two are
+cross-checked by the test suite.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .psi import ApproxFunction
 __all__ = [
     "EventStats",
     "bc_lower_bound",
-    "bc_lower_bound_interval",
     "bc_scan",
     "quasi_independence_ratio",
 ]
@@ -44,16 +44,12 @@ INDEPENDENT = "independence"
 class EventStats:
     """Per-event measures plus a pair-measure source.
 
-    ``pairs`` is the string "independence", a full (Q, Q) matrix, or a
-    callable (s, t) -> measure with 1-based indices.  Optional ``pairs_low``
-    and ``pairs_high`` matrices carry confidence bounds for Monte Carlo pair
-    tables and feed the interval form of the bound.
+    ``pairs`` is the string "independence" or a full (Q, Q) matrix of
+    intersection measures.
     """
 
     singles: np.ndarray
     pairs: object = INDEPENDENT
-    pairs_low: np.ndarray | None = None
-    pairs_high: np.ndarray | None = None
 
     def __post_init__(self):
         singles = np.asarray(self.singles, dtype=np.float64)
@@ -65,8 +61,8 @@ class EventStats:
         if isinstance(self.pairs, np.ndarray):
             if self.pairs.shape != (singles.size, singles.size):
                 raise ValueError("pair matrix shape must match singles")
-        elif self.pairs != INDEPENDENT and not callable(self.pairs):
-            raise ValueError("pairs must be 'independence', a matrix, or a callable")
+        elif self.pairs != INDEPENDENT:
+            raise ValueError("pairs must be 'independence' or a matrix")
 
     @property
     def q_max(self) -> int:
@@ -76,18 +72,12 @@ class EventStats:
         """sum_{s,t <= Q} mu(E_s intersect E_t)."""
         if not 1 <= Q <= self.q_max:
             raise ValueError(f"Q={Q} outside [1, {self.q_max}]")
-        mu = self.singles[:Q]
         if isinstance(self.pairs, np.ndarray):
             return float(np.sum(self.pairs[:Q, :Q]))
-        if self.pairs == INDEPENDENT:
-            s1 = float(np.sum(mu))
-            s2 = float(np.sum(mu * mu))
-            return s1 + s1 * s1 - s2
-        total = 0.0
-        for s in range(1, Q + 1):
-            for t in range(1, Q + 1):
-                total += self.pairs(s, t)
-        return total
+        mu = self.singles[:Q]
+        s1 = float(np.sum(mu))
+        s2 = float(np.sum(mu * mu))
+        return s1 + s1 * s1 - s2
 
 
 def bc_lower_bound(stats: EventStats, Q: int) -> float:
@@ -97,24 +87,6 @@ def bc_lower_bound(stats: EventStats, Q: int) -> float:
         raise UndefinedBoundError(f"pair sum is zero at Q={Q}")
     num = float(np.sum(stats.singles[:Q]))
     return num * num / denom
-
-
-def bc_lower_bound_interval(stats: EventStats, Q: int) -> tuple[float, float]:
-    """Interval form of the bound when pair tables carry confidence bounds.
-
-    The quotient interval is [num/denom_high, num/denom_low]; without CI
-    tables it degenerates to the point bound.
-    """
-    num = float(np.sum(stats.singles[:Q])) ** 2
-    if stats.pairs_low is None or stats.pairs_high is None:
-        v = bc_lower_bound(stats, Q)
-        return v, v
-    lo = float(np.sum(stats.pairs_low[:Q, :Q]))
-    hi = float(np.sum(stats.pairs_high[:Q, :Q]))
-    if hi == 0.0:
-        raise UndefinedBoundError(f"pair sum upper bound is zero at Q={Q}")
-    upper = num / lo if lo > 0.0 else math.inf
-    return num / hi, upper
 
 
 def bc_scan(stats: EventStats, grid: Sequence[int]) -> tuple[list[tuple[int, float]], float]:

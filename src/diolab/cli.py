@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -174,6 +175,8 @@ def cmd_fiber_check(args) -> int:
         k = args.exhaustive
         if not 1 <= k <= 4:
             raise SystemExit("error: --exhaustive size must be in [1, 4]")
+        if args.weight_samples < 1:
+            raise SystemExit("error: --weight-samples must be >= 1")
         rng = np.random.default_rng(args.seed)
         weight_pairs = [(DiscreteSpace.uniform(k), DiscreteSpace.uniform(k))]
         for _ in range(args.weight_samples - 1):
@@ -242,7 +245,7 @@ def cmd_experiment(args) -> int:
             battery = Battery.from_dict(payload)
         except (KeyError, ValueError, TypeError) as exc:
             raise SystemExit(f"error: bad config: {exc}")
-    if args.samples or args.seed is not None:
+    if args.samples is not None or args.seed is not None:
         battery = _override_battery(battery, args.samples, args.seed)
     t0 = time.time()
     report = run_dichotomy_scan(battery, workers=_workers(args))
@@ -291,25 +294,9 @@ def cmd_experiment(args) -> int:
 
 
 def _override_battery(battery: Battery, samples: int | None, seed: int | None) -> Battery:
-    from dataclasses import replace
-
-    entries = []
-    for e in battery.entries:
-        cfg = e.config
-        d = cfg.to_dict()
-        if samples:
-            d["samples"] = samples
-        if seed is not None:
-            d["seed"] = seed
-        entries.append(
-            type(e)(
-                name=e.name,
-                config=ExperimentConfig.from_dict(d),
-                expect=e.expect,
-                justification=e.justification,
-            )
-        )
-    return replace(battery, entries=tuple(entries))
+    overrides = {k: v for k, v in (("samples", samples), ("seed", seed)) if v is not None}
+    entries = tuple(replace(e, config=replace(e.config, **overrides)) for e in battery.entries)
+    return replace(battery, entries=entries)
 
 
 def cmd_padic(args) -> int:

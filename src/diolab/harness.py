@@ -20,7 +20,6 @@ import numpy as np
 
 from .arith import euler_phi
 from .borel_cantelli import EventStats, bc_scan
-from .errors import ResourceBudgetError
 from .psi import (
     CONVERGENT,
     DIVERGENT,
@@ -35,8 +34,8 @@ from .regions import RegionSpec, intersection_matrix, region_measure, slice_unio
 from .sampler import (
     GENERATOR_ID,
     ExperimentConfig,
-    estimate_pairwise_intersection,
     estimate_union_measure,
+    pair_hit_table,
     sample_points,
     solution_counts,
 )
@@ -216,16 +215,20 @@ def run_bc_evidence(
     pair_source: str = "independence",
     workers: int = 1,
     pair_samples: int = 20_000,
-    pair_budget: int = 300,
 ) -> BcEvidenceReport:
     """Second-moment bound vs union measure along the checkpoint grid.
 
     pair_source selects where intersection measures come from:
     "independence" (analytic model), "exact-1d" (interval geometry, n = 1
-    only), or "monte-carlo" (sampler, bounded by pair_budget pairs).  The
-    bound must stay below the union measure at every checkpoint; violations
-    beyond 3 CI widths are flagged as anomalies, never silently dropped.
+    only), or "monte-carlo" (one ``pair_hit_table`` over pair_samples
+    points, exact singles on the diagonal).  The bound must stay below the
+    union measure at every checkpoint; violations beyond 3 CI widths are
+    flagged as anomalies, never silently dropped.
     """
+    if pair_source not in ("independence", "exact-1d", "monte-carlo"):
+        raise ValueError(f"unknown pair source {pair_source!r}")
+    if pair_source == "exact-1d" and cfg.n != 1:
+        raise ValueError("exact-1d pair source requires n = 1")
     qs = list(range(cfg.Q0, cfg.Q + 1))
     psis = [cfg.family(q) for q in qs]
     if not any(p > 0.0 for p in psis):
@@ -240,8 +243,6 @@ def run_bc_evidence(
             config_hash=cfg.config_hash(),
         )
     if pair_source == "exact-1d":
-        if cfg.n != 1:
-            raise ValueError("exact-1d pair source requires n = 1")
         stats = exact_event_stats_1d(cfg.family, cfg.Q0, cfg.Q, cfg.coprime)
         union_curve = [
             (qc, truncated_union_1d(cfg.family, cfg.Q0, qc, cfg.coprime))
@@ -256,24 +257,13 @@ def run_bc_evidence(
         )
         if pair_source == "independence":
             stats = EventStats(singles, "independence")
-        elif pair_source == "monte-carlo":
-            k = len(qs)
-            if k * (k - 1) // 2 > pair_budget:
-                raise ResourceBudgetError(
-                    f"{k*(k-1)//2} Monte Carlo pairs exceed pair_budget={pair_budget}"
-                )
-            pairs = np.empty((k, k))
-            for i, qi in enumerate(qs):
-                pairs[i, i] = singles[i]
-                for j in range(i + 1, k):
-                    est = estimate_pairwise_intersection(
-                        qi, qs[j], cfg.family, cfg.n, cfg.mode, cfg.coprime,
-                        samples=pair_samples, seed=cfg.seed, workers=workers,
-                    )
-                    pairs[i, j] = pairs[j, i] = est.value
-            stats = EventStats(singles, pairs)
         else:
-            raise ValueError(f"unknown pair source {pair_source!r}")
+            hits = pair_hit_table(
+                qs, cfg.family, cfg.n, cfg.mode, cfg.coprime, pair_samples, cfg.seed, workers
+            )
+            pairs = hits / pair_samples
+            np.fill_diagonal(pairs, singles)
+            stats = EventStats(singles, pairs)
         union_curve = estimate_union_measure(cfg, workers=workers)
     positions = [qc - cfg.Q0 + 1 for qc in cfg.checkpoints]
     bound_points, _ = bc_scan(stats, positions)

@@ -46,6 +46,7 @@ __all__ = [
     "linear_forms_count",
     "membership",
     "mix64",
+    "pair_hit_table",
     "sample_points",
     "solution_count",
     "solution_counts",
@@ -374,6 +375,31 @@ def estimate_union_measure(
     return out
 
 
+def pair_hit_table(
+    qs: Sequence[int], f: ApproxFunction, n: int, mode: str, coprime: bool,
+    samples: int, seed: int, workers: int,
+) -> np.ndarray:
+    """hits[i, j] = #{samples in both the qs[i]- and qs[j]-slices}, as int64.
+
+    One membership pass per slice builds the 0/1 matrix M (samples x k) of
+    each chunk, and M.T @ M counts every pair at once: float64 sums of 0/1
+    entries are exact integers below 2**53, and integer chunk sums do not
+    depend on the worker count.
+    """
+    psis = [f(q) for q in qs]
+    if not all(math.isfinite(p) for p in psis):
+        raise ValueError("psi must be finite at every q")
+
+    def run(start: int, stop: int) -> np.ndarray:
+        xs = sample_points(seed, start, stop, n)
+        member = np.empty((stop - start, len(psis)))
+        for i, (q, psi_q) in enumerate(zip(qs, psis)):
+            member[:, i] = _membership_bulk(xs, q, psi_q, mode, coprime)
+        return (member.T @ member).astype(np.int64)
+
+    return sum(_map_chunks(run, samples, workers), np.zeros((len(psis),) * 2, dtype=np.int64))
+
+
 def estimate_pairwise_intersection(
     q: int,
     r: int,
@@ -386,19 +412,8 @@ def estimate_pairwise_intersection(
     workers: int = 1,
 ) -> MeasureEstimate:
     """Monte Carlo measure of the intersection of the q- and r-slices."""
-    psi_q, psi_r = f(q), f(r)
-    if not (math.isfinite(psi_q) and math.isfinite(psi_r)):
-        raise ValueError("psi must be finite at q and r")
-
-    def run(start: int, stop: int) -> int:
-        xs = sample_points(seed, start, stop, n)
-        member = _membership_bulk(xs, q, psi_q, mode, coprime)
-        if r != q:
-            member &= _membership_bulk(xs, r, psi_r, mode, coprime)
-        return int(np.count_nonzero(member))
-
-    hits = sum(_map_chunks(run, samples, workers))
-    return MeasureEstimate.monte_carlo(hits, samples, seed, GENERATOR_ID)
+    hits = pair_hit_table([q, r] if r != q else [q], f, n, mode, coprime, samples, seed, workers)
+    return MeasureEstimate.monte_carlo(int(hits[0, -1]), samples, seed, GENERATOR_ID)
 
 
 def solution_count(

@@ -7,7 +7,6 @@ import pytest
 from diolab.borel_cantelli import (
     EventStats,
     bc_lower_bound,
-    bc_lower_bound_interval,
     bc_scan,
     quasi_independence_ratio,
 )
@@ -36,9 +35,13 @@ class TestBcLowerBound:
     def test_independence_model_matches_double_loop(self):
         mu = 1.0 / np.arange(1, 301)
         model = EventStats(mu, "independence")
-        loop = EventStats(mu, lambda s, t: mu[s - 1] if s == t else mu[s - 1] * mu[t - 1])
         for Q in (1, 10, 100, 300):
-            assert bc_lower_bound(model, Q) == pytest.approx(bc_lower_bound(loop, Q), abs=1e-12)
+            pair_sum = 0.0
+            for s in range(Q):
+                for t in range(Q):
+                    pair_sum += mu[s] if s == t else mu[s] * mu[t]
+            loop = float(np.sum(mu[:Q])) ** 2 / pair_sum
+            assert bc_lower_bound(model, Q) == pytest.approx(loop, abs=1e-12)
 
     def test_bounded_by_one_on_realizable_systems(self):
         # random subsets of a finite weighted space: singles/pairs are exact
@@ -59,6 +62,10 @@ class TestBcLowerBound:
             bound = bc_lower_bound(stats, k)
             assert bound <= 1.0 + 1e-12
             assert bound <= union + 1e-12
+
+    def test_rejects_other_pair_sources(self):
+        with pytest.raises(ValueError, match="'independence' or a matrix"):
+            EventStats(np.array([0.5, 0.5]), lambda s, t: 0.25)
 
     def test_zero_denominator(self):
         stats = EventStats(np.zeros(3), "independence")
@@ -83,26 +90,6 @@ class TestBcLowerBound:
         expected = s1 * s1 / (s1 + s1 * s1 - s2)
         assert bc_lower_bound(stats, 10_000) == pytest.approx(expected, abs=1e-12)
         assert bc_lower_bound(stats, 10_000) > 0.88
-
-
-class TestBoundInterval:
-    def test_degenerates_without_ci(self):
-        stats = EventStats(np.array([0.5, 0.5]), np.array([[0.5, 0.25], [0.25, 0.5]]))
-        lo, hi = bc_lower_bound_interval(stats, 2)
-        assert lo == hi == pytest.approx(2 / 3)
-
-    def test_interval_contains_point(self):
-        pairs = np.array([[0.5, 0.25], [0.25, 0.5]])
-        stats = EventStats(
-            np.array([0.5, 0.5]),
-            pairs,
-            pairs_low=pairs - 0.01,
-            pairs_high=pairs + 0.01,
-        )
-        lo, hi = bc_lower_bound_interval(stats, 2)
-        point = bc_lower_bound(stats, 2)
-        assert lo <= point <= hi
-        assert lo < hi
 
 
 class TestQuasiIndependence:

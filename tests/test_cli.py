@@ -121,6 +121,12 @@ class TestFiberCheck:
         with pytest.raises(SystemExit):
             main(["fiber-check", "--exhaustive", "5"])
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_weight_samples_below_one_rejected(self, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["fiber-check", "--exhaustive", "2", "--weight-samples", count])
+        assert "--weight-samples must be >= 1" in str(exc.value)
+
 
 def tiny_battery_dict(samples=300, seed=5):
     return {
@@ -231,6 +237,15 @@ class TestExperiment:
             main(["experiment", str(cfg)])
         assert "mystery" in str(exc.value)
 
+    def test_zero_samples_override_rejected(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "experiment", "--builtin", "theorem2-demo", "--samples", "0", "--out", str(out_dir)
+        )
+        assert code == 2
+        assert out == "" and "samples must be >= 1" in err
+        assert not out_dir.exists()
+
     def test_empty_battery(self, capsys, tmp_path):
         cfg = tmp_path / "empty.json"
         cfg.write_text(json.dumps({"schema_version": 1, "name": "none", "experiments": []}))
@@ -262,3 +277,28 @@ class TestBcBound:
         for line in lines[1:]:
             parts = line.split(",")
             assert float(parts[1]) <= float(parts[2]) + 1e-12
+
+    def test_monte_carlo_pairs_equal_across_worker_counts(self, capsys):
+        outputs = []
+        for w in ("1", "2"):
+            code, out, _ = run_cli(
+                capsys, "--workers", w, "bc-bound", "--c", "0.25", "--n", "2", "--Q0", "16",
+                "--Q", "40", "--coprime", "--pairs", "monte-carlo", "--samples", "4000",
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert [line.split(",")[0] for line in outputs[0].splitlines()[1:]] == ["16", "32", "40"]
+
+    def test_monte_carlo_pairs_need_no_budget(self, capsys):
+        # 26 slices give 325 pairs, all counted from one membership pass
+        code, out, _ = run_cli(
+            capsys, "bc-bound", "--c", "0.25", "--Q", "26", "--coprime",
+            "--pairs", "monte-carlo", "--samples", "4000",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[-1].startswith("26,")
+        for line in lines[1:]:
+            bound, union, _, high = (float(v) for v in line.split(",")[1:])
+            assert 0.0 < bound <= high

@@ -206,6 +206,16 @@ class TestBcEvidence:
         assert rep.bound_curve == [] and rep.union_curve == []
         assert rep.anomalies == []
 
+    def test_zero_family_still_rejects_unknown_pair_source(self):
+        cfg = ExperimentConfig(family=power_log(0, 0, 0), n=1, Q=16, samples=50, seed=5)
+        with pytest.raises(ValueError, match="unknown pair source 'bogus'"):
+            run_bc_evidence(cfg, pair_source="bogus")
+
+    def test_zero_family_still_rejects_exact_1d_above_n_1(self):
+        cfg = ExperimentConfig(family=power_log(0, 0, 0), n=2, Q=16, samples=50, seed=5)
+        with pytest.raises(ValueError, match="requires n = 1"):
+            run_bc_evidence(cfg, pair_source="exact-1d")
+
     def test_sumcon_table_shape(self):
         cfg = ExperimentConfig(
             family=power_log(0.25, 1, 0), n=2, coprime=True, Q0=16, Q=64,

@@ -20,6 +20,7 @@ from diolab.sampler import (
     linear_forms_count,
     membership,
     mix64,
+    pair_hit_table,
     sample_points,
     solution_count,
     solution_counts,
@@ -257,6 +258,60 @@ class TestCoprimeDistances:
 
     def test_empty(self):
         assert _coprime_distances(np.empty(0), np.empty(0, dtype=np.int64)).shape == (0,)
+
+
+def pairwise_hits(qs, f, n, mode, coprime, samples, seed):
+    """Oracle for pair_hit_table: one membership pass per slice, one count per pair."""
+    xs = sample_points(seed, 0, samples, n)
+    member = [_membership_bulk(xs, q, f(q), mode, coprime) for q in qs]
+    hits = np.empty((len(qs), len(qs)), dtype=np.int64)
+    for i in range(len(qs)):
+        for j in range(len(qs)):
+            hits[i, j] = np.count_nonzero(member[i] & member[j])
+    return hits
+
+
+class TestPairHitTable:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        samples=st.integers(0, 600),
+        workers=st.integers(1, 3),
+        n=st.sampled_from([1, 2, 3]),
+        mode=st.sampled_from(["product", "max"]),
+        coprime=st.booleans(),
+        q0=st.sampled_from([1, 2290, 30010]),
+        levels=st.lists(st.sampled_from(PSI_LEVELS), min_size=1, max_size=25),
+    )
+    @example(seed=3, samples=0, workers=2, n=1, mode="product", coprime=False, q0=1, levels=[0.3])
+    @example(seed=5, samples=500, workers=3, n=2, mode="max", coprime=True, q0=2290, levels=[1.0] * 25)
+    def test_matches_pairwise_loop(self, seed, samples, workers, n, mode, coprime, q0, levels):
+        f, qs = table_window(q0, levels)
+        got = pair_hit_table(qs.tolist(), f, n, mode, coprime, samples, seed, workers)
+        want = pairwise_hits(qs.tolist(), f, n, mode, coprime, samples, seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode, n, coprime", [("product", 1, True), ("product", 2, False), ("max", 2, True)])
+    def test_off_diagonal_sum_counts_ordered_pairs_per_sample(self, mode, n, coprime):
+        # sum_{i != j} hits_ij = sum_x N(x)(N(x) - 1), N(x) = #slices holding x;
+        # N comes from solution_counts, a separate membership path
+        f = power_log(0.5, 1, 0)
+        Q0, Q, samples, seed = 5, 40, 400, 21
+        hits = pair_hit_table(list(range(Q0, Q + 1)), f, n, mode, coprime, samples, seed, 1)
+        counts = [
+            dict(solution_counts(x, f, [Q0 - 1, Q], mode, coprime))
+            for x in sample_points(seed, 0, samples, n)
+        ]
+        depth = np.array([c[Q] - c[Q0 - 1] for c in counts], dtype=np.int64)
+        assert np.trace(hits) == depth.sum()
+        assert hits.sum() - np.trace(hits) == int(np.sum(depth * (depth - 1)))
+        assert np.sum(depth >= 2) > 10
+
+    def test_rejects_non_finite_psi(self):
+        f = table_psi([0.1, math.inf, 0.2])
+        with pytest.raises(ValueError, match="psi must be finite"):
+            pair_hit_table([1, 2, 3], f, 1, "product", False, 100, 0, 1)
 
 
 class TestPairwise:
