@@ -156,7 +156,9 @@ def cmd_bc_bound(args) -> int:
         family=fam, n=args.n, mode="product", coprime=bool(args.coprime),
         Q0=args.Q0, Q=args.Q, samples=args.samples, seed=args.seed,
     )
-    rep = run_bc_evidence(cfg, pair_source=args.pairs, workers=_workers(args))
+    rep = run_bc_evidence(
+        cfg, pair_source=args.pairs, workers=_workers(args), pair_samples=cfg.samples
+    )
     print("q,bound,union,union_ci_low,union_ci_high")
     for (qc, bound), (_, union) in zip(rep.bound_curve, rep.union_curve):
         _, lo, hi = _estimate_fields(union)
@@ -362,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", type=int, required=True)
     p.add_argument("--pairs", choices=["independence", "exact-1d", "monte-carlo"],
                    default="independence")
-    p.add_argument("--samples", type=int, default=20_000)
+    p.add_argument("--samples", type=int, default=20_000,
+                   help="samples of the union curve and of the Monte Carlo pair table")
     p.add_argument("--seed", type=int, default=0)
     _add_coprime_flags(p)
     p.set_defaults(func=cmd_bc_bound)

@@ -227,6 +227,8 @@ def run_bc_evidence(
     """
     if pair_source not in ("independence", "exact-1d", "monte-carlo"):
         raise ValueError(f"unknown pair source {pair_source!r}")
+    if pair_samples < 1:
+        raise ValueError("pair_samples must be >= 1")
     if pair_source == "exact-1d" and cfg.n != 1:
         raise ValueError("exact-1d pair source requires n = 1")
     qs = list(range(cfg.Q0, cfg.Q + 1))

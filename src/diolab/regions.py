@@ -34,11 +34,31 @@ Closed forms used here
 
   which equals 2t * phi(q)/q for t <= 1/2 and reaches 1 at g_max/2.
 
+* The same law is a mixture: with probability g/q the distance is uniform
+  on [0, g/2].  For two i.i.d. such distances and 0 < delta < 1/4 every
+  pair of tents has (g/2)(g'/2) >= 1/4 > delta, so each term is the plain
+  law F_2 and the sum collapses to
+
+      P(D1 * D2 < delta) = delta k [k (1 + log(1/(4 delta))) + 4 L/r],
+
+  r = rad(q), k = 2 phi(r)/r, L = sum of log(gap) over the phi(r) cyclic
+  coprime gaps of r (``_product_law2``; L from ``_gap_log_sum`` at the
+  public n = 2 entry, from ``PiecewiseCdf.log_sum`` inside the quadrature).
+
 * The n-fold product law under the coprime marginal follows the recursion
-  G_k(d) = int G_{k-1}(d/t) dF(t).  For n = 2 the integrand is piecewise
-  (a + b/t) between explicit knots, so the integral is evaluated in closed
-  form piece by piece; n >= 3 uses adaptive Gauss-Legendre refinement of the
-  same recursion down to the analytic n = 2 base.
+  G_k(d) = int G_{k-1}(d/t) dF(t).  For n = 2 and delta >= 1/4 the integrand
+  is piecewise (a + b/t) between explicit knots, so the integral is
+  evaluated piece by piece; that path is also the oracle of the closed
+  form.  n >= 3 uses adaptive Gauss-Legendre refinement of the same
+  recursion down to the analytic n = 2 base.
+
+Rounding bounds
+---------------
+The ``numeric-exact`` bounds of the n = 1 and n = 2 laws are derived, not
+chosen: each float operation is counted at a relative error <= u = 2**-53,
+a libm ``log`` at <= 1 ulp, and results in the subnormal range at an
+absolute error <= ``_TINY``.  Second-order terms in u are covered by
+rounding each constant up by one u.
 """
 
 from __future__ import annotations
@@ -51,7 +71,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import coprime_residues, default_phi_table, euler_phi, gap_multiset, radical
+from .arith import (
+    _cyclic_gaps,
+    coprime_residues,
+    default_phi_table,
+    euler_phi,
+    gap_multiset,
+    prime_factors,
+    radical,
+)
 from .errors import ConvergenceError, ResourceBudgetError
 from .measure import MeasureEstimate
 from .psi import ApproxFunction, TablePsi
@@ -72,6 +100,8 @@ __all__ = [
 ]
 
 MERGE_EPS = 1e-15
+_U = 2.0**-53  # unit roundoff of float64
+_TINY = math.ulp(0.0)  # twice the largest rounding error of a subnormal result
 
 
 @dataclass(frozen=True)
@@ -300,15 +330,24 @@ class PiecewiseCdf:
     Built from the cyclic gap multiset of the coprime residues of the
     radical of q (the law only sees the squarefree kernel).  Evaluation is
     float by default; ``eval_fraction`` is exact on rational inputs.
+
+    ``log_sum`` is L, the sum of log(gap) over the phi cyclic gaps, which
+    with phi fixes the n = 2 product law below delta = 1/4 in closed form
+    (``_product_law2``); it is ``math.fsum`` of c log g over the distinct
+    gaps, within 4u relative (2u from the log, u from the product, u from
+    the rounded sum, every term >= 0).  The public n = 2 entry below 1/4
+    never builds this table; it serves n = 1, n = 2 at delta >= 1/4, the
+    n >= 3 quadrature and the oracle of the n = 2 closed form.
     """
 
-    __slots__ = ("modulus", "gaps", "counts", "phi", "_ccounts", "_cgsum")
+    __slots__ = ("modulus", "gaps", "counts", "phi", "log_sum", "_ccounts", "_cgsum")
 
     def __init__(self, modulus: int, gaps: np.ndarray, counts: np.ndarray):
         self.modulus = int(modulus)
         self.gaps = [int(g) for g in gaps]
         self.counts = [int(c) for c in counts]
         self.phi = int(sum(self.counts))
+        self.log_sum = math.fsum(c * math.log(g) for g, c in zip(self.gaps, self.counts))
         ccounts = [0]
         cgsum = [0]
         for g, c in zip(self.gaps, self.counts):
@@ -369,21 +408,104 @@ def coprime_dist_cdf(q: int) -> PiecewiseCdf:
     return cdf
 
 
+_gap_cache: dict[int, tuple[int, float, float, int]] = {}
+_gap_lock = threading.Lock()
+
+
+def _gap_stats(m: int) -> tuple[int, float, float, int]:
+    """(phi, L, P, G) of the cyclic coprime gaps g_i of m; cached per m.
+
+    L = sum log g_i, P = sum log(g_{i-1} + g_i) and G = max g_i.  Both sums
+    are ``math.fsum`` of libm logs of integers >= 1, so each is within 3u
+    relative: 2u from the logs, all >= 0, and u from the rounded sum.
+    """
+    stats = _gap_cache.get(m)
+    if stats is None:
+        gaps = _cyclic_gaps(m)[1]
+        merged = gaps + np.roll(gaps, 1)
+        stats = (
+            gaps.size,
+            math.fsum(map(math.log, gaps.tolist())),
+            math.fsum(map(math.log, merged.tolist())),
+            int(gaps.max()),
+        )
+        with _gap_lock:
+            _gap_cache.setdefault(m, stats)
+    return stats
+
+
+def _gap_log_sum(q: int) -> tuple[int, int, float]:
+    """(r, phi(r), L_r) for r = rad(q), L_r = sum of log(gap) over r's cyclic coprime gaps.
+
+    Lifting along the largest prime p of r, with s = r/p: every unit of s
+    lifts to p residues mod r, exactly one of them divisible by p, and
+    dropping that one merges the two gaps of s around it.  When p exceeds
+    every gap of s no two dropped residues are neighbours, so
+    phi(r) = (p - 1) phi(s) and L_r = (p - 2) L_s + P_s, with s's data
+    from ``_gap_stats`` (few distinct s occur).  Otherwise r's own gaps
+    are taken.  r = 1 gives (1, 0) and a prime (p - 1, log 2).  L_r is
+    within 5u relative: 3u from L_s and P_s, then one product and one sum.
+    Serves the public n = 2 entry below delta = 1/4, which builds no
+    ``PiecewiseCdf``; the quadrature takes L from the table it already has.
+    """
+    primes = prime_factors(q)
+    if not primes:
+        return 1, 1, 0.0
+    r = math.prod(primes)
+    p = primes[-1]
+    phi_s, log_s, merged_s, max_gap_s = _gap_stats(r // p)
+    if p > max_gap_s:
+        return r, (p - 1) * phi_s, (p - 2) * log_s + merged_s
+    phi_r, log_r, _, _ = _gap_stats(r)
+    return r, phi_r, log_r
+
+
 # ---------------------------------------------------------------------------
 # n-fold product of coprime distances
 
 
-def _product_cdf2(cdf: PiecewiseCdf, delta: float) -> float:
-    """P(D1 * D2 < delta), D_i i.i.d. with law cdf, evaluated piece by piece.
+def _product_law2(r: int, phi: int, log_sum: float, delta: float) -> tuple[float, float]:
+    """(P(D1 * D2 < delta), rounding bound) in closed form, for 0 < delta < 1/4.
+
+    Rounding, with k = 2 phi/r and L = log_sum: k is one division;
+    1 + log(1/(4 delta)) is within 3u (4 delta is exact, the log within
+    1 ulp, then one sum) and its product with k within 5u; 4L/r carries
+    L's error (<= 5u lifted, <= 4u from the table) plus one division.
+    The sum adds u, delta * k 2u and the last product u: 10u in all,
+    rounded up to 11u.  Only delta * k and the value can underflow, by at
+    most _TINY (d + 1) / 2 in all.
+    """
+    k = 2.0 * phi / r
+    d = k * (1.0 - math.log(4.0 * delta)) + 4.0 * log_sum / r
+    value = delta * k * d
+    return value, 11.0 * _U * value + _TINY * (d + 1.0)
+
+
+def _product_cdf2(cdf: PiecewiseCdf, delta: float) -> tuple[float, float]:
+    """(P(D1 * D2 < delta), rounding bound), D_i i.i.d. with law cdf, piece by piece.
 
     Between knots the density is constant and F(delta/t) is linear in 1/t,
-    so each piece integrates to closed form with one logarithm.
+    so each piece integrates to closed form with one logarithm.  This path
+    serves delta >= 1/4, where ``_product_law2`` stops holding, and is that
+    closed form's oracle.
+
+    Rounding, with M pieces, D distinct gaps and k = 2 phi/r:
+    * an inner piece carries 3 roundings and an outer one 8, plus the
+      absolute error u of log(t2/t1) (from the rounded quotient) times its
+      factor c_f 2 delta n_above / r <= delta k**2;
+    * adding the M non-negative pieces costs (M - 1) u of the total;
+    * the knots delta/T and 2 delta/g (each <= 2 delta) are rounded once,
+      and the integrand is <= k, so a misplaced knot, or a sliver next to
+      it whose midpoint picks the wrong piece, costs <= 2 u k (knot);
+    * each piece makes at most 10 roundings that can underflow.
+    With one spare u for second-order terms the bound is
+    u [(M + 8) total + delta k (k M + 4 (1 + D))] + 10 M _TINY.
     """
     T = cdf.max_distance
     if delta <= 0.0:
-        return 0.0
+        return 0.0, 0.0
     if delta >= T * T:
-        return 1.0
+        return 1.0, 0.0
     r = cdf.modulus
     knots = {0.0, T, delta / T}
     for g in cdf.gaps:
@@ -395,6 +517,7 @@ def _product_cdf2(cdf: PiecewiseCdf, delta: float) -> float:
             knots.add(image)
     cuts = sorted(knots)
     total = 0.0
+    pieces = 0
     for t1, t2 in zip(cuts[:-1], cuts[1:]):
         if t2 <= t1:
             continue
@@ -402,6 +525,7 @@ def _product_cdf2(cdf: PiecewiseCdf, delta: float) -> float:
         n_density, _ = cdf._split(2.0 * tm)
         if n_density == 0:
             continue
+        pieces += 1
         c_f = 2.0 * n_density / r
         if tm * T <= delta:
             # inner region: delta/t exceeds the support, F = 1
@@ -410,7 +534,9 @@ def _product_cdf2(cdf: PiecewiseCdf, delta: float) -> float:
             u = delta / tm
             n_above, s_below = cdf._split(2.0 * u)
             total += c_f * (2.0 * delta * n_above * math.log(t2 / t1) + s_below * (t2 - t1)) / r
-    return min(1.0, total)
+    k = 2.0 * cdf.phi / r
+    slack = delta * k * (k * pieces + 4.0 * (1 + len(cdf.gaps)))
+    return min(1.0, total), _U * ((pieces + 8) * total + slack) + 10 * pieces * _TINY
 
 
 _GL7 = np.polynomial.legendre.leggauss(7)
@@ -434,9 +560,13 @@ def _product_cdf_rec(
     if delta >= T**k:
         return 1.0, 0.0
     if k == 1:
-        return cdf(delta), 1e-15
+        value = cdf(delta)
+        # 2t n_above, + s_below, / r: three roundings, rounded up to 4u
+        return value, 4.0 * _U * value + _TINY
     if k == 2:
-        return _product_cdf2(cdf, delta), 1e-12
+        if delta < 0.25:
+            return _product_law2(cdf.modulus, cdf.phi, cdf.log_sum, delta)
+        return _product_cdf2(cdf, delta)
     child_tol = 0.5 * tol
     quad_tol = 0.5 * tol
     r = cdf.modulus
@@ -492,16 +622,28 @@ def _product_cdf_rec(
 def product_region_measure_coprime(
     q: int, n: int, delta: float, tol: float = 1e-9
 ) -> MeasureEstimate:
-    """|{x in [0,1]^n : prod ||q x_i||' < delta}| to absolute tolerance tol."""
+    """|{x in [0,1]^n : prod ||q x_i||' < delta}| to absolute tolerance tol.
+
+    n = 2 with 0 < delta < 1/4 is the closed form
+    delta k [k (1 + log(1/(4 delta))) + 4 L_r/r], with r = rad(q),
+    k = 2 phi(r)/r and L_r the sum of log(gap) over the cyclic coprime gaps
+    of r.  L_r is lifted from s = r/p, p the largest prime of r, when p
+    exceeds every coprime gap of s, and taken from r's own gaps otherwise:
+    O(1) per q after factoring, no gap table of r.  n = 2 at delta >= 1/4
+    uses the piecewise law, which is also the closed form's oracle; n >= 3
+    uses adaptive quadrature.  The error bound is the derived rounding
+    bound for n <= 2 and the quadrature bound for n >= 3.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not delta >= 0:
         raise ValueError("delta must be >= 0")
-    cdf = coprime_dist_cdf(q)
-    value, err = _product_cdf_rec(cdf, n, delta, tol)
-    return MeasureEstimate.numeric(value, max(err, 1e-15))
+    if n == 2 and 0.0 < delta < 0.25:
+        return MeasureEstimate.numeric(*_product_law2(*_gap_log_sum(q), delta))
+    value, err = _product_cdf_rec(coprime_dist_cdf(q), n, delta, tol)
+    return MeasureEstimate.numeric(value, err)
 
 
 # ---------------------------------------------------------------------------

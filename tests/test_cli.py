@@ -290,6 +290,28 @@ class TestBcBound:
         assert outputs[0] == outputs[1]
         assert [line.split(",")[0] for line in outputs[0].splitlines()[1:]] == ["16", "32", "40"]
 
+    def test_samples_reach_the_pair_table(self, capsys):
+        base = ("bc-bound", "--c", "0.25", "--n", "2", "--Q0", "16", "--Q", "40", "--coprime")
+        bounds = {}
+        for pairs in ("independence", "monte-carlo"):
+            for count in ("2000", "3000"):
+                code, out, _ = run_cli(capsys, *base, "--pairs", pairs, "--samples", count)
+                assert code == 0
+                bounds[pairs, count] = [line.split(",")[1] for line in out.splitlines()[1:]]
+        # the analytic bound ignores the count; the Monte Carlo pair table follows it
+        assert bounds["independence", "2000"] == bounds["independence", "3000"]
+        assert bounds["monte-carlo", "2000"] != bounds["monte-carlo", "3000"]
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_samples_below_one_rejected(self, capsys, count):
+        code, out, err = run_cli(
+            capsys, "bc-bound", "--c", "0.25", "--Q", "8", "--coprime",
+            "--pairs", "monte-carlo", "--samples", count,
+        )
+        assert code == 2
+        assert out == ""
+        assert "samples must be >= 1" in err
+
     def test_monte_carlo_pairs_need_no_budget(self, capsys):
         # 26 slices give 325 pairs, all counted from one membership pass
         code, out, _ = run_cli(

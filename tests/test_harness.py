@@ -216,6 +216,12 @@ class TestBcEvidence:
         with pytest.raises(ValueError, match="requires n = 1"):
             run_bc_evidence(cfg, pair_source="exact-1d")
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_pair_samples_below_one_rejected(self, count):
+        cfg = ExperimentConfig(family=power_log(0.25, 1, 0), n=1, Q=8, samples=50, seed=5)
+        with pytest.raises(ValueError, match="pair_samples must be >= 1"):
+            run_bc_evidence(cfg, pair_source="monte-carlo", pair_samples=count)
+
     def test_sumcon_table_shape(self):
         cfg = ExperimentConfig(
             family=power_log(0.25, 1, 0), n=2, coprime=True, Q0=16, Q=64,

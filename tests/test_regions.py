@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diolab.arith import dist_nearest, dist_nearest_coprime, euler_phi
+from diolab.arith import (
+    _cyclic_gaps,
+    dist_nearest,
+    dist_nearest_coprime,
+    euler_phi,
+    gap_multiset,
+    prime_factors,
+    radical,
+)
 from diolab.errors import ResourceBudgetError
 from diolab.psi import power_log, table_psi
 from diolab.regions import (
@@ -23,7 +32,16 @@ from diolab.regions import (
     truncated_union_1d,
     uniform_product_cdf,
 )
-from diolab.regions import _rational_slice_intervals, _slice_raw_intervals, union_measure_raw
+from diolab.regions import (
+    _gap_log_sum,
+    _gap_stats,
+    _product_cdf2,
+    _product_cdf_rec,
+    _product_law2,
+    _rational_slice_intervals,
+    _slice_raw_intervals,
+    union_measure_raw,
+)
 from diolab.sampler import sample_points
 
 
@@ -354,6 +372,147 @@ class TestProductCoprime:
             _product_cdf_rec(cdf, 3, 1e-3, tol=1e-14, max_panels=3)
         assert 0.0 <= exc.value.best_value <= 1.0
         assert exc.value.error_bound > 0.0
+
+
+U = 2.0**-53
+
+# n = 3 coprime values of psi(q) = 1/(q log(q+1)^3) at q = 1000..1009, tol 1e-9,
+# from the quadrature whose k = 2 child was the piecewise law at every node
+N3_PIECEWISE_CHILD = [
+    0.00015809664087875223, 0.0006961505496560918, 9.648372689078682e-05,
+    0.0013419589509262896, 0.0002819140762903442, 0.00031045343364635047,
+    0.00028274587469951463, 0.0013517750640395817, 6.44859530183303e-05,
+    0.001630093391094789,
+]
+
+
+def squarefree_up_to(limit: int) -> list[int]:
+    return [r for r in range(1, limit + 1) if math.prod(prime_factors(r)) == r]
+
+
+def closed_form(q: int, delta: float) -> tuple[float, float]:
+    return _product_law2(*_gap_log_sum(q), delta)
+
+
+def piecewise(q: int, delta: float) -> tuple[float, float]:
+    return _product_cdf2(coprime_dist_cdf(q), delta)
+
+
+def mixture_oracle(q: int, delta: float) -> Decimal:
+    """P(D1 D2 < delta) to 50 digits, for any delta >= 0.
+
+    With probability g/r a coprime distance is uniform on [0, g/2], and the
+    product of uniforms on [0, a] and [0, b] is below delta with probability
+    F_2(delta/(ab)), F_2(t) = t (1 - ln t) on (0, 1]: a double sum over the
+    distinct gaps, independent of both float paths.
+    """
+    gaps, counts = gap_multiset(radical(q))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = Decimal(int(np.sum(gaps * counts)))
+        d = Decimal(delta)
+        total = Decimal(0)
+        for g, c in zip(gaps.tolist(), counts.tolist()):
+            for h, e in zip(gaps.tolist(), counts.tolist()):
+                t = 4 * d / (g * h)
+                total += c * e * g * h * (1 if t >= 1 else t * (1 - t.ln()))
+        return total / (r * r)
+
+
+def covers(value: float, bound: float, exact) -> bool:
+    return abs(Decimal(value) - Decimal(exact)) <= Decimal(bound)
+
+
+class TestClosedFormN2:
+    def test_lifting_matches_direct_log_sum(self):
+        # every squarefree r <= 30030, the fallback (p <= a gap of s) included
+        fallback = []
+        for r in squarefree_up_to(30030):
+            gaps = _cyclic_gaps(r)[1]
+            counts = np.bincount(gaps)
+            want = math.fsum(c * math.log(g) for g, c in enumerate(counts.tolist()) if c)
+            got_r, phi, got = _gap_log_sum(r)
+            assert (got_r, phi) == (r, gaps.size)
+            # lifted within 5u; grouped by gap length, the direct sum within 4u
+            assert abs(got - want) <= 9 * U * want, r
+            primes = prime_factors(r)
+            if primes and primes[-1] <= _gap_stats(r // primes[-1])[3]:
+                fallback.append(r)
+        assert fallback == [30030]
+
+    def test_table_log_sum_matches_lifting(self):
+        # the quadrature's L (grouped, 4u) against the public entry's (lifted, 5u)
+        for q in list(range(1, 400)) + [2310, 30030, 99991, 510510]:
+            lifted = _gap_log_sum(q)[2]
+            assert abs(coprime_dist_cdf(q).log_sum - lifted) <= 9 * U * lifted, q
+
+    def test_small_radicals(self):
+        assert _gap_log_sum(1) == (1, 1, 0.0)
+        for p in (2, 3, 7, 99991):
+            assert _gap_log_sum(p ** 2) == (p, p - 1, math.log(2))
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-3, 0.1, 0.2499])
+    def test_agrees_with_piecewise(self, delta):
+        for q in list(range(1, 400)) + [2310, 30030, 99991, 510510]:
+            value, bound = closed_form(q, delta)
+            oracle, oracle_bound = piecewise(q, delta)
+            assert abs(value - oracle) <= bound + oracle_bound, q
+
+    @pytest.mark.parametrize("q", [1, 2, 6, 12, 30, 97, 210, 2310, 30030])
+    def test_bounds_cover_the_true_value(self, q):
+        for delta in (1e-9, 1e-4, 0.01, 0.2, 0.2499):
+            exact = mixture_oracle(q, delta)
+            assert covers(*closed_form(q, delta), exact), delta
+            assert covers(*piecewise(q, delta), exact), delta
+        cdf = coprime_dist_cdf(q)
+        for delta in (0.25, 0.3, 0.9, 2.5):
+            if delta < cdf.max_distance**2:
+                assert covers(*piecewise(q, delta), mixture_oracle(q, delta)), delta
+
+    def test_q1_is_the_plain_law(self):
+        for delta in (1e-8, 1e-3, 0.05, 0.2499):
+            value, bound = closed_form(1, delta)
+            assert abs(value - uniform_product_cdf(2, 4 * delta)) <= bound + 4 * U * value
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        q=st.integers(1, 10**6),
+        delta=st.floats(1e-300, 0.25, exclude_max=True) | st.floats(1e-12, 0.25, exclude_max=True),
+    )
+    @example(q=30030, delta=0.2)
+    @example(q=1, delta=5e-324)
+    def test_bound_covers_piecewise(self, q, delta):
+        value, bound = closed_form(q, delta)
+        oracle, oracle_bound = piecewise(q, delta)
+        assert abs(value - oracle) <= bound + oracle_bound
+
+    def test_public_entry_uses_the_closed_form_below_a_quarter(self):
+        got = product_region_measure_coprime(360, 2, 0.01)
+        assert (got.value, got.error_bound) == closed_form(360, 0.01)
+        assert got.provenance == "numeric-exact"
+        got = product_region_measure_coprime(360, 2, 0.25)
+        assert (got.value, got.error_bound) == piecewise(360, 0.25)
+
+    def test_n1_bound_covers_the_rational_value(self):
+        for q in (1, 12, 30, 2310):
+            cdf = coprime_dist_cdf(q)
+            for delta in (1e-7, 0.3, 0.5, 1.7):
+                if delta < cdf.max_distance:
+                    value, bound = _product_cdf_rec(cdf, 1, delta, 1e-9)
+                    exact = cdf.eval_fraction(Fraction(delta))
+                    assert abs(Fraction(value) - exact) <= Fraction(bound)
+
+    @pytest.mark.parametrize("q", [1, 30, 2310])
+    def test_n3_at_a_subnormal_delta(self, q):
+        # nodes delta/t round to 0: the k = 2 child must return 0, not take log(0)
+        got = product_region_measure_coprime(q, 3, 5e-324)
+        assert 0.0 <= got.value <= got.error_bound
+
+    def test_n3_within_its_bound_of_the_piecewise_child(self):
+        fam = power_log(1.0, 1.0, 3.0)
+        for q, old in zip(range(1000, 1010), N3_PIECEWISE_CHILD):
+            got = product_region_measure_coprime(q, 3, fam(q), tol=1e-9)
+            assert abs(got.value - old) <= got.error_bound
 
 
 class TestHyperbolicEquivalence:
