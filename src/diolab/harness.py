@@ -190,9 +190,11 @@ def exact_event_stats_1d(
 
     ``intersection_matrix`` builds the pairs in one vectorised pass per row,
     bit for bit those of ``intersection_measure``; an empty slice gives a
-    zero row and column.
+    zero row and column.  psi comes from ``f.values``, as in
+    ``truncated_union_1d``, so the bound and the union see the same slices.
     """
-    unions = [slice_union(q, f(q), coprime=coprime) for q in range(Q0, Q + 1)]
+    psis = f.values(np.arange(Q0, Q + 1, dtype=np.int64)).tolist()
+    unions = [slice_union(q, d, coprime=coprime) for q, d in zip(range(Q0, Q + 1), psis)]
     pairs = intersection_matrix(unions)
     return EventStats(pairs.diagonal().copy(), pairs)
 
@@ -232,7 +234,7 @@ def run_bc_evidence(
     if pair_source == "exact-1d" and cfg.n != 1:
         raise ValueError("exact-1d pair source requires n = 1")
     qs = list(range(cfg.Q0, cfg.Q + 1))
-    psis = [cfg.family(q) for q in qs]
+    psis = cfg.family.values(np.arange(cfg.Q0, cfg.Q + 1, dtype=np.int64)).tolist()
     if not any(p > 0.0 for p in psis):
         # no slice has positive threshold: nothing to bound, vacuous pass
         return BcEvidenceReport(
@@ -279,7 +281,7 @@ def run_bc_evidence(
             )
     sumcon_table = []
     for qc in cfg.checkpoints:
-        d = cfg.family(qc)
+        d = psis[qc - cfg.Q0]
         m = region_measure(RegionSpec(qc, cfg.n, d, cfg.mode, cfg.coprime)).value
         phi_ratio = euler_phi(qc) / qc
         pred = (phi_ratio**cfg.n) * d * (np.log(qc) ** (cfg.n - 1))

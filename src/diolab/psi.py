@@ -439,10 +439,8 @@ def _summand(f: ApproxFunction, criterion: SumCriterion, Q: int) -> np.ndarray:
 
 
 def partial_sum(f: ApproxFunction, criterion: SumCriterion, Q: int) -> float:
-    """Sum of the criterion's summand for q = 1..Q (natural logs)."""
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
-    return float(np.sum(_summand(f, criterion, Q)))
+    """Sum of the criterion's summand for q = 1..Q (natural logs): the scan at one checkpoint."""
+    return partial_sum_scan(f, criterion, [Q])[0][1]
 
 
 def partial_sum_scan(
@@ -457,12 +455,11 @@ def partial_sum_scan(
 
 
 def cond1_ratio(f: ApproxFunction, n: int, Q: int) -> float:
-    """Ratio of the phi-log-weighted to the log-weighted partial sum at Q."""
-    num = partial_sum(f, SumCriterion("phi_log_weighted", n), Q)
-    den = partial_sum(f, SumCriterion("log_weighted", n), Q)
-    if den == 0.0:
-        raise UndefinedRatioError(f"log-weighted partial sum is zero at Q={Q}")
-    return num / den
+    """Ratio of the phi-log-weighted to the log-weighted partial sum at Q: the scan at one checkpoint.
+
+    Raises UndefinedRatioError when the log-weighted sum is zero at Q.
+    """
+    return cond1_scan(f, n, [Q])[0][0][1]
 
 
 def cond1_scan(f: ApproxFunction, n: int, grid: Sequence[int]) -> tuple[list[tuple[int, float]], float]:

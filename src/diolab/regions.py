@@ -34,23 +34,31 @@ Closed forms used here
 
   which equals 2t * phi(q)/q for t <= 1/2 and reaches 1 at g_max/2.
 
-* The same law is a mixture: with probability g/q the distance is uniform
-  on [0, g/2].  For two i.i.d. such distances and 0 < delta < 1/4 every
-  pair of tents has (g/2)(g'/2) >= 1/4 > delta, so each term is the plain
-  law F_2 and the sum collapses to
+* The same law is a mixture: with r = rad(q) and c_g gaps of length g,
+  the distance is uniform on [0, g/2] with probability c_g g/r.  A product
+  of uniforms on [0, a] and [0, b] lies below delta with probability
+  F_2(delta/(ab)), F_2(t) = t (1 - log t) on (0, 1] and 1 above, so with
+  x = 4 delta and the gap pairs grouped by their product P = g h,
 
-      P(D1 * D2 < delta) = delta k [k (1 + log(1/(4 delta))) + 4 L/r],
+      P(D1 * D2 < delta) = sum_P (N_P/r**2) F_2(x/P),
+      N_P = sum_{g h = P} c_g g c_h h = P K_P,  K_P = sum_{g h = P} c_g c_h.
 
-  r = rad(q), k = 2 phi(r)/r, L = sum of log(gap) over the phi(r) cyclic
-  coprime gaps of r (``_product_law2``; L from ``_gap_log_sum`` at the
-  public n = 2 entry, from ``PiecewiseCdf.log_sum`` inside the quadrature).
+  Every P <= x contributes N_P/r**2 whole, so with i = #{P <= x}
+
+      P(D1 * D2 < delta) = below[i] + x [(1 - log x) above[i] + above_log[i]],
+
+  ``below`` the prefix sums of N_P/r**2, ``above`` and ``above_log`` the
+  suffix sums of K_P/r**2 and K_P log P/r**2 over the sorted distinct
+  products (``PiecewiseCdf.law2_terms``, evaluated by ``_product_law2``):
+  one bisection per delta, at every delta.  Below x = 1 no product is
+  <= x and the terms are (0, phi**2/r**2, 2 phi L/r**2), with phi = phi(r)
+  and L the sum of log(gap) over the phi cyclic gaps; the public n = 2
+  entry below delta = 1/4 takes phi and L from ``_gap_log_sum`` and builds
+  no table.
 
 * The n-fold product law under the coprime marginal follows the recursion
-  G_k(d) = int G_{k-1}(d/t) dF(t).  For n = 2 and delta >= 1/4 the integrand
-  is piecewise (a + b/t) between explicit knots, so the integral is
-  evaluated piece by piece; that path is also the oracle of the closed
-  form.  n >= 3 uses adaptive Gauss-Legendre refinement of the same
-  recursion down to the analytic n = 2 base.
+  G_k(d) = int G_{k-1}(d/t) dF(t); n >= 3 uses adaptive Gauss-Legendre
+  refinement of it down to the n = 2 law above.
 
 Rounding bounds
 ---------------
@@ -66,8 +74,10 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -136,16 +146,20 @@ def _sweep(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return s, e, np.maximum.accumulate(e)
 
 
-def union_measure_raw(starts: np.ndarray, ends: np.ndarray) -> float:
-    """Measure of a union of intervals given as parallel start/end arrays."""
+def union_measure_raw(starts: np.ndarray, ends: np.ndarray):
+    """Measure of a union of intervals given as parallel start/end arrays.
+
+    Float arrays give a float; object arrays of ``Fraction`` give the exact
+    ``Fraction``, since the sweep only compares, subtracts and adds.
+    """
     if starts.size == 0:
         return 0.0
     s, e, cm = _sweep(starts, ends)
     frontier = np.empty_like(cm)
-    frontier[0] = -np.inf
+    frontier[0] = s[0]
     frontier[1:] = cm[:-1]
     contrib = e - np.maximum(s, frontier)
-    return float(np.sum(contrib[contrib > 0.0]))
+    return np.sum(contrib[contrib > 0])
 
 
 class IntervalUnion:
@@ -257,9 +271,9 @@ def _slice_centers(q: int, delta, coprime: bool) -> np.ndarray:
     return centers[(centers > lo) & (centers < hi)]
 
 
-def _slice_raw_intervals(q: int, delta: float, coprime: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (unclipped, unmerged) intervals of one 1-D slice."""
-    if delta <= 0.0:
+def _slice_raw_intervals(q: int, delta, coprime: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (unclipped, unmerged) intervals of one 1-D slice; a Fraction delta gives Fraction ends."""
+    if delta <= 0:
         return np.empty(0), np.empty(0)
     centers = _slice_centers(q, delta, coprime)
     return (centers - delta) / q, (centers + delta) / q
@@ -331,23 +345,26 @@ class PiecewiseCdf:
     radical of q (the law only sees the squarefree kernel).  Evaluation is
     float by default; ``eval_fraction`` is exact on rational inputs.
 
-    ``log_sum`` is L, the sum of log(gap) over the phi cyclic gaps, which
-    with phi fixes the n = 2 product law below delta = 1/4 in closed form
-    (``_product_law2``); it is ``math.fsum`` of c log g over the distinct
-    gaps, within 4u relative (2u from the log, u from the product, u from
-    the rounded sum, every term >= 0).  The public n = 2 entry below 1/4
-    never builds this table; it serves n = 1, n = 2 at delta >= 1/4, the
-    n >= 3 quadrature and the oracle of the n = 2 closed form.
+    It also holds the n = 2 product law's table: the sorted distinct gap
+    products P = g h with the running sums ``below``, ``above`` and
+    ``above_log`` of the module docstring, so ``law2_terms`` serves any
+    delta with one bisection.  ``below`` and ``above`` are integer ratios,
+    each rounded once (Python's int / int is correctly rounded), so within
+    u.  ``above_log`` is ``math.fsum`` of K_P log P, divided by r**2,
+    within 7u: 2u from the log, u each from K_P and r**2 as floats, and u
+    each from the product, the sum and the division (every term >= 0).
     """
 
-    __slots__ = ("modulus", "gaps", "counts", "phi", "log_sum", "_ccounts", "_cgsum")
+    __slots__ = (
+        "modulus", "gaps", "counts", "phi", "_ccounts", "_cgsum",
+        "_products", "_below", "_above", "_above_log",
+    )
 
     def __init__(self, modulus: int, gaps: np.ndarray, counts: np.ndarray):
         self.modulus = int(modulus)
         self.gaps = [int(g) for g in gaps]
         self.counts = [int(c) for c in counts]
         self.phi = int(sum(self.counts))
-        self.log_sum = math.fsum(c * math.log(g) for g, c in zip(self.gaps, self.counts))
         ccounts = [0]
         cgsum = [0]
         for g, c in zip(self.gaps, self.counts):
@@ -355,6 +372,22 @@ class PiecewiseCdf:
             cgsum.append(cgsum[-1] + c * g)
         self._ccounts = ccounts
         self._cgsum = cgsum
+        weights = Counter()  # K_P
+        for g, c in zip(self.gaps, self.counts):
+            for h, e in zip(self.gaps, self.counts):
+                weights[g * h] += c * e
+        self._products = sorted(weights)
+        r2 = self.modulus**2
+        ks = [weights[P] for P in self._products]
+        self._below = [n / r2 for n in accumulate((P * k for P, k in zip(self._products, ks)), initial=0)]
+        self._above = [(self.phi**2 - k) / r2 for k in accumulate(ks, initial=0)]
+        logs = [k * math.log(P) for P, k in zip(self._products, ks)]
+        self._above_log = [math.fsum(logs[i:]) / r2 for i in range(len(logs) + 1)]
+
+    def law2_terms(self, x: float) -> tuple[float, float, float]:
+        """(below, above, above_log) at i = #{P <= x}, for ``_product_law2`` at delta = x/4."""
+        i = bisect_right(self._products, x)
+        return self._below[i], self._above[i], self._above_log[i]
 
     @property
     def max_distance(self) -> float:
@@ -445,8 +478,8 @@ def _gap_log_sum(q: int) -> tuple[int, int, float]:
     from ``_gap_stats`` (few distinct s occur).  Otherwise r's own gaps
     are taken.  r = 1 gives (1, 0) and a prime (p - 1, log 2).  L_r is
     within 5u relative: 3u from L_s and P_s, then one product and one sum.
-    Serves the public n = 2 entry below delta = 1/4, which builds no
-    ``PiecewiseCdf``; the quadrature takes L from the table it already has.
+    Serves the public n = 2 entry below delta = 1/4 (``_lifted_terms``),
+    which builds no ``PiecewiseCdf``.
     """
     primes = prime_factors(q)
     if not primes:
@@ -464,79 +497,37 @@ def _gap_log_sum(q: int) -> tuple[int, int, float]:
 # n-fold product of coprime distances
 
 
-def _product_law2(r: int, phi: int, log_sum: float, delta: float) -> tuple[float, float]:
-    """(P(D1 * D2 < delta), rounding bound) in closed form, for 0 < delta < 1/4.
+def _lifted_terms(q: int) -> tuple[float, float, float]:
+    """``law2_terms`` below x = 1, (0, phi**2/r**2, 2 phi L/r**2), from ``_gap_log_sum``.
 
-    Rounding, with k = 2 phi/r and L = log_sum: k is one division;
-    1 + log(1/(4 delta)) is within 3u (4 delta is exact, the log within
-    1 ulp, then one sum) and its product with k within 5u; 4L/r carries
-    L's error (<= 5u lifted, <= 4u from the table) plus one division.
-    The sum adds u, delta * k 2u and the last product u: 10u in all,
-    rounded up to 11u.  Only delta * k and the value can underflow, by at
-    most _TINY (d + 1) / 2 in all.
+    phi**2/r**2 is one correctly rounded integer ratio (u); 2 phi L/r**2
+    carries L's 5u, u from the ratio 2 phi/r**2 and u from the product.
     """
-    k = 2.0 * phi / r
-    d = k * (1.0 - math.log(4.0 * delta)) + 4.0 * log_sum / r
-    value = delta * k * d
-    return value, 11.0 * _U * value + _TINY * (d + 1.0)
+    r, phi, log_sum = _gap_log_sum(q)
+    r2 = r * r
+    return 0.0, phi * phi / r2, 2 * phi / r2 * log_sum
 
 
-def _product_cdf2(cdf: PiecewiseCdf, delta: float) -> tuple[float, float]:
-    """(P(D1 * D2 < delta), rounding bound), D_i i.i.d. with law cdf, piece by piece.
+def _product_law2(delta: float, below: float, above: float, above_log: float) -> tuple[float, float]:
+    """(P(D1 * D2 < delta), rounding bound) from the terms at x = 4 delta, 0 < delta < T**2.
 
-    Between knots the density is constant and F(delta/t) is linear in 1/t,
-    so each piece integrates to closed form with one logarithm.  This path
-    serves delta >= 1/4, where ``_product_law2`` stops holding, and is that
-    closed form's oracle.
-
-    Rounding, with M pieces, D distinct gaps and k = 2 phi/r:
-    * an inner piece carries 3 roundings and an outer one 8, plus the
-      absolute error u of log(t2/t1) (from the rounded quotient) times its
-      factor c_f 2 delta n_above / r <= delta k**2;
-    * adding the M non-negative pieces costs (M - 1) u of the total;
-    * the knots delta/T and 2 delta/g (each <= 2 delta) are rounded once,
-      and the integrand is <= k, so a misplaced knot, or a sliver next to
-      it whose midpoint picks the wrong piece, costs <= 2 u k (knot);
-    * each piece makes at most 10 roundings that can underflow.
-    With one spare u for second-order terms the bound is
-    u [(M + 8) total + delta k (k M + 4 (1 + D))] + 10 M _TINY.
+    value = below + x s, s = (1 - log x) above + above_log > 0.  Rounding,
+    with below and above within u, above_log within 7u (either source) and
+    a = 1 - log x: x is exact; log x is within 1 ulp <= 2u |log x|, so a is
+    within u (2 |log x| + |a|), absolute, because a changes sign at x = e
+    (delta = e/4) and has no relative bound there; a above is within
+    u above (2 |log x| + 3 |a|), s within u [2 |log x| above + 4 |a| above
+    + 8 above_log], x s adds u x s and the sum u value; x s <= value.  That
+    is u [below + x (2 |log x| above + 4 |a| above + 8 above_log) + 2 value],
+    each constant rounded up by one.  Only x s can underflow, by at most
+    _TINY / 2.
     """
-    T = cdf.max_distance
-    if delta <= 0.0:
-        return 0.0, 0.0
-    if delta >= T * T:
-        return 1.0, 0.0
-    r = cdf.modulus
-    knots = {0.0, T, delta / T}
-    for g in cdf.gaps:
-        half = g / 2.0
-        if half < T:
-            knots.add(half)
-        image = 2.0 * delta / g
-        if 0.0 < image < T:
-            knots.add(image)
-    cuts = sorted(knots)
-    total = 0.0
-    pieces = 0
-    for t1, t2 in zip(cuts[:-1], cuts[1:]):
-        if t2 <= t1:
-            continue
-        tm = 0.5 * (t1 + t2)
-        n_density, _ = cdf._split(2.0 * tm)
-        if n_density == 0:
-            continue
-        pieces += 1
-        c_f = 2.0 * n_density / r
-        if tm * T <= delta:
-            # inner region: delta/t exceeds the support, F = 1
-            total += c_f * (t2 - t1)
-        else:
-            u = delta / tm
-            n_above, s_below = cdf._split(2.0 * u)
-            total += c_f * (2.0 * delta * n_above * math.log(t2 / t1) + s_below * (t2 - t1)) / r
-    k = 2.0 * cdf.phi / r
-    slack = delta * k * (k * pieces + 4.0 * (1 + len(cdf.gaps)))
-    return min(1.0, total), _U * ((pieces + 8) * total + slack) + 10 * pieces * _TINY
+    x = 4.0 * delta
+    log_x = math.log(x)
+    a = 1.0 - log_x
+    value = below + x * (a * above + above_log)
+    slack = (3.0 * abs(log_x) + 5.0 * abs(a)) * above + 9.0 * above_log
+    return min(1.0, value), _U * (2.0 * below + x * slack + 3.0 * value) + _TINY
 
 
 _GL7 = np.polynomial.legendre.leggauss(7)
@@ -564,9 +555,7 @@ def _product_cdf_rec(
         # 2t n_above, + s_below, / r: three roundings, rounded up to 4u
         return value, 4.0 * _U * value + _TINY
     if k == 2:
-        if delta < 0.25:
-            return _product_law2(cdf.modulus, cdf.phi, cdf.log_sum, delta)
-        return _product_cdf2(cdf, delta)
+        return _product_law2(delta, *cdf.law2_terms(4.0 * delta))
     child_tol = 0.5 * tol
     quad_tol = 0.5 * tol
     r = cdf.modulus
@@ -624,15 +613,14 @@ def product_region_measure_coprime(
 ) -> MeasureEstimate:
     """|{x in [0,1]^n : prod ||q x_i||' < delta}| to absolute tolerance tol.
 
-    n = 2 with 0 < delta < 1/4 is the closed form
-    delta k [k (1 + log(1/(4 delta))) + 4 L_r/r], with r = rad(q),
-    k = 2 phi(r)/r and L_r the sum of log(gap) over the cyclic coprime gaps
-    of r.  L_r is lifted from s = r/p, p the largest prime of r, when p
-    exceeds every coprime gap of s, and taken from r's own gaps otherwise:
-    O(1) per q after factoring, no gap table of r.  n = 2 at delta >= 1/4
-    uses the piecewise law, which is also the closed form's oracle; n >= 3
-    uses adaptive quadrature.  The error bound is the derived rounding
-    bound for n <= 2 and the quadrature bound for n >= 3.
+    n = 2 is the gap-pair mixture of the module docstring at every delta,
+    from the table of ``coprime_dist_cdf(q)``.  Below delta = 1/4 its terms
+    need only phi(r) and L_r, the sum of log(gap) over the cyclic coprime
+    gaps of r = rad(q); L_r is lifted from s = r/p, p the largest prime of
+    r, when p exceeds every coprime gap of s, and taken from r's own gaps
+    otherwise: O(1) per q after factoring, no table of r.  n >= 3 uses
+    adaptive quadrature down to the n = 2 law.  The error bound is the
+    derived rounding bound for n <= 2 and the quadrature bound for n >= 3.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -641,7 +629,7 @@ def product_region_measure_coprime(
     if not delta >= 0:
         raise ValueError("delta must be >= 0")
     if n == 2 and 0.0 < delta < 0.25:
-        return MeasureEstimate.numeric(*_product_law2(*_gap_log_sum(q), delta))
+        return MeasureEstimate.numeric(*_product_law2(delta, *_lifted_terms(q)))
     value, err = _product_cdf_rec(coprime_dist_cdf(q), n, delta, tol)
     return MeasureEstimate.numeric(value, err)
 
@@ -675,32 +663,6 @@ def region_measure(spec: RegionSpec, tol: float = 1e-9) -> MeasureEstimate:
 INTERVAL_BUDGET = 5_000_000
 
 
-def _rational_slice_intervals(q: int, delta: Fraction, coprime: bool) -> list[tuple[Fraction, Fraction]]:
-    if delta <= 0:
-        return []
-    out = []
-    one = Fraction(1)
-    for c in _slice_centers(q, delta, coprime).tolist():
-        lo = max(Fraction(0), Fraction(c - delta, q))
-        hi = min(one, Fraction(c + delta, q))
-        if hi > lo:
-            out.append((lo, hi))
-    return out
-
-
-def _rational_union_measure(intervals: list[tuple[Fraction, Fraction]]) -> Fraction:
-    total = Fraction(0)
-    cursor = None
-    for lo, hi in sorted(intervals):
-        if cursor is None or lo > cursor:
-            total += hi - lo
-            cursor = hi
-        elif hi > cursor:
-            total += hi - cursor
-            cursor = hi
-    return total
-
-
 def truncated_union_1d(
     f: ApproxFunction,
     Q0: int,
@@ -712,8 +674,8 @@ def truncated_union_1d(
     """Exact measure of the union of 1-D slices for Q0 <= q <= Q.
 
     Rational table families are swept in exact rational arithmetic when
-    ``exact`` is true (the default for such families); everything else uses
-    floats with a merge epsilon of 1e-15.  Sweeps whose interval count would
+    ``exact`` is true (the default for such families): the same sweep as
+    floats, on ``Fraction`` endpoints.  Sweeps whose interval count would
     exceed ``budget`` raise ResourceBudgetError.
     """
     if not 1 <= Q0 <= Q:
@@ -730,24 +692,20 @@ def truncated_union_1d(
         raise ResourceBudgetError(
             f"sweep would build more than budget={budget} intervals; raise the budget explicitly"
         )
-    if exact:
-        intervals: list[tuple[Fraction, Fraction]] = []
-        for q in range(Q0, Q + 1):
-            dq = f.value_fraction(q)
-            if dq is None:
-                raise ValueError("exact sweep requires a rational-valued family")
-            intervals.extend(_rational_slice_intervals(q, dq, coprime))
-        return MeasureEstimate.exact(float(_rational_union_measure(intervals)))
+    deltas = [f.value_fraction(q) for q in range(Q0, Q + 1)] if exact else psis.tolist()
+    if None in deltas:
+        raise ValueError("exact sweep requires a rational-valued family")
     all_starts = []
     all_ends = []
-    for q, dq in zip(qs.tolist(), psis.tolist()):
-        if dq <= 0.0:
+    for q, dq in zip(qs.tolist(), deltas):
+        if dq <= 0:
             continue
         s, e = _slice_raw_intervals(q, dq, coprime)
         all_starts.append(s)
         all_ends.append(e)
     if not all_starts:
         return MeasureEstimate.exact(0.0)
-    starts = np.clip(np.concatenate(all_starts), 0.0, 1.0)
-    ends = np.clip(np.concatenate(all_ends), 0.0, 1.0)
-    return MeasureEstimate.exact(min(1.0, union_measure_raw(starts, ends)))
+    # the integer bounds keep floats out of a Fraction sweep
+    starts = np.clip(np.concatenate(all_starts), 0, 1)
+    ends = np.clip(np.concatenate(all_ends), 0, 1)
+    return MeasureEstimate.exact(min(1, union_measure_raw(starts, ends)))

@@ -386,7 +386,7 @@ def pair_hit_table(
     entries are exact integers below 2**53, and integer chunk sums do not
     depend on the worker count.
     """
-    psis = [f(q) for q in qs]
+    psis = f.values(np.asarray(qs, dtype=np.int64)).tolist()
     if not all(math.isfinite(p) for p in psis):
         raise ValueError("psi must be finite at every q")
 

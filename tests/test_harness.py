@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from diolab.arith import euler_phi
+
 from diolab.borel_cantelli import EventStats, bc_lower_bound
 from diolab.harness import (
     Battery,
@@ -149,7 +151,8 @@ class TestBcEvidence:
     @staticmethod
     def pairwise_reference(f, Q0, Q):
         # reference: one intersection_measure call per pair
-        unions = [slice_union(q, f(q), coprime=True) for q in range(Q0, Q + 1)]
+        psis = f.values(np.arange(Q0, Q + 1)).tolist()
+        unions = [slice_union(q, d, coprime=True) for q, d in zip(range(Q0, Q + 1), psis)]
         k = len(unions)
         pairs = np.empty((k, k))
         for i in range(k):
@@ -163,6 +166,23 @@ class TestBcEvidence:
         stats = exact_event_stats_1d(f, 1, 192, coprime=True)
         assert stats.pairs.tobytes() == self.pairwise_reference(f, 1, 192).tobytes()
         assert stats.singles.tobytes() == np.diag(stats.pairs).tobytes()
+
+    def test_psi_comes_from_values(self):
+        # the scalar power_log(1, 1, 3)(q) is an ulp off values() at q = 1, 3, 15;
+        # the bound must see the slices of the union it is checked against
+        f = power_log(1, 1, 3)
+        qs = np.arange(1, 21)
+        psis = f.values(qs).tolist()
+        assert [q for q in qs.tolist() if f(q) != psis[q - 1]] == [1, 3, 15]
+        stats = exact_event_stats_1d(f, 1, 20)
+        assert stats.singles.tolist() == [
+            slice_union(q, d, coprime=True).measure for q, d in zip(qs.tolist(), psis)
+        ]
+        cfg = ExperimentConfig(family=f, n=1, coprime=True, Q0=1, Q=20, samples=100, seed=1)
+        rep = run_bc_evidence(cfg, pair_source="independence")
+        assert [row[2] for row in rep.sumcon_table] == [
+            euler_phi(qc) / qc * psis[qc - 1] for qc in cfg.checkpoints
+        ]
 
     def test_exact_pairs_with_empty_slices(self):
         f = table_psi([0.2, 0.0, 0.05, 0.0, 0.01, 0.03])

@@ -149,6 +149,15 @@ class TestPartialSums:
         for Q, s in partial_sum_scan(f, c, [1, 3, 10, 64]):
             assert s == pytest.approx(partial_sum(f, c, Q), rel=1e-12)
 
+    def test_one_checkpoint_is_the_scan(self):
+        f = power_log(1, 1, 1)
+        for kind in ("plain", "log_weighted", "phi_log_weighted", "phi_plain"):
+            c = SumCriterion(kind, 2)
+            scan = partial_sum_scan(f, c, [1, 7, 1000])
+            assert [partial_sum(f, c, Q) for Q, _ in scan] == [s for _, s in scan]
+        points, _ = cond1_scan(f, 2, [2, 7, 1000])
+        assert [cond1_ratio(f, 2, Q) for Q, _ in points] == [r for _, r in points]
+
     def test_infinite_summand_is_overflow(self):
         f = conditional_psi(table_psi([0.1] * 10), [0.5])
         with pytest.raises(OverflowError):

@@ -35,10 +35,9 @@ from diolab.regions import (
 from diolab.regions import (
     _gap_log_sum,
     _gap_stats,
-    _product_cdf2,
+    _lifted_terms,
     _product_cdf_rec,
     _product_law2,
-    _rational_slice_intervals,
     _slice_raw_intervals,
     union_measure_raw,
 )
@@ -307,11 +306,12 @@ class TestProductCoprime:
                 assert got.value == pytest.approx(want, abs=1e-9)
 
     def test_monte_carlo_oracle_q12(self):
-        # 1e7-sample oracle, drawn in chunks to bound memory
-        got = product_region_measure_coprime(12, 2, 1e-3).value
+        # 1e7-sample oracle, drawn in chunks to bound memory; 0.3 and 1.1 lie
+        # above delta = 1/4 (1.1 above e/4), where no term reduces to phi and L
+        deltas = (1e-3, 0.3, 1.1)
         n_samples = 10_000_000
         chunk = 2_000_000
-        hits = 0
+        hits = dict.fromkeys(deltas, 0)
         for start in range(0, n_samples, chunk):
             xs = sample_points(6121, start, start + chunk, 2)
             z = 12.0 * xs
@@ -322,10 +322,13 @@ class TestProductCoprime:
             d = np.where(bad, dist_nearest_unit_mod6(z), d)
             if start == 0:
                 assert_matches_scalar_fixup(12, xs, d, bad)
-            hits += int(np.count_nonzero(d[:, 0] * d[:, 1] < 1e-3))
-        p_hat = hits / n_samples
-        sigma = math.sqrt(got * (1 - got) / n_samples)
-        assert abs(got - p_hat) < 4 * sigma
+            prod = d[:, 0] * d[:, 1]
+            for delta in deltas:
+                hits[delta] += int(np.count_nonzero(prod < delta))
+        for delta in deltas:
+            got = product_region_measure_coprime(12, 2, delta).value
+            sigma = math.sqrt(got * (1 - got) / n_samples)
+            assert abs(got - hits[delta] / n_samples) < 4 * sigma, delta
 
     def test_n3_against_recursion_and_mc(self):
         got = product_region_measure_coprime(6, 3, 5e-3, tol=1e-8)
@@ -390,12 +393,17 @@ def squarefree_up_to(limit: int) -> list[int]:
     return [r for r in range(1, limit + 1) if math.prod(prime_factors(r)) == r]
 
 
+ORACLE_QS = list(range(1, 400)) + [2310, 30030, 99991, 510510]
+
+
 def closed_form(q: int, delta: float) -> tuple[float, float]:
-    return _product_law2(*_gap_log_sum(q), delta)
+    """The n = 2 law from the lifted terms (phi, L_r), for 0 < delta < 1/4."""
+    return _product_law2(delta, *_lifted_terms(q))
 
 
 def piecewise(q: int, delta: float) -> tuple[float, float]:
-    return _product_cdf2(coprime_dist_cdf(q), delta)
+    """The n = 2 law from the table: piecewise in delta, one set of terms between gap products."""
+    return _product_cdf_rec(coprime_dist_cdf(q), 2, delta, 1e-9)
 
 
 def mixture_oracle(q: int, delta: float) -> Decimal:
@@ -404,23 +412,40 @@ def mixture_oracle(q: int, delta: float) -> Decimal:
     With probability g/r a coprime distance is uniform on [0, g/2], and the
     product of uniforms on [0, a] and [0, b] is below delta with probability
     F_2(delta/(ab)), F_2(t) = t (1 - ln t) on (0, 1]: a double sum over the
-    distinct gaps, independent of both float paths.
+    distinct gaps in decimal arithmetic, independent of the float law.
     """
+    if delta == 0:
+        return Decimal(0)
     gaps, counts = gap_multiset(radical(q))
     with localcontext() as ctx:
         ctx.prec = 50
         r = Decimal(int(np.sum(gaps * counts)))
-        d = Decimal(delta)
+        x = 4 * Decimal(delta)
+        log_x = x.ln()
+        terms = [(g, c, Decimal(g).ln()) for g, c in zip(gaps.tolist(), counts.tolist())]
         total = Decimal(0)
-        for g, c in zip(gaps.tolist(), counts.tolist()):
-            for h, e in zip(gaps.tolist(), counts.tolist()):
-                t = 4 * d / (g * h)
-                total += c * e * g * h * (1 if t >= 1 else t * (1 - t.ln()))
+        for g, c, log_g in terms:
+            for h, e, log_h in terms:
+                t = x / (g * h)
+                total += c * e * g * h * (1 if t >= 1 else t * (1 - (log_x - log_g - log_h)))
         return total / (r * r)
 
 
 def covers(value: float, bound: float, exact) -> bool:
     return abs(Decimal(value) - Decimal(exact)) <= Decimal(bound)
+
+
+def support_deltas(q: int) -> list[float]:
+    """delta across (0, T**2): fixed fractions of it, e/4 where 1 - log(4 delta)
+    changes sign, and each table knot P/4 with its float neighbours."""
+    t2 = coprime_dist_cdf(q).max_distance ** 2
+    out = [f * t2 for f in (1e-12, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
+    out.append(math.nextafter(t2, 0.0))
+    out += [math.e / 4, math.nextafter(math.e / 4, 0.0), math.nextafter(math.e / 4, 1.0)]
+    gaps = coprime_dist_cdf(q).gaps
+    for knot in sorted({g * h / 4 for g in gaps for h in gaps}):
+        out += [math.nextafter(knot, 0.0), knot, math.nextafter(knot, math.inf)]
+    return [d for d in out if 0.0 < d < t2]
 
 
 class TestClosedFormN2:
@@ -440,11 +465,14 @@ class TestClosedFormN2:
                 fallback.append(r)
         assert fallback == [30030]
 
-    def test_table_log_sum_matches_lifting(self):
-        # the quadrature's L (grouped, 4u) against the public entry's (lifted, 5u)
-        for q in list(range(1, 400)) + [2310, 30030, 99991, 510510]:
-            lifted = _gap_log_sum(q)[2]
-            assert abs(coprime_dist_cdf(q).log_sum - lifted) <= 9 * U * lifted, q
+    def test_table_head_matches_lifting(self):
+        # below x = 1 the table's terms are (0, phi**2/r**2, 2 phi L/r**2), each
+        # above_log within 7u
+        for q in ORACLE_QS:
+            below, above, above_log = coprime_dist_cdf(q).law2_terms(0.5)
+            lifted = _lifted_terms(q)
+            assert (below, above) == lifted[:2] == (0.0, euler_phi(radical(q)) ** 2 / radical(q) ** 2), q
+            assert abs(above_log - lifted[2]) <= 14 * U * above_log, q
 
     def test_small_radicals(self):
         assert _gap_log_sum(1) == (1, 1, 0.0)
@@ -453,10 +481,13 @@ class TestClosedFormN2:
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-3, 0.1, 0.2499])
     def test_agrees_with_piecewise(self, delta):
-        for q in list(range(1, 400)) + [2310, 30030, 99991, 510510]:
-            value, bound = closed_form(q, delta)
-            oracle, oracle_bound = piecewise(q, delta)
-            assert abs(value - oracle) <= bound + oracle_bound, q
+        # both sources at delta, and the table at the same fraction 4 delta of (0, T**2)
+        for q in ORACLE_QS:
+            exact = mixture_oracle(q, delta)
+            assert covers(*closed_form(q, delta), exact), q
+            assert covers(*piecewise(q, delta), exact), q
+            wide = 4 * delta * coprime_dist_cdf(q).max_distance ** 2
+            assert covers(*piecewise(q, wide), mixture_oracle(q, wide)), q
 
     @pytest.mark.parametrize("q", [1, 2, 6, 12, 30, 97, 210, 2310, 30030])
     def test_bounds_cover_the_true_value(self, q):
@@ -464,10 +495,9 @@ class TestClosedFormN2:
             exact = mixture_oracle(q, delta)
             assert covers(*closed_form(q, delta), exact), delta
             assert covers(*piecewise(q, delta), exact), delta
-        cdf = coprime_dist_cdf(q)
-        for delta in (0.25, 0.3, 0.9, 2.5):
-            if delta < cdf.max_distance**2:
-                assert covers(*piecewise(q, delta), mixture_oracle(q, delta)), delta
+        for delta in support_deltas(q):
+            got = product_region_measure_coprime(q, 2, delta)
+            assert covers(got.value, got.error_bound, mixture_oracle(q, delta)), delta
 
     def test_q1_is_the_plain_law(self):
         for delta in (1e-8, 1e-3, 0.05, 0.2499):
@@ -482,16 +512,30 @@ class TestClosedFormN2:
     @example(q=30030, delta=0.2)
     @example(q=1, delta=5e-324)
     def test_bound_covers_piecewise(self, q, delta):
-        value, bound = closed_form(q, delta)
-        oracle, oracle_bound = piecewise(q, delta)
-        assert abs(value - oracle) <= bound + oracle_bound
+        exact = mixture_oracle(q, delta)
+        assert covers(*closed_form(q, delta), exact)
+        assert covers(*piecewise(q, delta), exact)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(q=st.integers(1, 10**6), frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(q=12, frac=math.e / 16)
+    @example(q=510510, frac=0.999)
+    @example(q=2, frac=5e-324)
+    def test_bound_covers_the_mixture_across_the_support(self, q, frac):
+        delta = frac * coprime_dist_cdf(q).max_distance ** 2
+        got = product_region_measure_coprime(q, 2, delta)
+        assert got.provenance == "numeric-exact"
+        assert covers(got.value, got.error_bound, mixture_oracle(q, delta))
 
     def test_public_entry_uses_the_closed_form_below_a_quarter(self):
         got = product_region_measure_coprime(360, 2, 0.01)
         assert (got.value, got.error_bound) == closed_form(360, 0.01)
         assert got.provenance == "numeric-exact"
-        got = product_region_measure_coprime(360, 2, 0.25)
-        assert (got.value, got.error_bound) == piecewise(360, 0.25)
+        assert covers(got.value, got.error_bound, mixture_oracle(360, 0.01))
+        for delta in (0.25, 1.0, 3.9):
+            got = product_region_measure_coprime(360, 2, delta)
+            assert (got.value, got.error_bound) == piecewise(360, delta)
+            assert covers(got.value, got.error_bound, mixture_oracle(360, delta)), delta
 
     def test_n1_bound_covers_the_rational_value(self):
         for q in (1, 12, 30, 2310):
@@ -620,10 +664,13 @@ class TestSliceCenters:
                     (max(Fraction(0), Fraction(c - d, q)), min(Fraction(1), Fraction(c + d, q)))
                     for c in brute_centers(q, d)
                 ]
-                want = [(lo, hi) for lo, hi in want if hi > lo]
-                assert _rational_slice_intervals(q, d, True) == want
+                raw = _slice_raw_intervals(q, d, True)
+                clipped = np.clip(raw[0], 0, 1), np.clip(raw[1], 0, 1)
+                assert list(zip(*(c.tolist() for c in clipped))) == want
+                exact = union_measure_raw(*clipped)
+                assert isinstance(exact, Fraction) and exact == fraction_union_measure(want)
                 swept = truncated_union_1d(table_psi([0] * (q - 1) + [d]), q, q, coprime=True)
-                assert swept.value == float(fraction_union_measure(want))
+                assert swept.value == float(exact)
 
 
 def test_max_mode_measures():
