@@ -125,9 +125,10 @@ def cmd_union(args) -> int:
         checkpoints = cfg.checkpoints
     else:
         checkpoints = (args.Q,)
-    for qc in checkpoints:
+    psis = fam.values(np.asarray(checkpoints, dtype=np.int64)).tolist()  # the psi each union reads
+    for qc, psi_q in zip(checkpoints, psis):
         est = truncated_union_1d(fam, args.Q0, qc, coprime=bool(args.coprime))
-        print(_csv_row(qc, fam(qc), est))
+        print(_csv_row(qc, psi_q, est))
     return 0
 
 
@@ -263,9 +264,9 @@ def cmd_experiment(args) -> int:
         "anomalies": report.anomalies,
     }
     for entry, result in zip(battery.entries, report.results):
-        rows = [
-            _csv_row(qc, entry.config.family(qc), est) for qc, est in result.checkpoints
-        ]
+        qcs = [qc for qc, _ in result.checkpoints]
+        psis = entry.config.family.values(np.asarray(qcs, dtype=np.int64)).tolist()  # the psi each estimate read
+        rows = [_csv_row(qc, psi_q, est) for qc, psi_q, (_, est) in zip(qcs, psis, result.checkpoints)]
         csv_path = out / f"{battery.name}-{entry.name}.csv"
         csv_path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
         summary["results"].append(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -162,11 +163,15 @@ class TablePsi(ApproxFunction):
             raise ValueError("q must be >= 1")
         return float(self.entries[q - 1]) if q <= len(self.entries) else 0.0
 
+    @cached_property
+    def _floats(self) -> np.ndarray:
+        # built once per instance; the trailing 0.0 serves every q beyond the table
+        return np.array([float(v) for v in self.entries] + [0.0])
+
     def values(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=np.int64)
-        table = np.array([float(v) for v in self.entries] + [0.0])
         idx = np.where(qs <= len(self.entries), qs - 1, len(self.entries))
-        return table[idx]
+        return self._floats[idx]
 
     @property
     def is_rational(self) -> bool:
@@ -423,19 +428,63 @@ def psi_eval(f: ApproxFunction, q: int) -> float:
 # partial sums and the limsup-ratio condition
 
 
-def _summand(f: ApproxFunction, criterion: SumCriterion, Q: int) -> np.ndarray:
-    qs = np.arange(1, Q + 1, dtype=np.int64)
+SCAN_BLOCK = 1 << 16  # q per block of the streamed scans: O(SCAN_BLOCK) memory beside the phi table
+
+
+def _checkpoints(grid: Sequence[int]) -> list[int]:
+    grid = sorted(set(int(g) for g in grid))
+    if not grid or grid[0] < 1:
+        raise ValueError("grid checkpoints must be >= 1")
+    return grid
+
+
+def _reads_phi_table(f: ApproxFunction) -> bool:
+    """Whether f.values reads the shared phi table: a phi_ratio_below support at any depth."""
+    while f is not None:
+        if isinstance(f, IndicatorSupport) and f.support.kind == "phi_ratio_below":
+            return True
+        f = getattr(f, "base", None)
+    return False
+
+
+def _log_weighted(f: ApproxFunction, e: int, qs: np.ndarray) -> np.ndarray:
+    """psi(q) * log(q)**e over one block of q."""
     vals = f.values(qs)
     if not np.all(np.isfinite(vals)):
         raise OverflowError("family evaluates to +inf inside the summation range")
-    out = vals
-    e = criterion.log_exponent
     if e > 0:
-        out = out * np.log(qs.astype(np.float64)) ** e
-    if criterion.uses_phi:
-        ratio = default_phi_table(Q).values[1 : Q + 1] / qs
-        out = out * ratio**criterion.n
-    return out
+        vals = vals * np.log(qs.astype(np.float64)) ** e
+    return vals
+
+
+def _phi_power(table, qs: np.ndarray, n: int) -> np.ndarray:
+    """(phi(q)/q)**n over one block of consecutive q."""
+    return (table.values[qs[0] : qs[-1] + 1] / qs) ** n
+
+
+def _scan(f: ApproxFunction, grid: list[int], uses_phi: bool, streams: int, terms) -> list[np.ndarray]:
+    """Running sums of each term stream at the grid checkpoints, q in blocks of SCAN_BLOCK.
+
+    ``terms(qs, table)`` gives one block's ``streams`` term arrays.  Each
+    block adds the carried total into its first term and then takes
+    ``np.cumsum``, which adds in the same order as one cumsum over 1..Q: the
+    sums are bit for bit the same.  The shared phi table is sized to Q once,
+    up front, so no block grows it again.
+    """
+    Q = grid[-1]
+    table = default_phi_table(Q) if uses_phi or _reads_phi_table(f) else None
+    marks = np.asarray(grid, dtype=np.int64)
+    carried, picked = [0.0] * streams, [[] for _ in range(streams)]
+    for lo in range(1, Q + 1, SCAN_BLOCK):
+        qs = np.arange(lo, min(lo + SCAN_BLOCK, Q + 1), dtype=np.int64)
+        at = marks[(marks >= lo) & (marks <= qs[-1])] - lo
+        for j, t in enumerate(terms(qs, table)):
+            t = np.array(t, dtype=np.float64)  # our own copy: the carry goes into its first term
+            t[0] += carried[j]
+            np.cumsum(t, out=t)
+            carried[j] = t[-1]
+            picked[j].append(t[at])
+    return [np.concatenate(p) for p in picked]
 
 
 def partial_sum(f: ApproxFunction, criterion: SumCriterion, Q: int) -> float:
@@ -446,12 +495,20 @@ def partial_sum(f: ApproxFunction, criterion: SumCriterion, Q: int) -> float:
 def partial_sum_scan(
     f: ApproxFunction, criterion: SumCriterion, grid: Sequence[int]
 ) -> list[tuple[int, float]]:
-    """Partial sums at each grid checkpoint, one vectorized pass."""
-    grid = sorted(set(int(g) for g in grid))
-    if not grid or grid[0] < 1:
-        raise ValueError("grid checkpoints must be >= 1")
-    cs = np.cumsum(_summand(f, criterion, grid[-1]))
-    return [(g, float(cs[g - 1])) for g in grid]
+    """Partial sums at each grid checkpoint, streamed over q in blocks of SCAN_BLOCK.
+
+    Memory is O(SCAN_BLOCK) beside the shared phi table (8 B per q, built
+    only when the criterion or the family reads phi).
+    """
+    grid = _checkpoints(grid)
+    e, n = criterion.log_exponent, criterion.n
+
+    def terms(qs, table):
+        out = _log_weighted(f, e, qs)
+        return [out * _phi_power(table, qs, n) if criterion.uses_phi else out]
+
+    (sums,) = _scan(f, grid, criterion.uses_phi, 1, terms)
+    return [(g, float(s)) for g, s in zip(grid, sums)]
 
 
 def cond1_ratio(f: ApproxFunction, n: int, Q: int) -> float:
@@ -465,15 +522,18 @@ def cond1_ratio(f: ApproxFunction, n: int, Q: int) -> float:
 def cond1_scan(f: ApproxFunction, n: int, grid: Sequence[int]) -> tuple[list[tuple[int, float]], float]:
     """Ratio at each checkpoint plus the running maximum (limsup proxy).
 
+    Streamed like ``partial_sum_scan``; the log-weighted summand is computed
+    once per block and the numerator is it times (phi(q)/q)**n.
     Checkpoints with a zero denominator are skipped.
     """
-    grid = sorted(set(int(g) for g in grid))
-    if not grid or grid[0] < 1:
-        raise ValueError("grid checkpoints must be >= 1")
-    Q = grid[-1]
-    num = np.cumsum(_summand(f, SumCriterion("phi_log_weighted", n), Q))
-    den = np.cumsum(_summand(f, SumCriterion("log_weighted", n), Q))
-    points = [(g, float(num[g - 1] / den[g - 1])) for g in grid if den[g - 1] > 0.0]
+    grid = _checkpoints(grid)
+
+    def terms(qs, table):
+        den = _log_weighted(f, n - 1, qs)
+        return [den * _phi_power(table, qs, n), den]
+
+    num, den = _scan(f, grid, True, 2, terms)
+    points = [(g, float(a / b)) for g, a, b in zip(grid, num, den) if b > 0.0]
     if not points:
         raise UndefinedRatioError("log-weighted partial sum is zero on the whole grid")
     return points, max(r for _, r in points)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diolab.arith import (
     PhiTable,
@@ -22,6 +24,27 @@ from diolab.arith import (
 
 def brute_phi(q: int) -> int:
     return sum(1 for p in range(1, q + 1) if math.gcd(p, q) == 1)
+
+
+def trial_division_phi(q: int) -> int:
+    # independent of every PhiTable: euler_phi would read the cached one
+    v = q
+    for p in prime_factors(q):
+        v = v // p * (p - 1)
+    return v
+
+
+# limits where isqrt(limit) moves, so a prime changes sides of the sieve's cut
+SIEVE_CUTS = sorted({1, 2, 3} | {p * p + d for p in (2, 3, 5, 7, 11, 13, 31, 47) for d in (-1, 0, 1)})
+
+
+def with_examples(values):
+    def wrap(test):
+        for v in values:
+            test = example(v)(test)
+        return test
+
+    return wrap
 
 
 class TestEulerPhi:
@@ -58,6 +81,14 @@ class TestEulerPhi:
             b = int(rng.integers(1, 40))
             if math.gcd(a, b) == 1:
                 assert euler_phi(a * b) == euler_phi(a) * euler_phi(b)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 3_000))
+    @with_examples(SIEVE_CUTS)
+    def test_sieve_matches_trial_division(self, limit):
+        table = PhiTable(limit)
+        assert table.values[0] == 0
+        assert table.values[1:].tolist() == [trial_division_phi(q) for q in range(1, limit + 1)]
 
     def test_bounds(self):
         table = PhiTable(500)

@@ -2,9 +2,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import diolab.cli
 from diolab.cli import CSV_HEADER, main
+from diolab.psi import power_log
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +59,17 @@ class TestUnion:
         row = out.strip().splitlines()[1].split(",")
         assert row[4] == "exact"
         assert 0.0 < float(row[3]) <= 1.0
+
+
+    def test_psi_comes_from_values(self, capsys, monkeypatch):
+        # at q = 1923 the scalar power_log(0.25, 1, 0) is 1 ulp off the array value the union reads
+        f = power_log(0.25, 1, 0)
+        psi = float(f.values(np.array([1923]))[0])
+        assert f(1923) != psi
+        monkeypatch.setattr(diolab.cli, "fmt", repr)
+        code, out, _ = run_cli(capsys, "union", "--c", "0.25", "--Q0", "1900", "--Q", "1923", "--coprime")
+        assert code == 0
+        assert out.strip().splitlines()[1].split(",")[2] == repr(psi)
 
 
 class TestSums:
@@ -163,6 +177,18 @@ class TestExperiment:
         assert summary["battery"]["name"] == "tiny"
         assert summary["anomalies"] == []
         assert summary["generator"] == "splitmix64-v1"
+
+    def test_psi_comes_from_values(self, capsys, tmp_path, monkeypatch):
+        battery = tiny_battery_dict()
+        battery["experiments"][0].update(Q0=1900, Q=1923, q_grid=[1910, 1923])
+        cfg = tmp_path / "b.json"
+        cfg.write_text(json.dumps(battery))
+        monkeypatch.setattr(diolab.cli, "fmt", repr)
+        code, _, _ = run_cli(capsys, "experiment", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 0
+        rows = (tmp_path / "out" / "tiny-div.csv").read_text().splitlines()[1:]
+        psis = power_log(0.25, 1, 0).values(np.array([1910, 1923]))
+        assert [row.split(",")[2] for row in rows] == [repr(float(v)) for v in psis]
 
     def test_worker_count_does_not_change_bytes(self, capsys, tmp_path):
         cfg = tmp_path / "b.json"

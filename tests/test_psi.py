@@ -1,11 +1,16 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import diolab.arith
+import diolab.psi
+from diolab.arith import PhiTable, default_phi_table
 from diolab.errors import UndefinedRatioError
 from diolab.psi import (
+    SCAN_BLOCK,
     CONVERGENT,
     DIVERGENT,
     UNKNOWN,
@@ -37,6 +42,15 @@ class TestEval:
         assert psi_eval(f, 2) == 0.0
         assert psi_eval(f, 1) == 0.5
         assert psi_eval(f, 99) == 0.0  # beyond the table
+
+    def test_table_values_build_their_floats_once(self):
+        f = table_psi([0.5, Fraction(1, 3), 2])
+        qs = np.array([3, 1, 2, 4, 9])
+        out = f.values(qs)
+        assert out.tolist() == [2.0, 0.5, 1 / 3, 0.0, 0.0]
+        out[:] = 7.0  # the caller owns the result, not the table
+        assert f.values(qs).tolist() == [2.0, 0.5, 1 / 3, 0.0, 0.0]
+        assert f._floats is f._floats
 
     def test_conditional_infinity(self):
         base = table_psi([0.1] * 8)
@@ -187,6 +201,96 @@ class TestCond1:
         points, running = cond1_scan(power_log(1, 0, 0), 1, [1, 2, 4, 8, 100])
         assert running == max(r for _, r in points)
         assert points[0] == (1, 1.0)  # phi(1)/1 = 1
+
+
+def whole_range_summand(f, criterion, Q):
+    """The summand over all of 1..Q in one array: the unstreamed formula."""
+    qs = np.arange(1, Q + 1, dtype=np.int64)
+    out = f.values(qs)
+    e = criterion.log_exponent
+    if e > 0:
+        out = out * np.log(qs.astype(np.float64)) ** e
+    if criterion.uses_phi:
+        out = out * (PhiTable(Q).values[1 : Q + 1] / qs) ** criterion.n
+    return out
+
+
+STREAM_FAMILIES = [
+    power_log(1, 1, 1),
+    table_psi([1.0 / (q * q + 0.5) for q in range(1, SCAN_BLOCK + 40)]),
+    indicator_support(power_log(0.5, 0.8, 0), "phi_ratio_below", 0.4),
+]
+
+
+class TestStreamedScans:
+    Q = 2 * SCAN_BLOCK + 777
+    CHECKPOINTS = [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK, Q]
+
+    @pytest.mark.parametrize("f", STREAM_FAMILIES, ids=["power_log", "table", "phi_ratio_below"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bit_identical_to_one_whole_range_cumsum(self, f, n):
+        for kind in ("plain", "log_weighted", "phi_log_weighted", "phi_plain"):
+            c = SumCriterion(kind, n)
+            whole = np.cumsum(whole_range_summand(f, c, self.Q))
+            assert partial_sum_scan(f, c, self.CHECKPOINTS) == [(g, float(whole[g - 1])) for g in self.CHECKPOINTS]
+        num = np.cumsum(whole_range_summand(f, SumCriterion("phi_log_weighted", n), self.Q))
+        den = np.cumsum(whole_range_summand(f, SumCriterion("log_weighted", n), self.Q))
+        expected = [(g, float(num[g - 1] / den[g - 1])) for g in self.CHECKPOINTS if den[g - 1] > 0.0]
+        points, running = cond1_scan(f, n, self.CHECKPOINTS)
+        assert points == expected
+        assert running == max(r for _, r in expected)
+
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            lambda f, Q: cond1_scan(f, 2, [Q]),
+            lambda f, Q: partial_sum_scan(f, SumCriterion("plain", 1), [Q]),
+        ],
+        ids=["cond1", "plain"],
+    )
+    def test_one_scan_builds_one_table(self, monkeypatch, scan):
+        builds, calls = [], []
+
+        class CountingTable(PhiTable):
+            def __init__(self, limit):
+                builds.append(limit)
+                super().__init__(limit)
+
+        monkeypatch.setattr(diolab.arith, "PhiTable", CountingTable)
+        monkeypatch.setattr(diolab.arith, "_default_table", None)
+        real = diolab.psi.default_phi_table
+
+        def counted(limit=10_000):
+            calls.append(limit)
+            return real(limit)
+
+        # the name benchmark tracing rebinds must be the one the scans call
+        monkeypatch.setattr(diolab.psi, "default_phi_table", counted)
+        Q = 3 * SCAN_BLOCK + 5
+        scan(indicator_support(power_log(1, 1, 0), "phi_ratio_below", 0.5), Q)
+        assert builds == [Q]
+        assert calls[0] == Q
+        builds.clear()
+        scan(power_log(1, 1, 0), Q)  # table already large enough
+        assert builds == []
+
+    def test_plain_sum_of_a_plain_family_builds_no_table(self, monkeypatch):
+        monkeypatch.setattr(diolab.arith, "_default_table", None)
+        partial_sum_scan(power_log(1, 1, 0), SumCriterion("log_weighted", 2), [SCAN_BLOCK + 1])
+        assert diolab.arith._default_table is None
+
+    def test_memory_is_a_block_not_the_range(self):
+        Q = 1_000_000
+        default_phi_table(Q)
+        tracemalloc.start()
+        try:
+            cond1_scan(power_log(1, 1, 0), 2, [1, Q])
+            partial_sum_scan(adversarial_primorial(4), SumCriterion("phi_log_weighted", 2), [Q])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one whole-range float64 array alone would be 7.6 MiB
+        assert peak < 6 * 2**20
 
 
 class TestClassify:
