@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import euler_phi
+from .arith import default_phi_table, euler_phi
 from .errors import DiolabError
 from .fibering import (
     DiscreteSpace,
@@ -126,6 +126,7 @@ def cmd_union(args) -> int:
     else:
         checkpoints = (args.Q,)
     psis = fam.values(np.asarray(checkpoints, dtype=np.int64)).tolist()  # the psi each union reads
+    default_phi_table(checkpoints[-1])  # one totient table serves every checkpoint
     for qc, psi_q in zip(checkpoints, psis):
         est = truncated_union_1d(fam, args.Q0, qc, coprime=bool(args.coprime))
         print(_csv_row(qc, psi_q, est))

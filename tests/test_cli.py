@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import diolab.arith
 import diolab.cli
+from diolab.arith import PhiTable
 from diolab.cli import CSV_HEADER, main
 from diolab.psi import power_log
 
@@ -70,6 +72,28 @@ class TestUnion:
         code, out, _ = run_cli(capsys, "union", "--c", "0.25", "--Q0", "1900", "--Q", "1923", "--coprime")
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[2] == repr(psi)
+
+
+    def test_grid_builds_one_totient_table(self, capsys, monkeypatch):
+        builds = []
+
+        class CountingTable(PhiTable):
+            def __init__(self, limit):
+                builds.append(limit)
+                super().__init__(limit)
+
+        monkeypatch.setattr(diolab.arith, "PhiTable", CountingTable)
+        argv = ("union", "--c", "0.25", "--Q", "2000", "--coprime", "--grid")
+        monkeypatch.setattr(diolab.arith, "_default_table", None)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert builds == [2000]
+        # without the up-front sizing each checkpoint grows the table in turn
+        monkeypatch.setattr(diolab.arith, "_default_table", None)
+        monkeypatch.setattr(diolab.cli, "default_phi_table", lambda limit: None)
+        builds.clear()
+        assert run_cli(capsys, *argv)[1] == out
+        assert len(builds) == 12
 
 
 class TestSums:

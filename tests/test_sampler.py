@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diolab.arith import nearest_coprime_distance
+from diolab.arith import dist_nearest, dist_nearest_coprime, nearest_coprime_distance
 from diolab.errors import ResourceBudgetError
 from diolab.psi import power_log, table_psi
 from diolab.regions import RegionSpec, region_measure_1d
 from diolab.sampler import (
     GENERATOR_ID,
     ExperimentConfig,
+    _aggregate,
     _coprime_distances,
     _membership_bulk,
     _scan_chunk,
@@ -85,19 +86,30 @@ class TestMembership:
             if membership(x, q, f, coprime=True):
                 assert membership(x, q, f, coprime=False)
 
-    def test_bulk_matches_scalar(self):
-        rng = np.random.default_rng(22)
-        f = power_log(0.5, 0.5, 0)
-        xs = rng.random((500, 2))
-        for q in (1, 2, 7, 12, 36, 97):
-            psi_q = f(q)
-            for coprime in (False, True):
-                for mode in ("product", "max"):
-                    bulk = _membership_bulk(xs, q, psi_q, mode, coprime)
-                    for i in range(0, 500, 37):
-                        assert bulk[i] == membership(
-                            list(xs[i]), q, f, mode=mode, coprime=coprime
-                        )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        q=st.one_of(st.integers(1, 240), st.sampled_from([2310, 30030])),
+        x=st.lists(
+            st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 239).map(lambda a: a / 240)),
+            min_size=1, max_size=3,
+        ),
+        mode=st.sampled_from(["product", "max"]),
+        coprime=st.booleans(),
+        strict=st.booleans(),
+        place=st.sampled_from(["below", "on", "above", "level"]),
+        level=st.floats(1e-6, 0.5),
+    )
+    @example(q=12, x=[0.5, 0.25], mode="max", coprime=True, strict=True, place="on", level=0.1)
+    @example(q=2310, x=[1 / 240, 0.5, 0.75], mode="product", coprime=True, strict=False, place="on", level=0.1)
+    def test_bulk_matches_scalar(self, q, x, mode, coprime, strict, place, level):
+        # "on" puts x on the boundary of the q-slice: psi(q) is x's own aggregate,
+        # so the two paths agree only if their aggregates agree to the last bit
+        dist = dist_nearest_coprime if coprime else dist_nearest
+        agg = float(_aggregate(np.array([[dist(q, xi)] for xi in x]), mode)[0])
+        psi_q = {"below": np.nextafter(agg, 0.0), "on": agg, "above": np.nextafter(agg, 1.0), "level": level}[place]
+        f = table_psi([0.0] * (q - 1) + [float(psi_q)])
+        bulk = _membership_bulk(np.array([x]), q, f.values(np.array([q]))[0], mode, coprime, strict)
+        assert bulk.tolist() == [membership(x, q, f, mode=mode, coprime=coprime, strict=strict)]
 
     def test_strictness(self):
         f = table_psi([0.25])
@@ -212,6 +224,39 @@ class TestScanChunk:
         got = _scan_chunk(*args)
         assert got.dtype == np.int64
         assert np.array_equal(got, dense_scan(*args))
+
+    @pytest.mark.parametrize("q0", [1, 2290, 30010])
+    @pytest.mark.parametrize("coprime", [False, True])
+    @pytest.mark.parametrize("mode", ["product", "max"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_block_passes_match_dense_scan(self, n, mode, coprime, q0):
+        # psi(q0) is the 95th percentile of the samples' aggregates at q0, so
+        # the passes after q0 test the survivors against m >= 10 values of q at once
+        seed, size = 1000 * n + 10 * q0 + 2 * coprime + (mode == "max"), 3000
+        dist = dist_nearest_coprime if coprime else dist_nearest
+        xs = sample_points(seed, 0, size, n)
+        big = float(np.quantile(_aggregate(np.array([[dist(q0, v) for v in col] for col in xs.T]), mode), 0.95))
+        rng = np.random.default_rng(seed)
+        f, qs = table_window(q0, [big] + rng.choice([0.0, 1e-4, 1e-3, 0.01], 400).tolist())
+        args = (seed, 0, size, n, qs, f.values(qs), mode, coprime)
+        got, want = _scan_chunk(*args), dense_scan(*args)
+        assert np.count_nonzero(want == q0) >= 0.9 * size
+        assert np.count_nonzero(want > q0) > 0
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_divergent_entry_matches_dense_scan(self, workers):
+        # mc-battery's divergent entry, shrunk to 3,000 samples
+        cfg = ExperimentConfig(
+            family=power_log(0.25, 1, 0), n=2, coprime=True, Q0=100, Q=4000, samples=3000, seed=17
+        )
+        qs = np.arange(cfg.Q0, cfg.Q + 1, dtype=np.int64)
+        psis = cfg.family.values(qs)
+        bounds = [cfg.samples * w // workers for w in range(workers + 1)]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            args = (cfg.seed, a, b, cfg.n, qs, psis, cfg.mode, cfg.coprime)
+            assert np.array_equal(_scan_chunk(*args), dense_scan(*args))
+        assert estimate_union_measure(cfg, workers=workers) == estimate_union_measure(cfg)
 
     @pytest.mark.parametrize("mode, n", [("product", 2), ("max", 3)])
     def test_union_estimates_equal_across_worker_counts(self, mode, n):
