@@ -49,7 +49,8 @@ print("  values:     ", [round(v, 6) for v in cdf.values])
 print("  P(dist < 1/2) = phi(12)/12 =", cdf(0.5))
 
 # Products of coprime distances need a convolution over that law; n=2 is
-# evaluated in closed form piece by piece, n>=3 by adaptive recursion.
+# one closed form at every delta, a mixture over pairs of coprime gaps,
+# and n>=3 is adaptive quadrature down to it.
 for q in (12, 360, 2310):
     est = product_region_measure_coprime(q, 2, 1e-3)
     print(f"coprime product, q={q}, n=2, delta=1e-3 -> {est.value:.8f} (+-{est.error_bound:.1e})")

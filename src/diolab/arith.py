@@ -50,6 +50,9 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
+SCAN_BLOCK = 1 << 16  # entries per block of a streamed pass: a strided sieve pass, a divergence-sum scan
+
+
 class PhiTable:
     """Sieved Euler phi values for 1 <= q <= limit.
 
@@ -61,7 +64,9 @@ class PhiTable:
     O(sqrt(limit)) vector passes in all (269 + 1,731 at limit 3e6), instead
     of one per prime.  The order does not matter: while p is still to be
     applied, p divides q's running value (q / prod(applied primes) keeps
-    the factor p), so every step is an exact integer division.
+    the factor p), so every step is an exact integer division.  A strided
+    pass runs in place over chunks of SCAN_BLOCK entries, so its
+    temporary stays small beside the table.
 
     The table is immutable after construction and safe to share across
     threads; builders below keep a process-wide cached instance.
@@ -75,8 +80,10 @@ class PhiTable:
         primes = primes_up_to(self.limit)
         cut = int(np.searchsorted(primes, root, side="right"))
         values = np.arange(self.limit + 1, dtype=np.int64)
-        for p in primes[:cut]:
-            values[p::p] -= values[p::p] // p
+        for p in primes[:cut].tolist():
+            for lo in range(p, self.limit + 1, p * SCAN_BLOCK):
+                view = values[lo : lo + p * SCAN_BLOCK : p]
+                view -= view // p
         large = primes[cut:]
         for m in range(1, self.limit // (root + 1) + 1):
             big = large[: np.searchsorted(large, self.limit // m, side="right")]
@@ -124,18 +131,7 @@ def prime_factors(q: int) -> list[int]:
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 2 and prime_factors(p) == [p]
 
 
 def radical(q: int) -> int:

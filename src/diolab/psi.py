@@ -12,6 +12,9 @@ Family conventions
 * Divergence of a series is metadata attached to a family, never inferred
   from finite partial sums.  Closed-form families carry computed metadata;
   table and derived families report "unknown".
+* Each family defines only ``values(qs)``, its evaluation over an int array.
+  The scalar ``f(q)`` is a one-element call of it, ``f.values([q])[0]`` bit
+  for bit, so a scalar reader and a vector reader always see the same psi.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import default_phi_table, dist_nearest, euler_phi, is_prime, padic_abs
+from .arith import SCAN_BLOCK, default_phi_table, euler_phi, is_prime
 from .errors import UndefinedRatioError
 
 __all__ = [
@@ -89,12 +92,17 @@ class SumCriterion:
 class ApproxFunction:
     """Base for approximating functions psi: N -> [0, +inf].
 
-    Instances are immutable value objects.  Scalar evaluation is
-    ``f(q)``; ``f.values(qs)`` evaluates a whole int array at once.
+    Instances are immutable value objects.  A family defines only
+    ``values(qs)``, which evaluates a whole int array at once; the scalar
+    ``f(q)`` is ``f.values([q])[0]`` bit for bit, so q must fit in int64.
+    A one-element call pays numpy's fixed cost per call, so loops over many
+    q should read one ``values`` array.
     """
 
     def __call__(self, q: int) -> float:
-        raise NotImplementedError
+        if q < 1:
+            raise ValueError("q must be >= 1")
+        return float(self.values(np.array([q], dtype=np.int64))[0])
 
     def values(self, qs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -119,11 +127,6 @@ class PowerLog(ApproxFunction):
     def __post_init__(self):
         if self.c < 0:
             raise ValueError("power_log coefficient c must be >= 0")
-
-    def __call__(self, q: int) -> float:
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        return self.c * q ** (-self.a) * math.log(q + 1.0) ** (-self.b)
 
     def values(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=np.float64)
@@ -157,11 +160,6 @@ class TablePsi(ApproxFunction):
                 raise ValueError("table entries must be numbers")
             if v < 0:
                 raise ValueError("table entries must be >= 0")
-
-    def __call__(self, q: int) -> float:
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        return float(self.entries[q - 1]) if q <= len(self.entries) else 0.0
 
     @cached_property
     def _floats(self) -> np.ndarray:
@@ -197,6 +195,21 @@ def _first_primes(k: int) -> list[int]:
     return out
 
 
+def _phi(qs: np.ndarray) -> np.ndarray:
+    """Euler phi over an int array, exact either way it is taken.
+
+    An array long enough that sieving up to qs.max() costs less than trial
+    division of each entry (qs.size * isqrt(qs.max()) >= qs.max()) reads the
+    shared table, grown to qs.max().  A shorter one, such as one scalar
+    f(q), takes ``euler_phi`` per entry, which reads the table where it
+    already covers q: a few large q build no table.
+    """
+    top = int(qs.max()) if qs.size else 1
+    if qs.size * math.isqrt(top) < top:
+        return np.array([euler_phi(q) for q in qs.tolist()], dtype=np.int64)
+    return default_phi_table(top).values[qs]
+
+
 @dataclass(frozen=True)
 class SupportPredicate:
     """Named support predicate for indicator families."""
@@ -221,16 +234,10 @@ class SupportPredicate:
             return m
         raise ValueError("predicate has no modulus")
 
-    def matches(self, q: int) -> bool:
-        if self.kind == "phi_ratio_below":
-            return euler_phi(q) / q < self.param
-        return q % self.modulus == 0
-
     def mask(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=np.int64)
         if self.kind == "phi_ratio_below":
-            table = default_phi_table(int(qs.max()) if qs.size else 1)
-            return table.values[qs] / qs < self.param
+            return _phi(qs) / qs < self.param
         return qs % self.modulus == 0
 
     def spec_dict(self) -> dict:
@@ -241,9 +248,6 @@ class SupportPredicate:
 class IndicatorSupport(ApproxFunction):
     base: ApproxFunction
     support: SupportPredicate
-
-    def __call__(self, q: int) -> float:
-        return self.base(q) if self.support.matches(q) else 0.0
 
     def values(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=np.int64)
@@ -267,15 +271,6 @@ class ConditionalPsi(ApproxFunction):
     def __post_init__(self):
         if not self.anchors:
             raise ValueError("conditional family needs at least one anchor")
-
-    def __call__(self, q: int) -> float:
-        d = 1.0
-        for x in self.anchors:
-            d *= dist_nearest(q, x)
-        b = self.base(q)
-        if d > 0.0:
-            return b / d
-        return math.inf if b > 0.0 else 0.0
 
     def values(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=np.int64)
@@ -312,25 +307,28 @@ class WeightFn:
         if self.kind == "const" and self.param <= 0:
             raise ValueError("constant weight must be positive")
 
-    def __call__(self, t: float) -> float:
-        if self.kind == "const":
-            return self.param
-        return float(t) ** self.param
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """f over an array of p-adic absolute values."""
+        return np.full_like(t, self.param) if self.kind == "const" else t**self.param
 
     def spec_dict(self) -> dict:
         return {"kind": self.kind, "param": self.param}
 
 
 def _padic_abs_array(qs: np.ndarray, p: int) -> np.ndarray:
-    """|q|_p over an int array (floats)."""
-    out = np.ones(qs.shape, dtype=np.float64)
-    rem = qs.astype(np.int64).copy()
+    """|q|_p over an int array: the valuation v counted per entry, then 1 / p**v.
+
+    p**v divides q, so it is an exact int64, and the one division rounds
+    correctly: the float of ``arith.padic_abs(q, p)`` bit for bit.
+    """
+    v = np.zeros(qs.shape, dtype=np.int64)
+    rem = qs.astype(np.int64)
     divisible = rem % p == 0
     while divisible.any():
-        out[divisible] /= p
+        v += divisible
         rem[divisible] //= p
         divisible &= rem % p == 0
-    return out
+    return 1.0 / np.power(p, v)
 
 
 @dataclass(frozen=True)
@@ -350,21 +348,11 @@ class PadicWeightedPsi(ApproxFunction):
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
 
-    def __call__(self, q: int) -> float:
-        w = 1.0
-        for p, fn in zip(self.primes, self.weights):
-            w *= fn(float(padic_abs(q, p)))
-        return self.base(q) / w
-
     def values(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=np.int64)
         w = np.ones(qs.shape, dtype=np.float64)
         for p, fn in zip(self.primes, self.weights):
-            t = _padic_abs_array(qs, p)
-            if fn.kind == "const":
-                w *= fn.param
-            else:
-                w *= t**fn.param
+            w *= fn(_padic_abs_array(qs, p))
         return self.base.values(qs) / w
 
     def spec_dict(self) -> dict:
@@ -419,16 +407,11 @@ def adversarial_primorial(k: int = 4, c: float = 1.0, a: float = 1.0, b: float =
 
 def psi_eval(f: ApproxFunction, q: int) -> float:
     """Value of the family at q (may be +inf for conditional families)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
     return f(q)
 
 
 # ---------------------------------------------------------------------------
 # partial sums and the limsup-ratio condition
-
-
-SCAN_BLOCK = 1 << 16  # q per block of the streamed scans: O(SCAN_BLOCK) memory beside the phi table
 
 
 def _checkpoints(grid: Sequence[int]) -> list[int]:

@@ -109,12 +109,12 @@ def membership(
 ) -> bool:
     """Strict-inequality membership of x in the q-slice (non-strict optional).
 
-    Scalar distances; psi(q) and the aggregate come from the array forms the
-    vector path uses, since ``float ** n`` and ``f(q)`` can differ in the last bit.
+    Scalar distances; the aggregate comes from the array form the vector
+    path uses, since ``float ** n`` can differ from it in the last bit.
     """
     if mode not in ("product", "max"):
         raise ValueError(f"unknown mode {mode!r}")
-    psi_q = float(f.values(np.array([q], dtype=np.int64))[0])
+    psi_q = f(q)
     if not math.isfinite(psi_q):
         raise ValueError(f"psi({q}) must be finite for membership tests")
     dist = dist_nearest_coprime if coprime else dist_nearest
@@ -510,7 +510,8 @@ def linear_forms_count(
     each q is counted once with the numerator vector p chosen per coordinate
     to minimize |(qX)_i + p_i|.  With ``coprime`` the p_i are constrained to
     gcd(p_i, g) = 1 where g is the gcd of the components of q.  When Psi is
-    an ApproxFunction it is applied to the sup norm of q.
+    an ApproxFunction it is applied to the sup norm of q, read from one
+    ``values`` table over 1..Qbound.
     """
     import itertools
 
@@ -524,7 +525,8 @@ def linear_forms_count(
             f"enumeration of {total} vectors exceeds budget={budget}; raise it explicitly"
         )
     if isinstance(Psi, ApproxFunction):
-        psi_of = lambda qv: Psi(int(np.max(np.abs(qv))))
+        table = Psi.values(np.arange(1, Qbound + 1, dtype=np.int64)).tolist()
+        psi_of = lambda qv: table[int(np.max(np.abs(qv))) - 1]
     else:
         psi_of = lambda qv: float(Psi(tuple(int(c) for c in qv)))
     count = 0

@@ -178,8 +178,9 @@ def test_criterion_6_convergence_side():
     t0 = time.perf_counter()
     fam = power_log(1.0, 1.0, 3.0)
     tail_sum = 0.0
-    for q in range(1_000, 100_001):
-        tail_sum += product_region_measure_coprime(q, 2, fam(q), tol=1e-10).value
+    qs = np.arange(1_000, 100_001)
+    for q, delta in zip(qs.tolist(), fam.values(qs).tolist()):
+        tail_sum += product_region_measure_coprime(q, 2, delta, tol=1e-10).value
     assert tail_sum < 0.25, f"exact tail sum {tail_sum:.4f}"
     cfg = ExperimentConfig(
         family=fam,

@@ -15,9 +15,11 @@ from diolab.arith import (
     dist_nearest_coprime,
     euler_phi,
     gap_multiset,
+    is_prime,
     nearest_coprime_distance,
     padic_abs,
     prime_factors,
+    primes_up_to,
     radical,
 )
 
@@ -203,6 +205,10 @@ class TestPadicAbs:
             b = int(rng.integers(1, 500))
             for p in (2, 3, 5):
                 assert padic_abs(a * b, p) == padic_abs(a, p) * padic_abs(b, p)
+
+
+def test_is_prime_matches_the_sieve():
+    assert [p for p in range(-3, 5000) if is_prime(p)] == primes_up_to(4999).tolist()
 
 
 def test_radical():

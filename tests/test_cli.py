@@ -64,10 +64,10 @@ class TestUnion:
 
 
     def test_psi_comes_from_values(self, capsys, monkeypatch):
-        # at q = 1923 the scalar power_log(0.25, 1, 0) is 1 ulp off the array value the union reads
+        # the psi_q column is the array value the union reads, and f(q) is the same bits
         f = power_log(0.25, 1, 0)
         psi = float(f.values(np.array([1923]))[0])
-        assert f(1923) != psi
+        assert f(1923) == psi
         monkeypatch.setattr(diolab.cli, "fmt", repr)
         code, out, _ = run_cli(capsys, "union", "--c", "0.25", "--Q0", "1900", "--Q", "1923", "--coprime")
         assert code == 0

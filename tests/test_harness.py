@@ -115,8 +115,9 @@ class TestDichotomyScan:
         from diolab.regions import product_region_measure_coprime
 
         fam = power_log(1, 1, 3)
+        qs = np.arange(1000, 5001)
         tail_sum = sum(
-            product_region_measure_coprime(q, 2, fam(q)).value for q in range(1000, 5001)
+            product_region_measure_coprime(q, 2, d).value for q, d in zip(qs.tolist(), fam.values(qs).tolist())
         )
         cfg = ExperimentConfig(
             family=fam, n=2, coprime=True, Q0=1000, Q=5000, samples=8000,
@@ -168,12 +169,12 @@ class TestBcEvidence:
         assert stats.singles.tobytes() == np.diag(stats.pairs).tobytes()
 
     def test_psi_comes_from_values(self):
-        # the scalar power_log(1, 1, 3)(q) is an ulp off values() at q = 1, 3, 15;
-        # the bound must see the slices of the union it is checked against
+        # the bound must see the slices of the union it is checked against; the
+        # scalar f(q) is a one-element values() call, so it reads the same psi
         f = power_log(1, 1, 3)
         qs = np.arange(1, 21)
         psis = f.values(qs).tolist()
-        assert [q for q in qs.tolist() if f(q) != psis[q - 1]] == [1, 3, 15]
+        assert [f(q) for q in qs.tolist()] == psis
         stats = exact_event_stats_1d(f, 1, 20)
         assert stats.singles.tolist() == [
             slice_union(q, d, coprime=True).measure for q, d in zip(qs.tolist(), psis)

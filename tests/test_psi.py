@@ -4,17 +4,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diolab.arith
 import diolab.psi
-from diolab.arith import PhiTable, default_phi_table
+from diolab.arith import PhiTable, default_phi_table, dist_nearest, padic_abs, prime_factors
 from diolab.errors import UndefinedRatioError
 from diolab.psi import (
     SCAN_BLOCK,
     CONVERGENT,
     DIVERGENT,
     UNKNOWN,
+    ConditionalPsi,
+    IndicatorSupport,
+    PadicWeightedPsi,
+    PowerLog,
     SumCriterion,
+    TablePsi,
     WeightFn,
     adversarial_primorial,
     classify,
@@ -30,6 +37,83 @@ from diolab.psi import (
     psi_eval,
     table_psi,
 )
+from diolab.psi import _padic_abs_array
+
+FAMILY_CLASSES = (PowerLog, TablePsi, IndicatorSupport, ConditionalPsi, PadicWeightedPsi)
+
+unit_floats = st.floats(0.0, 1.0, allow_nan=False)
+leaf_families = st.one_of(
+    st.builds(power_log, st.floats(0.0, 4.0), st.floats(-1.0, 3.0), st.floats(-3.0, 5.0)),
+    st.builds(
+        table_psi,
+        st.lists(
+            st.one_of(unit_floats, st.fractions(0, 2, max_denominator=1000), st.integers(0, 3)), max_size=40
+        ),
+    ),
+)
+supports = st.one_of(
+    st.tuples(st.just("multiples_of"), st.integers(1, 40)),
+    st.tuples(st.just("primorial_multiples"), st.integers(1, 4)),
+    st.tuples(st.just("phi_ratio_below"), unit_floats),
+)
+weights = st.one_of(
+    st.builds(WeightFn, st.just("const"), st.floats(0.01, 10.0)),
+    st.builds(WeightFn, st.just("power"), st.floats(-2.0, 2.0)),
+)
+
+
+def wrapped(base):
+    padic = st.lists(st.sampled_from([2, 3, 5, 7, 11]), min_size=1, max_size=3, unique=True).flatmap(
+        lambda ps: st.builds(
+            padic_weighted_psi, base, st.just(ps), st.lists(weights, min_size=len(ps), max_size=len(ps))
+        )
+    )
+    return st.one_of(
+        st.builds(lambda f, s: indicator_support(f, *s), base, supports),
+        st.builds(conditional_psi, base, st.lists(unit_floats, min_size=1, max_size=3)),
+        padic,
+    )
+
+
+families = st.recursive(leaf_families, wrapped, max_leaves=4)
+
+
+def textbook_psi(f, q: int) -> float:
+    """psi(q) by each family's defining formula, one q at a time and apart from ``values``.
+
+    phi comes from trial division, never from the shared sieve table.
+    """
+    if isinstance(f, PowerLog):
+        return f.c * q ** (-f.a) * math.log(q + 1.0) ** (-f.b)
+    if isinstance(f, TablePsi):
+        return float(f.entries[q - 1]) if q <= len(f.entries) else 0.0
+    if isinstance(f, IndicatorSupport):
+        s = f.support
+        if s.kind == "phi_ratio_below":
+            phi = q
+            for p in prime_factors(q):
+                phi = phi // p * (p - 1)
+            on = phi / q < s.param
+        else:
+            on = q % s.modulus == 0
+        return textbook_psi(f.base, q) if on else 0.0
+    if isinstance(f, ConditionalPsi):
+        d = math.prod(dist_nearest(q, x) for x in f.anchors)
+        b = textbook_psi(f.base, q)
+        if d > 0.0:
+            return b / d
+        return math.inf if b > 0.0 else 0.0  # a/0 = inf, 0/0 = 0
+    if isinstance(f, PadicWeightedPsi):
+        w = 1.0
+        for p, fn in zip(f.primes, f.weights):
+            w *= fn.param if fn.kind == "const" else float(padic_abs(q, p)) ** fn.param
+        return textbook_psi(f.base, q) / w
+    raise TypeError(type(f))
+
+
+def assert_textbook(f, qs):
+    vec = f.values(np.asarray(qs, dtype=np.int64))
+    assert vec.tolist() == [pytest.approx(textbook_psi(f, int(q)), rel=1e-12) for q in qs]
 
 
 class TestEval:
@@ -71,13 +155,50 @@ class TestEval:
         assert psi_eval(f, 1) == pytest.approx(0.5)
 
     def test_conditional_values_match_scalar(self):
-        f = conditional_psi(power_log(1, 1, 0), [0.25, 1 / 3])
-        qs = np.arange(1, 50)
-        vec = f.values(qs)
-        for q in qs:
-            assert vec[q - 1] == pytest.approx(f(int(q))) or (
-                math.isinf(vec[q - 1]) and math.isinf(f(int(q)))
-            )
+        # the scalar here is the textbook formula, not f(q), which reads values itself
+        assert_textbook(conditional_psi(power_log(1, 1, 0), [0.25, 1 / 3]), range(1, 50))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(families, st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
+    @example(power_log(1, 1, 3), range(1, 2000))
+    @example(adversarial_primorial(3), [30, 31, 60, 510510])
+    @example(indicator_support(power_log(1, 1, 0), "phi_ratio_below", 0.3), range(1, 2000))
+    def test_values_match_the_textbook_formula(self, f, qs):
+        assert_textbook(f, qs)
+
+    def test_only_the_base_class_evaluates_scalars(self):
+        # every family keeps its own values; f(q) is the base class's one-element call
+        for cls in FAMILY_CLASSES:
+            assert "values" in vars(cls)
+            assert "__call__" not in vars(cls)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(families, st.lists(st.integers(1, 10**6), min_size=1, max_size=8), st.integers(0, 7))
+    @example(power_log(1, 1, 3), [1, 3, 15], 2)
+    @example(power_log(0.25, 1, 0), [1923, 3846, 4221, 4935], 0)
+    @example(conditional_psi(power_log(0.1, 1, 0), [0.5, math.sqrt(2) - 1]), [1923, 4221, 4935], 2)
+    @example(padic_weighted_psi(power_log(1, 1, 2), [2, 3, 5], [("power", 0.5)] * 3), [42, 243, 15625], 0)
+    @example(indicator_support(power_log(1, 1, 0), "phi_ratio_below", 0.3), [30030, 510510], 1)
+    def test_scalar_is_values_bit_for_bit(self, f, qs, i):
+        q = qs[i % len(qs)]
+        want = float(f.values(np.array(qs, dtype=np.int64))[i % len(qs)]).hex()
+        assert f(q).hex() == want
+        assert psi_eval(f, q).hex() == want
+
+    def test_one_large_q_builds_no_phi_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(diolab.arith, "_default_table", None)
+        monkeypatch.setattr(diolab.arith, "PhiTable", lambda limit: built.append(limit))
+        f = indicator_support(power_log(1, 0, 0), "phi_ratio_below", 0.3)
+        q = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 1_000_003  # phi(q)/q < 0.19
+        assert f(q) == 1.0
+        assert f(q + 2) == 0.0
+        assert f.values(np.array([q, q + 2, 10**9 + 7])).tolist() == [1.0, 0.0, 0.0]
+        assert built == []
+
+    def test_scalar_rejects_q_below_one(self):
+        with pytest.raises(ValueError):
+            power_log(1, 1, 0)(0)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -115,12 +236,31 @@ class TestPadicWeighted:
         qs = np.arange(1, 1001)
         assert np.allclose(f.values(qs), base.values(qs), rtol=0, atol=0)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11]),
+        st.lists(st.tuples(st.integers(0, 12), st.integers(1, 1000)), min_size=1, max_size=20),
+    )
+    @example(3, [(5, 1), (5, 2), (5, 4), (0, 15625), (0, 16807), (0, 14641)])
+    @example(5, [(6, 1), (6, 2)])
+    @example(7, [(5, 1)])
+    @example(11, [(4, 1)])
+    def test_padic_abs_array_is_correctly_rounded(self, p, factors):
+        # q = p**v * m reaches valuations that uniform q would rarely draw
+        qs = [p**v * m for v, m in factors]
+        got = _padic_abs_array(np.array(qs, dtype=np.int64), p)
+        assert [float(v).hex() for v in got] == [float(padic_abs(q, p)).hex() for q in qs]
+
+    def test_weight_fn_is_one_array_evaluation(self):
+        t = np.array([1.0, 0.5, 0.125])
+        assert WeightFn("const", 3.0)(t).tolist() == [3.0, 3.0, 3.0]
+        assert WeightFn("power", 2.0)(t).tolist() == [1.0, 0.25, 0.015625]
+
     def test_vector_matches_scalar(self):
+        # the scalar here is the textbook formula, not f(q), which reads values itself
         f = padic_weighted_psi(power_log(1, 1, 0), [2, 5], [("power", 0.5), ("power", 2.0)])
-        qs = np.arange(1, 300)
-        vec = f.values(qs)
-        for q in [1, 2, 10, 40, 200, 250]:
-            assert vec[q - 1] == pytest.approx(f(q), rel=1e-12)
+        assert_textbook(f, range(1, 300))
+        assert_textbook(padic_weighted_psi(power_log(1, 1, 2), [3, 7], [("const", 2.5), ("power", -1.0)]), range(1, 300))
 
 
 class TestPartialSums:

@@ -553,9 +553,10 @@ class TestClosedFormN2:
         assert 0.0 <= got.value <= got.error_bound
 
     def test_n3_within_its_bound_of_the_piecewise_child(self):
-        fam = power_log(1.0, 1.0, 3.0)
-        for q, old in zip(range(1000, 1010), N3_PIECEWISE_CHILD):
-            got = product_region_measure_coprime(q, 3, fam(q), tol=1e-9)
+        qs = np.arange(1000, 1010)
+        deltas = power_log(1.0, 1.0, 3.0).values(qs).tolist()
+        for q, delta, old in zip(qs.tolist(), deltas, N3_PIECEWISE_CHILD):
+            got = product_region_measure_coprime(q, 3, delta, tol=1e-9)
             assert abs(got.value - old) <= got.error_bound
 
 
@@ -606,9 +607,10 @@ class TestTruncatedUnion:
         f = power_log(0.25, 1, 0)
         for Q in (4, 16, 64):
             union = truncated_union_1d(f, 1, Q, coprime=True).value
+            qs = np.arange(1, Q + 1)
             singles = [
-                region_measure_1d(RegionSpec(q, 1, f(q), coprime=True)).value
-                for q in range(1, Q + 1)
+                region_measure_1d(RegionSpec(q, 1, d, coprime=True)).value
+                for q, d in zip(qs.tolist(), f.values(qs).tolist())
             ]
             assert union >= max(singles) - 1e-12
             assert union <= sum(singles) + 1e-12

@@ -308,7 +308,8 @@ class TestCoprimeDistances:
 def pairwise_hits(qs, f, n, mode, coprime, samples, seed):
     """Oracle for pair_hit_table: one membership pass per slice, one count per pair."""
     xs = sample_points(seed, 0, samples, n)
-    member = [_membership_bulk(xs, q, f(q), mode, coprime) for q in qs]
+    psis = f.values(np.asarray(qs)).tolist()
+    member = [_membership_bulk(xs, q, d, mode, coprime) for q, d in zip(qs, psis)]
     hits = np.empty((len(qs), len(qs)), dtype=np.int64)
     for i in range(len(qs)):
         for j in range(len(qs)):
