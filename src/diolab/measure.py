@@ -1,33 +1,116 @@
 """Measure values with provenance and confidence intervals.
 
-Monte Carlo hit fractions get a normal-approximation interval in the bulk and
-exact Clopper-Pearson bounds when hits (or misses) are scarce.  The exact
-bounds are quantiles of beta distributions, computed as the inverse
-regularized incomplete beta function ``scipy.special.betaincinv``; the normal
-quantile is ``scipy.special.ndtri``.  Both come from ``scipy.special`` so that
-importing diolab does not load ``scipy.stats``.
+Monte Carlo hit fractions get exact Clopper-Pearson bounds when hits (or
+misses) are scarce or samples are few, and the Wilson score interval with
+continuity correction otherwise.  A Clopper-Pearson bound is the p at which a
+binomial tail reaches alpha/2: the lower tail, k + 1 terms, for the upper
+bound, and the upper tail, summed from its first term, for the lower bound.
+Neither tail is taken as one minus a sum, so both bounds stay accurate at any
+confidence.  Each is a bisection on the float bits of p, so neither an
+incomplete beta function nor scipy is needed.  The misses side mirrors the
+hits side.
+
+Wilson from 30 hits can be narrower than Clopper-Pearson at 29, for up to 113
+samples at confidences above about 1 - 2.5e-5.  Below ``EXACT_CI_SAMPLES``
+every count is therefore exact, and both bounds are non-decreasing in hits
+across the whole range, the switch included.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-
-from scipy.special import betaincinv, ndtri
+from statistics import NormalDist
 
 __all__ = ["MeasureEstimate", "binomial_ci"]
 
-# below this many hits the normal approximation is replaced by exact
-# Clopper-Pearson bounds (rare-hit tail experiments)
+# below this many hits (or misses), or this many samples, the Wilson interval
+# is replaced by exact Clopper-Pearson bounds (rare-hit tail experiments)
 EXACT_CI_HITS = 30
+EXACT_CI_SAMPLES = 4 * EXACT_CI_HITS
+
+_FLOAT_BITS = struct.Struct("<d")
+_INT_BITS = struct.Struct("<q")
+
+
+def _float(bits: int) -> float:
+    return _FLOAT_BITS.unpack(_INT_BITS.pack(bits))[0]
+
+
+def _first_true(pred) -> float:
+    """Smallest float p in (0, 1] with pred(p), for a pred false then true on [0, 1].
+
+    Non-negative floats are ordered like their bit patterns, so bisecting the
+    integers between 0.0 and 1.0 pins p in about 62 steps.
+    """
+    lo, hi = 0, _INT_BITS.unpack(_FLOAT_BITS.pack(1.0))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(_float(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return _float(hi)
+
+
+def _upper_bound(k: int, n: int, half_alpha: float) -> float:
+    """Clopper-Pearson upper bound for k < n hits: where P(X <= k) falls to half_alpha.
+
+    The k + 1 terms t_i of the tail are summed by Horner's rule from the last,
+    t_k * (1 + u_k * (1 + ... (1 + u_1))) with t_{i-1} / t_i = u_i =
+    i / (n - i + 1) * (1 - p) / p.  The sum overflows only where t_0 dominates
+    and the tail is 1, far above half_alpha.
+    """
+    log_comb = math.log(math.comb(n, k))
+    ratios = [i / (n - i + 1) for i in range(1, k + 1)]
+
+    def at_most_target(p: float) -> bool:
+        odds, s = (1.0 - p) / p, 1.0
+        for u in ratios:
+            s = 1.0 + u * odds * s
+        return math.exp(log_comb + k * math.log(p) + (n - k) * math.log1p(-p) + math.log(s)) <= half_alpha
+
+    return _first_true(at_most_target)
+
+
+def _lower_bound(k: int, n: int, half_alpha: float) -> float:
+    """Clopper-Pearson lower bound for k > 0 hits: where P(X >= k) rises to half_alpha.
+
+    Once p >= k/n the median is at least k and the tail is at least 1/2.
+    Below that the terms fall from t_k, and the ratio r = t_{i+1} / t_i is
+    below k/(k+1) and shrinks with i, so the terms from t_{i+1} on sum to at
+    most t_{i+1} / (1 - r).  They are summed from t_k until the sum passes
+    half_alpha, or that bound on the rest cannot lift it there, or it stops
+    moving.
+    """
+    log_comb = math.log(math.comb(n, k))
+
+    def above_target(p: float) -> bool:
+        if p * n >= k:
+            return True
+        odds = p / (1.0 - p)
+        term = total = math.exp(log_comb + k * math.log(p) + (n - k) * math.log1p(-p))
+        for i in range(k, n):
+            if total > half_alpha:
+                return True
+            ratio = (n - i) / (i + 1) * odds
+            term *= ratio
+            if total + term / (1.0 - ratio) <= half_alpha or total + term == total:
+                return False
+            total += term
+        return total > half_alpha
+
+    return _first_true(above_target)
 
 
 def binomial_ci(hits: int, samples: int, confidence: float = 0.95) -> tuple[float, float]:
     """Confidence interval for a hit fraction.
 
-    Normal approximation in the bulk; exact Clopper-Pearson bounds when either
-    tail has fewer than EXACT_CI_HITS observations.  ``confidence`` must lie
-    strictly between 0 and 1.
+    Exact Clopper-Pearson bounds when either tail has fewer than
+    EXACT_CI_HITS observations or there are fewer than EXACT_CI_SAMPLES
+    samples; Wilson with continuity correction (Newcombe 1998, method 4)
+    otherwise.  ``confidence`` must lie strictly between 0 and 1.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -35,17 +118,18 @@ def binomial_ci(hits: int, samples: int, confidence: float = 0.95) -> tuple[floa
         raise ValueError("hits outside [0, samples]")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence {confidence!r} outside (0, 1)")
-    p = hits / samples
-    alpha = 1.0 - confidence
-    if min(hits, samples - hits) < EXACT_CI_HITS:
-        lo = 0.0 if hits == 0 else float(betaincinv(hits, samples - hits + 1, alpha / 2))
-        hi = 1.0 if hits == samples else float(betaincinv(hits + 1, samples - hits, 1 - alpha / 2))
-        return lo, hi
-    z = 1.959963984540054  # two-sided 95% normal quantile
-    if confidence != 0.95:
-        z = float(ndtri(1 - alpha / 2))
-    half = z * math.sqrt(p * (1.0 - p) / samples)
-    return max(0.0, p - half), min(1.0, p + half)
+    half_alpha = (1.0 - confidence) / 2
+    n, misses = samples, samples - hits
+    if min(hits, misses) < EXACT_CI_HITS or n < EXACT_CI_SAMPLES:
+        k = min(hits, misses)  # the misses side mirrors the hits side
+        lo = 0.0 if k == 0 else _lower_bound(k, n, half_alpha)
+        hi = _upper_bound(k, n, half_alpha)
+        return (lo, hi) if k == hits else (1.0 - hi, 1.0 - lo)
+    z = -NormalDist().inv_cdf(half_alpha)
+    zz = z * z
+    lo = (2 * hits + zz - 1 - z * math.sqrt(zz - 2 - 1 / n + 4 * hits * (misses + 1) / n)) / (2 * (n + zz))
+    hi = (2 * hits + zz + 1 + z * math.sqrt(zz + 2 - 1 / n + 4 * hits * (misses - 1) / n)) / (2 * (n + zz))
+    return max(0.0, lo), min(1.0, hi)
 
 
 @dataclass(frozen=True)

@@ -4,43 +4,104 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import beta, norm
+from scipy.stats import beta, binom, norm
 
 import diolab
-from diolab.measure import EXACT_CI_HITS, MeasureEstimate, binomial_ci
+from diolab.measure import EXACT_CI_HITS, EXACT_CI_SAMPLES, MeasureEstimate, binomial_ci
 
 CONFIDENCES = (0.9, 0.95, 0.99)
 
 
-def reference_ci(hits: int, samples: int, confidence: float) -> tuple[float, float]:
-    """binomial_ci written with scipy.stats distribution quantiles."""
+def exact_branch(hits: int, samples: int) -> bool:
+    return min(hits, samples - hits) < EXACT_CI_HITS or samples < EXACT_CI_SAMPLES
+
+
+def clopper_pearson(hits: int, samples: int, confidence: float) -> tuple[float, float]:
+    """Clopper-Pearson bounds as scipy.stats beta quantiles."""
     alpha = 1.0 - confidence
+    lo = 0.0 if hits == 0 else float(beta.ppf(alpha / 2, hits, samples - hits + 1))
+    hi = 1.0 if hits == samples else float(beta.ppf(1 - alpha / 2, hits + 1, samples - hits))
+    return lo, hi
+
+
+def wilson_cc(hits: int, samples: int, confidence: float) -> tuple[float, float]:
+    """Wilson score interval with continuity correction (Newcombe 1998, method 4)."""
+    n, p = samples, hits / samples
+    z = float(norm.ppf(1 - (1.0 - confidence) / 2))
+    lo = (2 * n * p + z * z - 1 - z * math.sqrt(z * z - 2 - 1 / n + 4 * p * (n * (1 - p) + 1))) / (2 * (n + z * z))
+    hi = (2 * n * p + z * z + 1 + z * math.sqrt(z * z + 2 - 1 / n + 4 * p * (n * (1 - p) - 1))) / (2 * (n + z * z))
+    return max(0.0, lo), min(1.0, hi)
+
+
+def previous_ci(hits: int, samples: int, confidence: float) -> tuple[float, float]:
+    """The interval diolab used before Wilson: Clopper-Pearson below 30 hits or misses, else Wald."""
     if min(hits, samples - hits) < EXACT_CI_HITS:
-        lo = 0.0 if hits == 0 else float(beta.ppf(alpha / 2, hits, samples - hits + 1))
-        hi = 1.0 if hits == samples else float(beta.ppf(1 - alpha / 2, hits + 1, samples - hits))
-        return lo, hi
+        return clopper_pearson(hits, samples, confidence)
     p = hits / samples
-    half = float(norm.ppf(1 - alpha / 2)) * math.sqrt(p * (1.0 - p) / samples)
+    half = float(norm.ppf(1 - (1.0 - confidence) / 2)) * math.sqrt(p * (1.0 - p) / samples)
     return max(0.0, p - half), min(1.0, p + half)
 
 
 def grid_hits(samples: int) -> list[int]:
     # 0..40 from both ends: crosses the EXACT_CI_HITS = 30 switch on each side
     edge = range(0, min(40, samples) + 1)
-    return sorted(set(edge) | {samples - h for h in edge})
+    return sorted(set(edge) | {samples - h for h in edge} | {samples // 2})
 
 
 class TestBinomialCiOracle:
     @pytest.mark.parametrize("samples", [1, 2, 29, 30, 59, 60, 1000, 20000, 10**7])
-    def test_bitwise_equal_to_scipy_stats(self, samples):
+    def test_clopper_pearson_matches_beta_ppf(self, samples):
+        # scipy's betaincinv is itself off by up to ~1e-10 relative at samples = 1e7
+        # (a 60-digit binomial sum agrees with binomial_ci to ~6e-16 there)
         for hits in grid_hits(samples):
+            if not exact_branch(hits, samples):
+                continue
             for confidence in CONFIDENCES:
                 got = binomial_ci(hits, samples, confidence)
-                want = reference_ci(hits, samples, confidence)
-                assert [x.hex() for x in got] == [x.hex() for x in want], (hits, samples, confidence)
+                want = clopper_pearson(hits, samples, confidence)
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0), (hits, samples, confidence)
+
+    @pytest.mark.parametrize("samples", [EXACT_CI_SAMPLES, 121, 1000, 20000, 10**7])
+    def test_wilson_matches_norm_ppf_closed_form(self, samples):
+        for hits in grid_hits(samples):
+            if exact_branch(hits, samples):
+                continue
+            for confidence in CONFIDENCES:
+                got = binomial_ci(hits, samples, confidence)
+                want = wilson_cc(hits, samples, confidence)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (hits, samples, confidence)
+
+
+def coverage(ci, samples: int, confidence: float, ps: np.ndarray) -> np.ndarray:
+    """Exact coverage P(lo(X) <= p <= hi(X)) of an interval at each p, X ~ Binomial(samples, p)."""
+    bounds = np.array([ci(k, samples, confidence) for k in range(samples + 1)])
+    inside = (bounds[:, :1] <= ps) & (ps <= bounds[:, 1:])
+    pmf = binom.pmf(np.arange(samples + 1)[:, None], samples, ps)
+    return (pmf * inside).sum(axis=0)
+
+
+COVERAGE_PS = np.linspace(0.0, 1.0, 2001)[1:-1]
+
+
+class TestBinomialCiCoverage:
+    @pytest.mark.parametrize("samples", [1, 2, 5, 13, 29, 30, 59, 60, 100, EXACT_CI_SAMPLES - 1])
+    @pytest.mark.parametrize("confidence", CONFIDENCES)
+    def test_exact_branch_covers_at_least_nominal(self, samples, confidence):
+        # every hit count is on the Clopper-Pearson branch below EXACT_CI_SAMPLES
+        assert all(exact_branch(k, samples) for k in range(samples + 1))
+        cover = coverage(binomial_ci, samples, confidence, COVERAGE_PS)
+        assert cover.min() >= confidence - 1e-12
+
+    @pytest.mark.parametrize("samples", [EXACT_CI_SAMPLES, 150, 200])
+    @pytest.mark.parametrize("confidence", CONFIDENCES)
+    def test_bulk_covers_no_worse_than_the_previous_interval(self, samples, confidence):
+        now = coverage(binomial_ci, samples, confidence, COVERAGE_PS).min()
+        before = coverage(previous_ci, samples, confidence, COVERAGE_PS).min()
+        assert now >= before
 
 
 class TestBinomialCiValidation:
@@ -81,8 +142,17 @@ def counts(draw, k: int = 1):
 confidence_st = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
-def exact_branch(hits: int, samples: int) -> bool:
-    return min(hits, samples - hits) < EXACT_CI_HITS
+@st.composite
+def adjacent_hits(draw):
+    """(samples, hits < samples), often one hit short of the exact/Wilson switch on either side.
+
+    Non-decreasing from each hit count to the next is non-decreasing across the whole range.
+    """
+    samples = draw(st.one_of(st.integers(2, 10**7), st.integers(2 * EXACT_CI_HITS, 8 * EXACT_CI_HITS)))
+    switch = [h for h in (EXACT_CI_HITS - 1, samples - EXACT_CI_HITS) if 0 <= h < samples]
+    if switch and draw(st.booleans()):
+        return samples, draw(st.sampled_from(switch))
+    return samples, draw(hits_in(samples - 1))
 
 
 class TestBinomialCiProperties:
@@ -99,19 +169,25 @@ class TestBinomialCiProperties:
         samples, h1, h2 = shh
         h1, h2 = sorted((h1, h2))
         if exact_branch(h1, samples) != exact_branch(h2, samples):
-            # crossing the exact/normal switch is pinned by the strict xfail below
+            # crossing the exact/Wilson switch is covered by the property below
             h2 = h1
         assert binomial_ci(h1, samples, confidence)[0] <= binomial_ci(h2, samples, confidence)[0]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the normal lower bound at EXACT_CI_HITS hits sits below the "
-        "Clopper-Pearson lower bound one hit earlier (and likewise for misses)",
-    )
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(adjacent_hits(), st.one_of(confidence_st, st.integers(1, 53).map(lambda e: 1.0 - 2.0**-e)))
+    # Wilson alone from 30 hits is narrower than Clopper-Pearson at 29 here
+    @example((80, EXACT_CI_HITS - 1), 1 - 1e-9)
+    @example((80, 80 - EXACT_CI_HITS), 1 - 1e-9)
+    def test_bounds_monotone_in_hits_across_the_whole_range(self, sh, confidence):
+        samples, hits = sh
+        lo1, hi1 = binomial_ci(hits, samples, confidence)
+        lo2, hi2 = binomial_ci(hits + 1, samples, confidence)
+        assert lo1 <= lo2 and hi1 <= hi2
+
     @pytest.mark.parametrize("confidence", [0.95, 0.99])
     @pytest.mark.parametrize("hits", [EXACT_CI_HITS - 1, 1000 - EXACT_CI_HITS])
     def test_lower_bound_monotone_across_exact_switch(self, hits, confidence):
-        # hits -> hits + 1 crosses the switch: exact -> normal, then normal -> exact
+        # hits -> hits + 1 crosses the switch: exact -> Wilson, then Wilson -> exact
         n = 1000
         assert binomial_ci(hits, n, confidence)[0] <= binomial_ci(hits + 1, n, confidence)[0]
 
@@ -130,6 +206,10 @@ class TestBinomialCiProperties:
 
 def test_import_does_not_load_scipy_stats():
     src = str(Path(diolab.__file__).resolve().parent.parent)
-    code = "import sys, diolab; assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'"
+    code = (
+        "import sys, diolab, diolab.cli\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
