@@ -2,6 +2,10 @@
 
 Conventions used throughout the package:
 
+* ``phi_values(qs)`` is the one reader of Euler phi.  It sieves the shared
+  table to ``qs.max()`` when ``qs.size * isqrt(qs.max()) > qs.max()``, and
+  otherwise factors each q the shared table does not already cover; the
+  scalar ``euler_phi(q)`` is a one-element call of it and builds no table.
 * ``dist_nearest(q, x)`` is the distance from ``q*x`` to the nearest integer,
   always in ``[0, 1/2]``.
 * ``dist_nearest_coprime(q, x)`` restricts the nearest integer to those
@@ -32,6 +36,7 @@ __all__ = [
     "is_prime",
     "nearest_coprime_distance",
     "padic_abs",
+    "phi_values",
     "prime_factors",
     "primes_up_to",
     "radical",
@@ -93,11 +98,6 @@ class PhiTable:
         self.values = values
         self.values.setflags(write=False)
 
-    def phi(self, q: int) -> int:
-        if not 1 <= q <= self.limit:
-            raise IndexError(f"q={q} outside table range [1, {self.limit}]")
-        return int(self.values[q])
-
 
 _table_lock = threading.Lock()
 _default_table: PhiTable | None = None
@@ -142,20 +142,36 @@ def radical(q: int) -> int:
     return r
 
 
-def euler_phi(q: int, table: PhiTable | None = None) -> int:
-    """Euler phi of q >= 1; table-backed when possible, else trial division."""
-    if q < 1:
-        raise ValueError("euler_phi requires q >= 1")
-    if table is not None and q <= table.limit:
-        return table.phi(q)
-    if table is None:
-        cached = _default_table
-        if cached is not None and q <= cached.limit:
-            return cached.phi(q)
-    v = q
+def phi_values(qs) -> np.ndarray:
+    """Euler phi over an int array of q >= 1 (each fitting int64), exact either way it is taken.
+
+    A sieve to qs.max() takes about qs.max() steps and factoring about
+    isqrt(q) per entry, so the shared table is grown only when the sieve is
+    the cheaper.  One q never is: 1 * isqrt(q) <= q.
+    """
+    qs = np.asarray(qs, dtype=np.int64)
+    if qs.min(initial=1) < 1:
+        raise ValueError("Euler phi requires q >= 1")
+    top = int(qs.max(initial=1))
+    table = _default_table
+    if table is None or table.limit < top:
+        if qs.size * math.isqrt(top) <= top:
+            limit = table.limit if table is not None else 0
+            phis = [int(table.values[q]) if q <= limit else _factored_phi(q) for q in qs.ravel().tolist()]
+            return np.array(phis, dtype=np.int64).reshape(qs.shape)
+        table = default_phi_table(top)
+    return table.values[qs]
+
+
+def _factored_phi(q: int) -> int:
     for p in prime_factors(q):
-        v = v // p * (p - 1)
-    return v
+        q = q // p * (p - 1)
+    return q
+
+
+def euler_phi(q: int) -> int:
+    """Euler phi of q >= 1: a one-element ``phi_values`` call, which builds no table."""
+    return int(phi_values([q])[0])
 
 
 def dist_nearest(q: int, x: float) -> float:

@@ -126,7 +126,8 @@ def cmd_union(args) -> int:
     else:
         checkpoints = (args.Q,)
     psis = fam.values(np.asarray(checkpoints, dtype=np.int64)).tolist()  # the psi each union reads
-    default_phi_table(checkpoints[-1])  # one totient table serves every checkpoint
+    if args.coprime:
+        default_phi_table(checkpoints[-1])  # one totient table serves every checkpoint
     for qc, psi_q in zip(checkpoints, psis):
         est = truncated_union_1d(fam, args.Q0, qc, coprime=bool(args.coprime))
         print(_csv_row(qc, psi_q, est))
@@ -158,9 +159,7 @@ def cmd_bc_bound(args) -> int:
         family=fam, n=args.n, mode="product", coprime=bool(args.coprime),
         Q0=args.Q0, Q=args.Q, samples=args.samples, seed=args.seed,
     )
-    rep = run_bc_evidence(
-        cfg, pair_source=args.pairs, workers=_workers(args), pair_samples=cfg.samples
-    )
+    rep = run_bc_evidence(cfg, pair_source=args.pairs, workers=_workers(args))
     print("q,bound,union,union_ci_low,union_ci_high")
     for (qc, bound), (_, union) in zip(rep.bound_curve, rep.union_curve):
         _, lo, hi = _estimate_fields(union)

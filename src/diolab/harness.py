@@ -216,21 +216,19 @@ def run_bc_evidence(
     cfg: ExperimentConfig,
     pair_source: str = "independence",
     workers: int = 1,
-    pair_samples: int = 20_000,
 ) -> BcEvidenceReport:
     """Second-moment bound vs union measure along the checkpoint grid.
 
     pair_source selects where intersection measures come from:
     "independence" (analytic model), "exact-1d" (interval geometry, n = 1
-    only), or "monte-carlo" (one ``pair_hit_table`` over pair_samples
-    points, exact singles on the diagonal).  The bound must stay below the
-    union measure at every checkpoint; violations beyond 3 CI widths are
-    flagged as anomalies, never silently dropped.
+    only), or "monte-carlo" (one ``pair_hit_table`` over cfg.samples
+    points, as many as the union curve takes, exact singles on the
+    diagonal).  The bound must stay below the union measure at every
+    checkpoint; violations beyond 3 CI widths are flagged as anomalies,
+    never silently dropped.
     """
     if pair_source not in ("independence", "exact-1d", "monte-carlo"):
         raise ValueError(f"unknown pair source {pair_source!r}")
-    if pair_samples < 1:
-        raise ValueError("pair_samples must be >= 1")
     if pair_source == "exact-1d" and cfg.n != 1:
         raise ValueError("exact-1d pair source requires n = 1")
     qs = list(range(cfg.Q0, cfg.Q + 1))
@@ -263,9 +261,9 @@ def run_bc_evidence(
             stats = EventStats(singles, "independence")
         else:
             hits = pair_hit_table(
-                qs, cfg.family, cfg.n, cfg.mode, cfg.coprime, pair_samples, cfg.seed, workers
+                qs, cfg.family, cfg.n, cfg.mode, cfg.coprime, cfg.samples, cfg.seed, workers
             )
-            pairs = hits / pair_samples
+            pairs = hits / cfg.samples
             np.fill_diagonal(pairs, singles)
             stats = EventStats(singles, pairs)
         union_curve = estimate_union_measure(cfg, workers=workers)

@@ -19,7 +19,6 @@ Family conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import SCAN_BLOCK, default_phi_table, euler_phi, is_prime
+from .arith import SCAN_BLOCK, default_phi_table, is_prime, phi_values
 from .errors import UndefinedRatioError
 
 __all__ = [
@@ -195,21 +194,6 @@ def _first_primes(k: int) -> list[int]:
     return out
 
 
-def _phi(qs: np.ndarray) -> np.ndarray:
-    """Euler phi over an int array, exact either way it is taken.
-
-    An array long enough that sieving up to qs.max() costs less than trial
-    division of each entry (qs.size * isqrt(qs.max()) >= qs.max()) reads the
-    shared table, grown to qs.max().  A shorter one, such as one scalar
-    f(q), takes ``euler_phi`` per entry, which reads the table where it
-    already covers q: a few large q build no table.
-    """
-    top = int(qs.max()) if qs.size else 1
-    if qs.size * math.isqrt(top) < top:
-        return np.array([euler_phi(q) for q in qs.tolist()], dtype=np.int64)
-    return default_phi_table(top).values[qs]
-
-
 @dataclass(frozen=True)
 class SupportPredicate:
     """Named support predicate for indicator families."""
@@ -237,7 +221,7 @@ class SupportPredicate:
     def mask(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=np.int64)
         if self.kind == "phi_ratio_below":
-            return _phi(qs) / qs < self.param
+            return phi_values(qs) / qs < self.param
         return qs % self.modulus == 0
 
     def spec_dict(self) -> dict:
@@ -279,7 +263,7 @@ class ConditionalPsi(ApproxFunction):
             y = np.mod(qs * float(x), 1.0)
             d *= np.minimum(y, 1.0 - y)
         b = self.base.values(qs)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = np.where(d > 0.0, b / np.where(d > 0.0, d, 1.0), np.where(b > 0.0, np.inf, 0.0))
         return out
 
@@ -434,34 +418,30 @@ def _log_weighted(f: ApproxFunction, e: int, qs: np.ndarray) -> np.ndarray:
     """psi(q) * log(q)**e over one block of q."""
     vals = f.values(qs)
     if not np.all(np.isfinite(vals)):
-        raise OverflowError("family evaluates to +inf inside the summation range")
+        raise ValueError("family evaluates to +inf inside the summation range")
     if e > 0:
         vals = vals * np.log(qs.astype(np.float64)) ** e
     return vals
 
 
-def _phi_power(table, qs: np.ndarray, n: int) -> np.ndarray:
-    """(phi(q)/q)**n over one block of consecutive q."""
-    return (table.values[qs[0] : qs[-1] + 1] / qs) ** n
-
-
 def _scan(f: ApproxFunction, grid: list[int], uses_phi: bool, streams: int, terms) -> list[np.ndarray]:
     """Running sums of each term stream at the grid checkpoints, q in blocks of SCAN_BLOCK.
 
-    ``terms(qs, table)`` gives one block's ``streams`` term arrays.  Each
-    block adds the carried total into its first term and then takes
+    ``terms(qs)`` gives one block's ``streams`` term arrays.  Each block
+    adds the carried total into its first term and then takes
     ``np.cumsum``, which adds in the same order as one cumsum over 1..Q: the
-    sums are bit for bit the same.  The shared phi table is sized to Q once,
-    up front, so no block grows it again.
+    sums are bit for bit the same.  When the scan reads phi, the shared phi
+    table is sized to Q once, up front, so no block grows it again.
     """
     Q = grid[-1]
-    table = default_phi_table(Q) if uses_phi or _reads_phi_table(f) else None
+    if uses_phi or _reads_phi_table(f):
+        default_phi_table(Q)
     marks = np.asarray(grid, dtype=np.int64)
     carried, picked = [0.0] * streams, [[] for _ in range(streams)]
     for lo in range(1, Q + 1, SCAN_BLOCK):
         qs = np.arange(lo, min(lo + SCAN_BLOCK, Q + 1), dtype=np.int64)
         at = marks[(marks >= lo) & (marks <= qs[-1])] - lo
-        for j, t in enumerate(terms(qs, table)):
+        for j, t in enumerate(terms(qs)):
             t = np.array(t, dtype=np.float64)  # our own copy: the carry goes into its first term
             t[0] += carried[j]
             np.cumsum(t, out=t)
@@ -486,9 +466,9 @@ def partial_sum_scan(
     grid = _checkpoints(grid)
     e, n = criterion.log_exponent, criterion.n
 
-    def terms(qs, table):
+    def terms(qs):
         out = _log_weighted(f, e, qs)
-        return [out * _phi_power(table, qs, n) if criterion.uses_phi else out]
+        return [out * (phi_values(qs) / qs) ** n if criterion.uses_phi else out]
 
     (sums,) = _scan(f, grid, criterion.uses_phi, 1, terms)
     return [(g, float(s)) for g, s in zip(grid, sums)]
@@ -511,9 +491,9 @@ def cond1_scan(f: ApproxFunction, n: int, grid: Sequence[int]) -> tuple[list[tup
     """
     grid = _checkpoints(grid)
 
-    def terms(qs, table):
+    def terms(qs):
         den = _log_weighted(f, n - 1, qs)
-        return [den * _phi_power(table, qs, n), den]
+        return [den * (phi_values(qs) / qs) ** n, den]
 
     num, den = _scan(f, grid, True, 2, terms)
     points = [(g, float(a / b)) for g, a, b in zip(grid, num, den) if b > 0.0]

@@ -84,9 +84,9 @@ import numpy as np
 from .arith import (
     _cyclic_gaps,
     coprime_residues,
-    default_phi_table,
     euler_phi,
     gap_multiset,
+    phi_values,
     prime_factors,
     radical,
 )
@@ -683,11 +683,10 @@ def truncated_union_1d(
     qs = np.arange(Q0, Q + 1, dtype=np.int64)
     psis = f.values(qs)
     if not np.all(np.isfinite(psis)):
-        raise OverflowError("family evaluates to +inf inside the truncation range")
+        raise ValueError("family evaluates to +inf inside the truncation range")
     if exact is None:
         exact = isinstance(f, TablePsi) and f.is_rational
-    table = default_phi_table(Q)
-    counts = np.where(psis > 0, table.values[Q0 : Q + 1] if coprime else qs + 1, 0)
+    counts = np.where(psis > 0, phi_values(qs) if coprime else qs + 1, 0)
     if int(np.sum(counts)) > budget:
         raise ResourceBudgetError(
             f"sweep would build more than budget={budget} intervals; raise the budget explicitly"

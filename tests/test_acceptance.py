@@ -112,7 +112,7 @@ def test_criterion_3_exact_coprime_slice_measures():
     for delta in (1e-3, 1e-1):
         for q in range(1, 10_001):
             swept = slice_union(q, delta, coprime=True).measure
-            closed = 2.0 * delta * table.phi(q) / q
+            closed = 2.0 * delta * table.values[q] / q
             worst = max(worst, abs(swept - closed))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-12, f"worst deviation {worst:.3e}"

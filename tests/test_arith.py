@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diolab.arith
 from diolab.arith import (
     PhiTable,
     coprime_gaps,
@@ -18,6 +19,7 @@ from diolab.arith import (
     is_prime,
     nearest_coprime_distance,
     padic_abs,
+    phi_values,
     prime_factors,
     primes_up_to,
     radical,
@@ -64,19 +66,42 @@ class TestEulerPhi:
         qs = np.arange(1, 10_001)
         for q in qs:
             counted = int(np.count_nonzero(np.gcd(np.arange(1, q + 1), q) == 1))
-            assert table.phi(int(q)) == counted
+            assert table.values[int(q)] == counted
 
-    def test_table_fallback_consistency(self):
+    def test_table_fallback_consistency(self, monkeypatch):
+        # a shared table covering only q <= 50: the rest is factored, and the table does not grow
         table = PhiTable(50)
-        for q in [51, 97, 360, 510510]:
-            assert euler_phi(q, table) == brute_phi(q) if q <= 2000 else True
-        assert euler_phi(97, table) == 96
-        assert euler_phi(360, table) == 96
+        monkeypatch.setattr(diolab.arith, "_default_table", table)
+        for q in [1, 7, 50, 51, 97, 360, 1999]:
+            assert euler_phi(q) == brute_phi(q)
+        assert euler_phi(97) == 96
+        assert euler_phi(360) == 96
+        assert phi_values([7, 50, 51, 510510]).tolist() == [6, 20, 32, 92160]
+        assert table.values[50] == 20
+        assert diolab.arith._default_table is table
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 3_000), min_size=1, max_size=80), st.none() | st.integers(10**6, 10**9))
+    @example([1], None)
+    @example([2999, 3000], None)
+    @example(list(range(1, 61)), None)
+    @example([30030, 1], 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 1_000_003)
+    def test_phi_values_is_the_sieve(self, small, large):
+        qs = small + ([] if large is None else [large])
+        want = PhiTable(max(small)).values[small].tolist() + ([] if large is None else [trial_division_phi(large)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diolab.arith, "_default_table", None)
+            assert [euler_phi(q) for q in qs] == [int(phi_values([q])[0]) for q in qs] == want
+            assert diolab.arith._default_table is None  # one-element calls build no table, q = 1 included
+            assert phi_values(np.array(qs)).tolist() == want
+            # the table is built exactly when sieving to max(qs) is the cheaper side of the rule
+            top = max(qs)
+            assert (diolab.arith._default_table is not None) == (len(qs) * math.isqrt(top) > top)
 
     def test_prime_and_multiplicative(self):
         table = default_phi_table(2000)
         for p in [2, 3, 5, 7, 11, 101, 997]:
-            assert table.phi(p) == p - 1
+            assert table.values[p] == p - 1
         rng = np.random.default_rng(0)
         for _ in range(200):
             a = int(rng.integers(1, 40))

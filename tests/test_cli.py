@@ -88,12 +88,19 @@ class TestUnion:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert builds == [2000]
-        # without the up-front sizing each checkpoint grows the table in turn
+        # a plain union reads no phi, so it builds no table
+        monkeypatch.setattr(diolab.arith, "_default_table", None)
+        builds.clear()
+        assert run_cli(capsys, *(a for a in argv if a != "--coprime"))[0] == 0
+        assert builds == []
+        # without the up-front sizing each checkpoint grows the table in turn, except
+        # Q = 1 and 2, where factoring each q costs less than a sieve
         monkeypatch.setattr(diolab.arith, "_default_table", None)
         monkeypatch.setattr(diolab.cli, "default_phi_table", lambda limit: None)
         builds.clear()
         assert run_cli(capsys, *argv)[1] == out
-        assert len(builds) == 12
+        checkpoints = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert len(checkpoints) == 12 and builds == checkpoints[2:]
 
 
 class TestSums:
@@ -374,3 +381,16 @@ class TestBcBound:
         for line in lines[1:]:
             bound, union, _, high = (float(v) for v in line.split(",")[1:])
             assert 0.0 < bound <= high
+
+
+INFINITE_FAMILY = json.dumps(
+    {"family": "conditional", "base": {"family": "power_log", "c": 1, "a": 1, "b": 0}, "anchors": [0.5]}
+)
+
+
+@pytest.mark.parametrize("command", ["sums", "union", "bc-bound"])
+def test_infinite_psi_is_a_clean_error(capsys, command):
+    # psi(2) = 0.5 / ||2 * 0.5|| = +inf: one error line and exit 2, never a traceback
+    code, _, err = run_cli(capsys, command, "--family-json", INFINITE_FAMILY, "--Q", "10")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

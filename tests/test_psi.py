@@ -314,7 +314,7 @@ class TestPartialSums:
 
     def test_infinite_summand_is_overflow(self):
         f = conditional_psi(table_psi([0.1] * 10), [0.5])
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match=r"\+inf"):
             partial_sum(f, SumCriterion("plain", 1), 4)
 
 

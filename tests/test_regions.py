@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diolab.arith
 from diolab.arith import (
     _cyclic_gaps,
     dist_nearest,
@@ -624,6 +625,19 @@ class TestTruncatedUnion:
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
             truncated_union_1d(power_log(1, 1, 0), 1, 5000, budget=100)
+
+    def test_only_coprime_sweeps_read_phi(self, monkeypatch):
+        f = power_log(0.25, 1, 0)
+        monkeypatch.setattr(diolab.arith, "_default_table", None)
+        truncated_union_1d(f, 1, 500)
+        with pytest.raises(ResourceBudgetError):
+            truncated_union_1d(f, 1, 500, budget=100)
+        assert diolab.arith._default_table is None
+        # a coprime sweep builds phi(q) intervals per slice: the budget counts exactly those
+        total = sum(euler_phi(q) for q in range(1, 501))
+        truncated_union_1d(f, 1, 500, coprime=True, budget=total)
+        with pytest.raises(ResourceBudgetError):
+            truncated_union_1d(f, 1, 500, coprime=True, budget=total - 1)
 
 
 def brute_centers(q: int, delta) -> list[int]:
