@@ -1,10 +1,14 @@
 """Exact fiber-triviality analysis on finite discrete product spaces.
 
-Everything here runs in exact rational arithmetic: triviality (null or full)
-is an exact zero/one comparison of Fractions, never a tolerance.  Atoms of
-weight zero are first-class citizens; they are the only way "almost every"
-can differ from "every" in this finite setting, and the test suite feeds
-them in deliberately.
+Everything here runs in exact rational arithmetic.  A space keeps its
+weights as integer numerators over one common denominator, computed once,
+so every measure is a sum of Python ints over a known denominator, and a
+Fraction is built only for a value that is returned.  Triviality (null or
+full) is then an integer comparison of a numerator with 0 or with its
+denominator, never a tolerance, and it is the rational decision exactly.
+Atoms of weight zero are first-class citizens; they are the only way
+"almost every" can differ from "every" in this finite setting, and the
+test suite feeds them in deliberately.
 
 The headline check is the biconditional: a product set is trivial for the
 product measure exactly when almost every row fiber is trivial AND almost
@@ -16,6 +20,7 @@ exhibit the non-reversibility witnesses.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -45,7 +50,11 @@ def _as_fraction(v) -> Fraction:
 
 @dataclass(frozen=True)
 class DiscreteSpace:
-    """Finite atom list with exact nonnegative rational weights summing to 1."""
+    """Finite atom list with exact nonnegative rational weights summing to 1.
+
+    ``_numers`` holds the weights as integer numerators over ``_denom``,
+    the least common denominator of the weights.
+    """
 
     atoms: tuple
     weights: tuple
@@ -59,8 +68,12 @@ class DiscreteSpace:
             raise ValueError("atoms must be distinct")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be >= 0")
-        if sum(weights) != 1:
+        denom = math.lcm(*(w.denominator for w in weights))
+        numers = tuple(w.numerator * (denom // w.denominator) for w in weights)
+        if sum(numers) != denom:
             raise ValueError(f"weights must sum to exactly 1, got {sum(weights)}")
+        object.__setattr__(self, "_numers", numers)
+        object.__setattr__(self, "_denom", denom)
 
     @classmethod
     def uniform(cls, k: int) -> "DiscreteSpace":
@@ -76,7 +89,7 @@ class DiscreteSpace:
             raise ValueError(f"unknown atom {atom!r}") from None
 
     def measure(self, flags: Sequence[bool]) -> Fraction:
-        return sum((w for w, f in zip(self.weights, flags) if f), Fraction(0))
+        return Fraction(sum(w for w, f in zip(self._numers, flags) if f), self._denom)
 
 
 @dataclass(frozen=True)
@@ -134,12 +147,18 @@ def fiber_y(S: ProductSet, y) -> tuple:
     return tuple(a for a, m in zip(S.X.atoms, col) if m)
 
 
-def _fiber_measures(S: ProductSet) -> tuple[list[Fraction], list[Fraction], Fraction]:
-    """Row and column fiber measures and (mu x nu)(S); its two iteration orders must agree exactly."""
-    rows = [S.Y.measure(S.member[i]) for i in range(len(S.X))]
-    cols = [S.X.measure(S.member[:, j]) for j in range(len(S.Y))]
-    by_rows = sum((wx * nu for wx, nu in zip(S.X.weights, rows)), Fraction(0))
-    by_cols = sum((wy * mu for wy, mu in zip(S.Y.weights, cols)), Fraction(0))
+def _fiber_measures(S: ProductSet) -> tuple[list[int], list[int], int]:
+    """Row and column fiber measures and (mu x nu)(S), as integer numerators.
+
+    Rows are over nu's denominator, columns over mu's, and (mu x nu)(S)
+    over their product.  Its two iteration orders must agree exactly.
+    """
+    member = S.member.tolist()
+    wx, wy = S.X._numers, S.Y._numers
+    rows = [sum(w for w, m in zip(wy, row) if m) for row in member]
+    cols = [sum(w for w, m in zip(wx, col) if m) for col in zip(*member)]
+    by_rows = sum(w * nu for w, nu in zip(wx, rows))
+    by_cols = sum(w * mu for w, mu in zip(wy, cols))
     if by_rows != by_cols:
         raise AssertionError(
             "iterated integrals disagree; exact arithmetic invariant violated"
@@ -149,7 +168,7 @@ def _fiber_measures(S: ProductSet) -> tuple[list[Fraction], list[Fraction], Frac
 
 def product_measure(S: ProductSet) -> Fraction:
     """(mu x nu)(S), computed in both iteration orders; they must agree exactly."""
-    return _fiber_measures(S)[2]
+    return Fraction(_fiber_measures(S)[2], S.X._denom * S.Y._denom)
 
 
 @dataclass(frozen=True)
@@ -169,15 +188,10 @@ def cross_fibering_check(S: ProductSet) -> FiberReport:
     mathematical outcome.
     """
     rows, cols, measure = _fiber_measures(S)
-    left = Triviality.of(measure)
-    right_x = sum(
-        (wx for wx, nu in zip(S.X.weights, rows) if nu == 0 or nu == 1),
-        Fraction(0),
-    )
-    right_y = sum(
-        (wy for wy, mu in zip(S.Y.weights, cols) if mu == 0 or mu == 1),
-        Fraction(0),
-    )
+    dx, dy = S.X._denom, S.Y._denom
+    left = Triviality.of(Fraction(measure, dx * dy))
+    right_x = Fraction(sum(w for w, nu in zip(S.X._numers, rows) if nu == 0 or nu == dy), dx)
+    right_y = Fraction(sum(w for w, mu in zip(S.Y._numers, cols) if mu == 0 or mu == dx), dy)
     holds = left.trivial == (right_x == 1 and right_y == 1)
     return FiberReport(left, right_x, right_y, holds)
 
@@ -204,26 +218,19 @@ class ProductDecomposition:
 
 def decompose(S: ProductSet) -> ProductDecomposition:
     rows, cols, _ = _fiber_measures(S)
+    dx, dy = S.X._denom, S.Y._denom
     x0 = [i for i, m in enumerate(rows) if m == 0]
-    x1 = [i for i, m in enumerate(rows) if m == 1]
-    xnt = [i for i, m in enumerate(rows) if 0 < m < 1]
+    x1 = [i for i, m in enumerate(rows) if m == dy]
+    xnt = [i for i, m in enumerate(rows) if 0 < m < dy]
     y0 = [j for j, m in enumerate(cols) if m == 0]
-    y1 = [j for j, m in enumerate(cols) if m == 1]
-    ynt = [j for j, m in enumerate(cols) if 0 < m < 1]
-    x0_flags = np.zeros(len(S.X), dtype=bool)
-    x0_flags[x0] = True
+    y1 = [j for j, m in enumerate(cols) if m == dx]
+    ynt = [j for j, m in enumerate(cols) if 0 < m < dx]
+    member = S.member.tolist()
+    wx, wy = S.X._numers, S.Y._numers
     # integrate over columns of Y1: mu(S^y intersect X0)
-    by_cols = sum(
-        (S.Y.weights[j] * S.X.measure(S.member[:, j] & x0_flags) for j in y1),
-        Fraction(0),
-    )
-    y1_flags = np.zeros(len(S.Y), dtype=bool)
-    y1_flags[y1] = True
+    by_cols = sum(wy[j] * sum(wx[i] for i in x0 if member[i][j]) for j in y1)
     # integrate over rows of X0: nu(S_x intersect Y1)
-    by_rows = sum(
-        (S.X.weights[i] * S.Y.measure(S.member[i] & y1_flags) for i in x0),
-        Fraction(0),
-    )
+    by_rows = sum(wx[i] * sum(wy[j] for j in y1 if member[i][j]) for i in x0)
     if by_rows != by_cols:
         raise AssertionError("witness rectangle evaluations disagree")
     atoms_x, atoms_y = S.X.atoms, S.Y.atoms
@@ -234,8 +241,8 @@ def decompose(S: ProductSet) -> ProductDecomposition:
         Y0=tuple(atoms_y[j] for j in y0),
         Y1=tuple(atoms_y[j] for j in y1),
         Ynt=tuple(atoms_y[j] for j in ynt),
-        witness_by_rows=by_rows,
-        witness_by_cols=by_cols,
+        witness_by_rows=Fraction(by_rows, dx * dy),
+        witness_by_cols=Fraction(by_cols, dx * dy),
     )
 
 

@@ -170,7 +170,7 @@ class TablePsi(ApproxFunction):
         idx = np.where(qs <= len(self.entries), qs - 1, len(self.entries))
         return self._floats[idx]
 
-    @property
+    @cached_property
     def is_rational(self) -> bool:
         return all(isinstance(v, (int, Fraction)) for v in self.entries)
 

@@ -60,6 +60,17 @@ Closed forms used here
   G_k(d) = int G_{k-1}(d/t) dF(t); n >= 3 uses adaptive Gauss-Legendre
   refinement of it down to the n = 2 law above.
 
+Exact truncated unions
+----------------------
+``truncated_union_1d`` sweeps a rational table exactly, in integers.  The
+slice q with delta = a/b has the endpoints (c b -+ a)/(b q), kept as
+integer numerators over one denominator per slice and clipped in integers.
+Endpoints are ordered by their correctly rounded float keys num/den:
+rounding is monotone, so fl(x) < fl(y) proves x < y, and only runs of equal
+keys are settled by integer cross-multiplication.  The sweep then sees the
+rational order, so every decision, the merge test included, is the
+rational one and the ``exact`` label holds.
+
 Rounding bounds
 ---------------
 The ``numeric-exact`` bounds of the n = 1 and n = 2 laws are derived, not
@@ -82,6 +93,7 @@ from itertools import accumulate
 import numpy as np
 
 from .arith import (
+    SCAN_BLOCK,
     _cyclic_gaps,
     coprime_residues,
     euler_phi,
@@ -146,12 +158,8 @@ def _sweep(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return s, e, np.maximum.accumulate(e)
 
 
-def union_measure_raw(starts: np.ndarray, ends: np.ndarray):
-    """Measure of a union of intervals given as parallel start/end arrays.
-
-    Float arrays give a float; object arrays of ``Fraction`` give the exact
-    ``Fraction``, since the sweep only compares, subtracts and adds.
-    """
+def union_measure_raw(starts: np.ndarray, ends: np.ndarray) -> float:
+    """Measure of a union of intervals given as parallel float start/end arrays."""
     if starts.size == 0:
         return 0.0
     s, e, cm = _sweep(starts, ends)
@@ -160,6 +168,49 @@ def union_measure_raw(starts: np.ndarray, ends: np.ndarray):
     frontier[1:] = cm[:-1]
     contrib = e - np.maximum(s, frontier)
     return np.sum(contrib[contrib > 0])
+
+
+def _exact_order(keys: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """Indices of the rationals nums/dens in ascending order, from their float keys.
+
+    keys[i] is num/den correctly rounded, and rounding is monotone, so
+    keys[i] < keys[j] proves nums[i]/dens[i] < nums[j]/dens[j].  Only runs
+    of equal keys are reordered, by Fraction comparison, which is integer
+    cross-multiplication.
+    """
+    order = np.argsort(keys, kind="stable")
+    tied = np.diff(keys[order]) == 0
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], tied, [False]))))
+    for lo, hi in zip(edges[0::2].tolist(), (edges[1::2] + 1).tolist()):
+        run = order[lo:hi]
+        exact = [Fraction(n, d) for n, d in zip(nums[run].tolist(), dens[run].tolist())]
+        order[lo:hi] = run[sorted(range(run.size), key=exact.__getitem__)]
+    return order
+
+
+def _exact_union_measure(slices: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Fraction:
+    """Exact measure of the union of the intervals [lo/den, hi/den] of ``_slice_numerators`` slices.
+
+    The float keys are Python int true divisions, correctly rounded at any
+    size.  ``_sweep`` merges the exact ranks, so the merge test "start >
+    running max end" is the rational one too.  Each merged component adds
+    its end and subtracts its start, in one integer sum per denominator.
+    """
+    los, his, dens = (np.concatenate(parts) for parts in zip(*slices))
+    n = los.size
+    nums, dens = np.concatenate([los, his]), np.concatenate([dens, dens])
+    keys = (nums / dens).astype(np.float64)
+    order = _exact_order(keys, nums, dens)
+    rank = np.empty(2 * n, dtype=np.int64)
+    rank[order] = np.arange(2 * n)
+    s, _, cm = _sweep(rank[:n], rank[n:])
+    heads = np.flatnonzero(np.concatenate(([True], s[1:] > cm[:-1])))
+    tails = np.append(heads[1:], n) - 1
+    sums: dict[int, int] = {}
+    for sign, ends in ((-1, order[s[heads]]), (1, order[cm[tails]])):
+        for num, den in zip(nums[ends].tolist(), dens[ends].tolist()):
+            sums[den] = sums.get(den, 0) + sign * num
+    return sum((Fraction(v, d) for d, v in sums.items()), Fraction(0))
 
 
 class IntervalUnion:
@@ -272,11 +323,22 @@ def _slice_centers(q: int, delta, coprime: bool) -> np.ndarray:
 
 
 def _slice_raw_intervals(q: int, delta, coprime: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (unclipped, unmerged) intervals of one 1-D slice; a Fraction delta gives Fraction ends."""
+    """Raw (unclipped, unmerged) float intervals of one 1-D slice."""
     if delta <= 0:
         return np.empty(0), np.empty(0)
     centers = _slice_centers(q, delta, coprime)
     return (centers - delta) / q, (centers + delta) / q
+
+
+def _slice_numerators(q: int, delta: Fraction, coprime: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(los, his, dens): the numerators c b -+ a over b q of one 1-D slice, delta = a/b > 0.
+
+    They are Python ints in object arrays, clipped to [0, 1] in integers.
+    """
+    a, b = delta.numerator, delta.denominator
+    den = b * q
+    cbs = _slice_centers(q, delta, coprime).astype(object) * b
+    return np.maximum(cbs - a, 0), np.minimum(cbs + a, den), np.full(cbs.size, den, dtype=object)
 
 
 def slice_union(q: int, delta: float, coprime: bool = False) -> IntervalUnion:
@@ -673,38 +735,45 @@ def truncated_union_1d(
 ) -> MeasureEstimate:
     """Exact measure of the union of 1-D slices for Q0 <= q <= Q.
 
-    Rational table families are swept in exact rational arithmetic when
-    ``exact`` is true (the default for such families): the same sweep as
-    floats, on ``Fraction`` endpoints.  Sweeps whose interval count would
-    exceed ``budget`` raise ResourceBudgetError.
+    Rational table families are swept exactly, in integers (see the module
+    docstring), when ``exact`` is true, the default for such families.
+    Sweeps whose interval count would exceed ``budget`` raise
+    ResourceBudgetError.  The range is read in blocks of q, each checked
+    for an infinite psi, then counted, then turned into slices, so an
+    oversized range fails before it is built, and the first failure in q
+    order is the one raised.
     """
     if not 1 <= Q0 <= Q:
         raise ValueError("need 1 <= Q0 <= Q")
-    qs = np.arange(Q0, Q + 1, dtype=np.int64)
-    psis = f.values(qs)
-    if not np.all(np.isfinite(psis)):
-        raise ValueError("family evaluates to +inf inside the truncation range")
     if exact is None:
         exact = isinstance(f, TablePsi) and f.is_rational
-    counts = np.where(psis > 0, phi_values(qs) if coprime else qs + 1, 0)
-    if int(np.sum(counts)) > budget:
-        raise ResourceBudgetError(
-            f"sweep would build more than budget={budget} intervals; raise the budget explicitly"
-        )
-    deltas = [f.value_fraction(q) for q in range(Q0, Q + 1)] if exact else psis.tolist()
-    if None in deltas:
+    # rationality is a property of the whole family, so one q tells
+    rational = f.value_fraction(Q0) is not None
+    slices = []
+    count = 0
+    for lo in range(Q0, Q + 1, SCAN_BLOCK):
+        qs = np.arange(lo, min(lo + SCAN_BLOCK, Q + 1), dtype=np.int64)
+        psis = f.values(qs)
+        if not np.all(np.isfinite(psis)):
+            raise ValueError("family evaluates to +inf inside the truncation range")
+        live = psis > 0
+        count += int(np.sum(phi_values(qs[live]) if coprime else qs[live] + 1))
+        if count > budget:
+            raise ResourceBudgetError(
+                f"sweep would build more than budget={budget} intervals; raise the budget explicitly"
+            )
+        if not exact:
+            pairs = zip(qs[live].tolist(), psis[live].tolist())
+            slices += [_slice_raw_intervals(q, d, coprime) for q, d in pairs]
+        elif rational:
+            pairs = ((q, f.value_fraction(q)) for q in qs.tolist())
+            slices += [_slice_numerators(q, d, coprime) for q, d in pairs if d > 0]
+    if exact and not rational:
         raise ValueError("exact sweep requires a rational-valued family")
-    all_starts = []
-    all_ends = []
-    for q, dq in zip(qs.tolist(), deltas):
-        if dq <= 0:
-            continue
-        s, e = _slice_raw_intervals(q, dq, coprime)
-        all_starts.append(s)
-        all_ends.append(e)
-    if not all_starts:
+    if not slices:
         return MeasureEstimate.exact(0.0)
-    # the integer bounds keep floats out of a Fraction sweep
-    starts = np.clip(np.concatenate(all_starts), 0, 1)
-    ends = np.clip(np.concatenate(all_ends), 0, 1)
-    return MeasureEstimate.exact(min(1, union_measure_raw(starts, ends)))
+    if exact:
+        return MeasureEstimate.exact(min(1, _exact_union_measure(slices)))
+    starts = np.clip(np.concatenate([s for s, _ in slices]), 0.0, 1.0)
+    ends = np.clip(np.concatenate([e for _, e in slices]), 0.0, 1.0)
+    return MeasureEstimate.exact(min(1.0, union_measure_raw(starts, ends)))

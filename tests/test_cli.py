@@ -394,3 +394,18 @@ def test_infinite_psi_is_a_clean_error(capsys, command):
     code, _, err = run_cli(capsys, command, "--family-json", INFINITE_FAMILY, "--Q", "10")
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "anchor_bits, code, message",
+    [(16, 2, "family evaluates to +inf"), (17, 1, "sweep would build more than budget=5000000")],
+)
+def test_union_raises_the_first_failure_in_q_order(capsys, anchor_bits, code, message):
+    # psi is +inf first at q = 2**bits; the intervals of q <= 2**16, the first
+    # block of q, already pass the budget, and no q past a failed block is read
+    family = {"family": "conditional", "base": {"family": "power_log", "c": 1, "a": 1, "b": 0},
+              "anchors": [2.0**-anchor_bits]}
+    got, _, err = run_cli(capsys, "union", "--family-json", json.dumps(family), "--Q", str(2**17))
+    assert diolab.arith.SCAN_BLOCK == 2**16
+    assert got == code
+    assert err.startswith(f"error: {message}")

@@ -2,9 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diolab.fibering import (
     DiscreteSpace,
+    FiberReport,
+    ProductDecomposition,
     ProductSet,
     Triviality,
     all_member_matrices,
@@ -206,3 +210,145 @@ def test_matrix_shape_validation():
     X, Y = uniform(2), uniform(3)
     with pytest.raises(ValueError):
         ProductSet(X, Y, np.ones((3, 2), dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# the integer paths against the Fraction formulas they replaced
+
+# distinct primes, so pairwise coprime; any three multiply past 2**63
+BIG_PRIMES = (998244353, 1000000007, 1000000009, 2147483647, 4294967291, 2**61 - 1, 2**89 - 1)
+
+
+def ref_measure(weights, flags) -> Fraction:
+    return sum((w for w, f in zip(weights, flags) if f), Fraction(0))
+
+
+def ref_fibers(S: ProductSet):
+    rows = [ref_measure(S.Y.weights, S.member[i]) for i in range(len(S.X))]
+    cols = [ref_measure(S.X.weights, S.member[:, j]) for j in range(len(S.Y))]
+    by_rows = sum((wx * nu for wx, nu in zip(S.X.weights, rows)), Fraction(0))
+    by_cols = sum((wy * mu for wy, mu in zip(S.Y.weights, cols)), Fraction(0))
+    assert by_rows == by_cols
+    return rows, cols, by_rows
+
+
+def ref_report(S: ProductSet) -> FiberReport:
+    rows, cols, measure = ref_fibers(S)
+    left = Triviality.of(measure)
+    right_x = sum((wx for wx, nu in zip(S.X.weights, rows) if nu == 0 or nu == 1), Fraction(0))
+    right_y = sum((wy for wy, mu in zip(S.Y.weights, cols) if mu == 0 or mu == 1), Fraction(0))
+    return FiberReport(left, right_x, right_y, left.trivial == (right_x == 1 and right_y == 1))
+
+
+def ref_decompose(S: ProductSet) -> ProductDecomposition:
+    rows, cols, _ = ref_fibers(S)
+    x0 = [i for i, m in enumerate(rows) if m == 0]
+    y1 = [j for j, m in enumerate(cols) if m == 1]
+    x0_flags = np.isin(np.arange(len(S.X)), x0)
+    y1_flags = np.isin(np.arange(len(S.Y)), y1)
+    by_cols = sum((S.Y.weights[j] * ref_measure(S.X.weights, S.member[:, j] & x0_flags) for j in y1), Fraction(0))
+    by_rows = sum((S.X.weights[i] * ref_measure(S.Y.weights, S.member[i] & y1_flags) for i in x0), Fraction(0))
+
+    def atoms(space, measures, keep):
+        return tuple(a for a, m in zip(space.atoms, measures) if keep(m))
+
+    return ProductDecomposition(
+        X0=atoms(S.X, rows, lambda m: m == 0),
+        X1=atoms(S.X, rows, lambda m: m == 1),
+        Xnt=atoms(S.X, rows, lambda m: 0 < m < 1),
+        Y0=atoms(S.Y, cols, lambda m: m == 0),
+        Y1=atoms(S.Y, cols, lambda m: m == 1),
+        Ynt=atoms(S.Y, cols, lambda m: 0 < m < 1),
+        witness_by_rows=by_rows,
+        witness_by_cols=by_cols,
+    )
+
+
+@st.composite
+def weight_lists(draw, k: int) -> list[Fraction]:
+    """k weights summing to 1: a_i/d_i over small or pairwise-coprime large d_i, the rest last.
+
+    Zero numerators give zero-weight atoms; the order is shuffled, so the
+    rest can land anywhere, and it is zero when the others already sum to 1.
+    """
+    if draw(st.booleans()):
+        dens = draw(st.permutations(BIG_PRIMES))[: k - 1]
+    else:
+        dens = [draw(st.integers(1, 9)) for _ in range(k - 1)]
+    weights = [Fraction(draw(st.integers(0, d // k)), d) for d in dens]
+    if k > 1 and draw(st.booleans()):
+        weights[0] = 1 - sum(weights[1:])
+    return draw(st.permutations(weights + [1 - sum(weights)]))
+
+
+@st.composite
+def product_sets(draw) -> ProductSet:
+    kx, ky = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    X = DiscreteSpace(tuple(range(kx)), tuple(draw(weight_lists(kx))))
+    Y = DiscreteSpace(tuple("abcd"[:ky]), tuple(draw(weight_lists(ky))))
+    member = draw(st.lists(st.lists(st.booleans(), min_size=ky, max_size=ky), min_size=kx, max_size=kx))
+    return ProductSet(X, Y, member)
+
+
+class TestIntegerPaths:
+    @settings(max_examples=300, deadline=None)
+    @given(product_sets())
+    def test_match_the_fraction_reference(self, S):
+        assert cross_fibering_check(S) == ref_report(S)
+        assert decompose(S) == ref_decompose(S)
+        assert product_measure(S) == ref_fibers(S)[2]
+        for flags in S.member:
+            assert S.Y.measure(flags) == ref_measure(S.Y.weights, flags)
+
+    def test_common_denominator_past_int64(self):
+        p, q, r = BIG_PRIMES[1], BIG_PRIMES[5], BIG_PRIMES[4]
+        X = DiscreteSpace((0, 1, 2, 3), (Fraction(1, p), Fraction(1, q), Fraction(0), 1 - Fraction(1, p) - Fraction(1, q)))
+        Y = DiscreteSpace((0, 1), (Fraction(1, r), 1 - Fraction(1, r)))
+        assert X._denom == p * q > 2**63 and X._denom * Y._denom > 2**120
+        for member in all_member_matrices(4, 2):
+            S = ProductSet(X, Y, member)
+            assert cross_fibering_check(S) == ref_report(S)
+            assert decompose(S) == ref_decompose(S)
+
+
+def ref_validation_error(atoms, weights) -> str | None:
+    if any(isinstance(w, float) for w in weights):
+        return "weights must be exact rationals (int, Fraction, or 'a/b' string)"
+    weights = [Fraction(w) for w in weights]
+    if len(atoms) != len(weights):
+        return "atoms and weights must have equal length"
+    if len(set(atoms)) != len(atoms):
+        return "atoms must be distinct"
+    if any(w < 0 for w in weights):
+        return "weights must be >= 0"
+    if sum(weights) != 1:
+        return f"weights must sum to exactly 1, got {sum(weights)}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(weight_lists),
+    st.sampled_from(["valid", "length", "duplicate", "negative", "sum", "float"]),
+    st.data(),
+)
+def test_validation_matches_the_fraction_rules(weights, fault, data):
+    atoms = list(range(len(weights)))
+    i = data.draw(st.integers(0, len(weights) - 1))
+    if fault == "length":
+        atoms.append(len(atoms))
+    elif fault == "duplicate" and len(atoms) > 1:
+        atoms[i] = atoms[i - 1]
+    elif fault == "negative":
+        weights[i] -= data.draw(st.sampled_from([1, Fraction(1, BIG_PRIMES[-1])]))
+    elif fault == "sum":
+        weights[i] += data.draw(st.sampled_from([Fraction(1, 7), Fraction(-1, BIG_PRIMES[-2])])) * weights[i]
+    elif fault == "float":
+        weights[i] = float(weights[i])
+    want = ref_validation_error(atoms, weights)
+    if want is None:
+        assert DiscreteSpace(tuple(atoms), tuple(weights)).weights == tuple(weights)
+    else:
+        with pytest.raises(ValueError) as err:
+            DiscreteSpace(tuple(atoms), tuple(weights))
+        assert str(err.value) == want

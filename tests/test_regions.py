@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -38,7 +39,9 @@ from diolab.regions import (
     _gap_stats,
     _lifted_terms,
     _product_cdf_rec,
+    _exact_union_measure,
     _product_law2,
+    _slice_numerators,
     _slice_raw_intervals,
     union_measure_raw,
 )
@@ -626,6 +629,17 @@ class TestTruncatedUnion:
         with pytest.raises(ResourceBudgetError):
             truncated_union_1d(power_log(1, 1, 0), 1, 5000, budget=100)
 
+    def test_budget_raises_before_building_the_range(self):
+        # 2e7 q would take 160 MB per whole-range array; the count stops in the first block
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBudgetError, match="budget=5000000 intervals"):
+                truncated_union_1d(power_log(0.25, 1, 0), 1, 20_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_only_coprime_sweeps_read_phi(self, monkeypatch):
         f = power_log(0.25, 1, 0)
         monkeypatch.setattr(diolab.arith, "_default_table", None)
@@ -680,13 +694,113 @@ class TestSliceCenters:
                     (max(Fraction(0), Fraction(c - d, q)), min(Fraction(1), Fraction(c + d, q)))
                     for c in brute_centers(q, d)
                 ]
-                raw = _slice_raw_intervals(q, d, True)
-                clipped = np.clip(raw[0], 0, 1), np.clip(raw[1], 0, 1)
-                assert list(zip(*(c.tolist() for c in clipped))) == want
-                exact = union_measure_raw(*clipped)
+                los, his, dens = _slice_numerators(q, d, True)
+                got = [(Fraction(a, n), Fraction(b, n)) for a, b, n in zip(los.tolist(), his.tolist(), dens.tolist())]
+                assert got == want
+                exact = _exact_union_measure([(los, his, dens)])
                 assert isinstance(exact, Fraction) and exact == fraction_union_measure(want)
                 swept = truncated_union_1d(table_psi([0] * (q - 1) + [d]), q, q, coprime=True)
                 assert swept.value == float(exact)
+
+
+def admissible(c: int, q: int, coprime: bool) -> bool:
+    return not coprime or math.gcd(c, q) == 1
+
+
+def brute_union(entries: list, coprime: bool) -> Fraction:
+    """Measure of the union of every slice of a rational table, from Fraction intervals."""
+    intervals = []
+    for q, d in enumerate(entries, 1):
+        for c in range(math.floor(-d), math.ceil(q + d) + 1):
+            if d > 0 and -d < c < q + d and admissible(c, q, coprime):
+                intervals.append((max(Fraction(0), (c - d) / q), min(Fraction(1), (c + d) / q)))
+    return fraction_union_measure(intervals)
+
+
+# (kind, numerator seed, bit length): see table_entry
+entry_draws = st.tuples(st.integers(0, 2), st.integers(1, 2**100), st.integers(54, 100))
+
+
+def table_entry(kind: int, num: int, bits: int, scale: int) -> Fraction:
+    """0, or a delta up to 1/(4 scale) over 60 scale or over a denominator just above 2**bits."""
+    if kind == 0:
+        return Fraction(0)
+    den = 60 if kind == 1 else (1 << bits) + 2 * (num % 2**30) + 1
+    return Fraction(num % (den // 4) + 1, den * scale)
+
+
+@st.composite
+def rational_tables(draw):
+    """(entries, coprime): a sparse rational table whose slices meet in forced coincidences.
+
+    Entries are zero or up to 1/(4q**2), with small denominators or with
+    denominators past 2**53 and 2**63, so that most of [0, 1] stays
+    uncovered; in half the tables one entry has delta >= 1/2.  q = 1
+    always has intervals clipped at 0 and at 1.  Four pairs of slices
+    (q1, q2) are then tied: an endpoint of slice q2 is placed on one of
+    slice q1, as the same end ("equal"), the other end ("touch"), or the
+    same end moved by 1/den, den the new denominator of slice q2, between
+    2**54 and 2**62 or past 2**64 ("tie", once for starts and once for
+    ends).  The move is below an ulp, so two distinct endpoints share a
+    float key or lie in adjacent ones.  The pair (c1, q2) is among the
+    three that need the smallest delta of q2, c1 an interior centre, so
+    the tied endpoints mostly lie outside other intervals.
+    """
+    coprime = draw(st.booleans())
+    Q = draw(st.integers(9, 16))
+    entries = [table_entry(*draw(entry_draws), q * q) for q in range(1, Q + 1)]
+    entries[0] = table_entry(1 + draw(st.integers(0, 1)), *draw(entry_draws)[1:], 16)
+    if draw(st.booleans()):
+        entries[draw(st.integers(1, Q - 1))] = draw(st.fractions(Fraction(1, 2), Fraction(3), max_denominator=60))
+    pool = draw(st.permutations(range(2, Q + 1)))
+    kinds = [("tie", -1), ("tie", 1), ("equal", draw(st.sampled_from([-1, 1]))), ("touch", draw(st.sampled_from([-1, 1])))]
+    for kind, s1 in kinds:
+        q1, pool = pool[0], pool[1:]
+        d1 = entries[q1 - 1] or table_entry(1 + draw(st.integers(0, 1)), *draw(entry_draws)[1:], q1 * q1)
+        entries[q1 - 1] = d1
+        s2 = -s1 if kind == "touch" else s1
+        # q2 times the endpoint of slice q1 is n/m; the nearest admissible centre c2 with
+        # s2 (n/m - c2) > 0 gives d2 = s2 (n - c2 m)/m, and m is one for every candidate
+        m = q1 * d1.denominator
+        candidates = []
+        for q2 in pool:
+            for c1 in range(1, q1):
+                if admissible(c1, q1, coprime):
+                    n = q2 * (c1 * d1.denominator + s1 * d1.numerator)
+                    c2 = -(-n // m) - 1 if s2 > 0 else n // m + 1
+                    while not admissible(c2, q2, coprime):
+                        c2 -= s2
+                    candidates.append((s2 * (n - c2 * m), q2))
+        candidates.sort()
+        num, q2 = candidates[draw(st.integers(0, min(2, len(candidates) - 1)))]
+        d2 = Fraction(num, m)
+        pool = [q for q in pool if q != q2]
+        if kind == "tie":
+            # a move of 1/(b K), so slice q2's denominator b K q2 is about the drawn scale
+            scale = draw(st.one_of(st.integers(2**54, 2**62), st.integers(2**64, 2**90)))
+            b = d2.denominator
+            d2 += draw(st.sampled_from([-1, 1])) * Fraction(1, b * max(1, scale // (b * q2)))
+        entries[q2 - 1] = max(d2, Fraction(0))
+    return entries, coprime
+
+
+class TestExactSweep:
+    """The integer sweep of rational tables against Fraction intervals built by brute force."""
+
+    # slices 3 and 6 share the centres 1/3 and 2/3, where slice 6 starts 1/(60 K) below
+    # slice 3: the float keys tie for K = 2**70, and for K near 2**55/60 (slice 6 over
+    # about 2**54) a quotient of operands rounded to float64 orders them the wrong way
+    @example(([Fraction(1, 64), 0, Fraction(1, 20), 0, 0, Fraction(1, 10) + Fraction(1, 10 * 2**70)], False))
+    @example(([Fraction(1, 64), 0, Fraction(1, 20), 0, 0, Fraction(1, 10) + Fraction(1, 10 * 600479950316067)], False))
+    @settings(max_examples=300, deadline=None)
+    @given(rational_tables())
+    def test_matches_the_fraction_oracle(self, table):
+        entries, coprime = table
+        want = brute_union(entries, coprime)
+        slices = [_slice_numerators(q, d, coprime) for q, d in enumerate(entries, 1) if d > 0]
+        assert _exact_union_measure(slices) == want
+        got = truncated_union_1d(table_psi(entries), 1, len(entries), coprime=coprime)
+        assert got.provenance == "exact" and got.value == float(want)
 
 
 def test_max_mode_measures():
