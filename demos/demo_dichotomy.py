@@ -10,7 +10,6 @@ are the honest display: the first few slices are huge and mask everything.
 from diolab import (
     ExperimentConfig,
     SumCriterion,
-    classify,
     estimate_union_measure,
     power_log,
 )
@@ -18,7 +17,7 @@ from diolab import (
 # psi(q) = 1/(4q): the log-weighted sum at n=2 diverges, so the limsup set
 # should be full.  Watch the tail union over [100, 2000] climb.
 divergent = power_log(0.25, 1.0, 0.0)
-print("divergence metadata:", classify(divergent, SumCriterion("log_weighted", 2)))
+print("divergence metadata:", divergent.divergence(SumCriterion("log_weighted", 2)))
 cfg = ExperimentConfig(
     family=divergent, n=2, mode="product", coprime=True,
     Q0=100, Q=2000, samples=4000, seed=1,
@@ -29,7 +28,7 @@ for q, est in estimate_union_measure(cfg):
 # psi(q) = 1/(q log(q+1)^4) converges even with the log weight; the same
 # tail union stays near zero.
 convergent = power_log(1.0, 1.0, 4.0)
-print("\ndivergence metadata:", classify(convergent, SumCriterion("log_weighted", 2)))
+print("\ndivergence metadata:", convergent.divergence(SumCriterion("log_weighted", 2)))
 cfg = ExperimentConfig(
     family=convergent, n=2, mode="product", coprime=True,
     Q0=1000, Q=4000, samples=4000, seed=2,

@@ -57,7 +57,6 @@ from .psi import (
     SumCriterion,
     WeightFn,
     adversarial_primorial,
-    classify,
     cond1_ratio,
     cond1_scan,
     conditional_psi,
@@ -67,7 +66,6 @@ from .psi import (
     partial_sum,
     partial_sum_scan,
     power_log,
-    psi_eval,
     table_psi,
 )
 from .regions import (

@@ -103,7 +103,7 @@ _table_lock = threading.Lock()
 _default_table: PhiTable | None = None
 
 
-def default_phi_table(limit: int = 10_000) -> PhiTable:
+def default_phi_table(limit: int) -> PhiTable:
     """Shared phi table, grown on demand (never shrunk)."""
     global _default_table
     with _table_lock:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -96,12 +95,6 @@ def _add_coprime_flags(p: argparse.ArgumentParser):
     g.add_argument("--plain", action="store_true")
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    return int(os.environ.get("DIOLAB_WORKERS", "1"))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -159,7 +152,7 @@ def cmd_bc_bound(args) -> int:
         family=fam, n=args.n, mode="product", coprime=bool(args.coprime),
         Q0=args.Q0, Q=args.Q, samples=args.samples, seed=args.seed,
     )
-    rep = run_bc_evidence(cfg, pair_source=args.pairs, workers=_workers(args))
+    rep = run_bc_evidence(cfg, pair_source=args.pairs, workers=args.workers)
     print("q,bound,union,union_ci_low,union_ci_high")
     for (qc, bound), (_, union) in zip(rep.bound_curve, rep.union_curve):
         _, lo, hi = _estimate_fields(union)
@@ -251,7 +244,7 @@ def cmd_experiment(args) -> int:
     if args.samples is not None or args.seed is not None:
         battery = _override_battery(battery, args.samples, args.seed)
     t0 = time.time()
-    report = run_dichotomy_scan(battery, workers=_workers(args))
+    report = run_dichotomy_scan(battery, workers=args.workers)
     elapsed = time.time() - t0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -329,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="diolab",
         description="measures of multiplicative approximation domains and limsup-set experiments",
     )
-    top.add_argument("--workers", type=int, default=None, help="default from DIOLAB_WORKERS")
+    top.add_argument("--workers", type=int, default=1, help="worker threads; output is the same for any count")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("measure", help="measure of one q-slice")

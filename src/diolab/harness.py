@@ -14,7 +14,7 @@ a full-measure statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .psi import (
     DIVERGENT,
     ApproxFunction,
     SumCriterion,
-    classify,
     padic_weighted_psi,
     partial_sum_scan,
     power_log,
@@ -74,12 +73,12 @@ class BatteryEntry:
         if self.expect not in EXPECTATIONS:
             raise ValueError(f"unknown expectation {self.expect!r}")
         if self.expect == "expect-full":
-            if self.justification is None or classify(self.config.family, self.justification) != DIVERGENT:
+            if self.justification is None or self.config.family.divergence(self.justification) != DIVERGENT:
                 raise ValueError(
                     f"entry {self.name!r}: expect-full must cite a known-divergent criterion"
                 )
         if self.expect == "expect-null":
-            if self.justification is None or classify(self.config.family, self.justification) != CONVERGENT:
+            if self.justification is None or self.config.family.divergence(self.justification) != CONVERGENT:
                 raise ValueError(
                     f"entry {self.name!r}: expect-null must cite a known-convergent criterion"
                 )
@@ -147,8 +146,8 @@ class DichotomyReport:
     battery: str
     results: list
     anomalies: list
-    generator: str = GENERATOR_ID
-    disclaimer: str = DISCLAIMER
+    generator: ClassVar[str] = GENERATOR_ID
+    disclaimer: ClassVar[str] = DISCLAIMER
 
 
 def _classify_estimate(value: float, lo: float, hi: float) -> str:
@@ -208,8 +207,8 @@ class BcEvidenceReport:
     anomalies: list
     pair_source: str
     config_hash: str
-    generator: str = GENERATOR_ID
-    disclaimer: str = DISCLAIMER
+    generator: ClassVar[str] = GENERATOR_ID
+    disclaimer: ClassVar[str] = DISCLAIMER
 
 
 def run_bc_evidence(
@@ -305,8 +304,8 @@ class PadicReport:
     count_curves: list
     sum_curve: list
     config_hash: str
-    generator: str = GENERATOR_ID
-    disclaimer: str = DISCLAIMER
+    generator: ClassVar[str] = GENERATOR_ID
+    disclaimer: ClassVar[str] = DISCLAIMER
 
 
 def run_padic(

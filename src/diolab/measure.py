@@ -187,9 +187,9 @@ class MeasureEstimate:
         samples: int,
         seed: int,
         generator: str,
-        confidence: float = 0.95,
     ) -> "MeasureEstimate":
-        lo, hi = binomial_ci(hits, samples, confidence)
+        """Hit fraction with its 95% ``binomial_ci``."""
+        lo, hi = binomial_ci(hits, samples)
         return cls(
             value=hits / samples,
             provenance="monte-carlo",

@@ -38,7 +38,6 @@ __all__ = [
     "UNKNOWN",
     "WeightFn",
     "adversarial_primorial",
-    "classify",
     "cond1_ratio",
     "cond1_scan",
     "conditional_psi",
@@ -48,7 +47,6 @@ __all__ = [
     "partial_sum",
     "partial_sum_scan",
     "power_log",
-    "psi_eval",
     "table_psi",
 ]
 
@@ -112,10 +110,6 @@ class ApproxFunction:
     def spec_dict(self) -> dict:
         raise NotImplementedError
 
-    # exact rational evaluation; None when the family is not rational-valued
-    def value_fraction(self, q: int) -> Fraction | None:
-        return None
-
 
 @dataclass(frozen=True)
 class PowerLog(ApproxFunction):
@@ -172,12 +166,8 @@ class TablePsi(ApproxFunction):
 
     @cached_property
     def is_rational(self) -> bool:
+        """Whether every entry is an int or a Fraction: such a table's unions are swept exactly."""
         return all(isinstance(v, (int, Fraction)) for v in self.entries)
-
-    def value_fraction(self, q: int) -> Fraction | None:
-        if not self.is_rational:
-            return None
-        return Fraction(self.entries[q - 1]) if q <= len(self.entries) else Fraction(0)
 
     def spec_dict(self) -> dict:
         vals = [str(v) if isinstance(v, Fraction) else v for v in self.entries]
@@ -389,11 +379,6 @@ def adversarial_primorial(k: int = 4, c: float = 1.0, a: float = 1.0, b: float =
     return indicator_support(power_log(c, a, b), "primorial_multiples", k)
 
 
-def psi_eval(f: ApproxFunction, q: int) -> float:
-    """Value of the family at q (may be +inf for conditional families)."""
-    return f(q)
-
-
 # ---------------------------------------------------------------------------
 # partial sums and the limsup-ratio condition
 
@@ -500,11 +485,6 @@ def cond1_scan(f: ApproxFunction, n: int, grid: Sequence[int]) -> tuple[list[tup
     if not points:
         raise UndefinedRatioError("log-weighted partial sum is zero on the whole grid")
     return points, max(r for _, r in points)
-
-
-def classify(f: ApproxFunction, criterion: SumCriterion) -> str:
-    """Stored divergence metadata for the family under the criterion."""
-    return f.divergence(criterion)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,12 @@ Closed forms used here
 
 Exact truncated unions
 ----------------------
-``truncated_union_1d`` sweeps a rational table exactly, in integers.  The
+``truncated_union_1d`` sweeps exactly, in integers, when and only when the
+family is a ``TablePsi`` whose entries are all ints or Fractions; every
+other family is swept in floats.  It reads the entries themselves, and
+only for q within the table (q past it has delta = 0), so the cost is that
+of the slices, and an entry too small to be a positive float is still
+swept and counted against the interval budget.  The
 slice q with delta = a/b has the endpoints (c b -+ a)/(b q), kept as
 integer numerators over one denominator per slice and clipped in integers.
 Endpoints are ordered by their correctly rounded float keys num/den:
@@ -83,11 +88,11 @@ rounding each constant up by one u.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -223,8 +228,8 @@ class IntervalUnion:
         self.ends = ends
 
     @classmethod
-    def from_intervals(cls, starts, ends, merge_eps: float = MERGE_EPS) -> "IntervalUnion":
-        """Normalize raw intervals: clip to [0,1], sort, merge near-touching."""
+    def from_intervals(cls, starts, ends) -> "IntervalUnion":
+        """Normalize raw intervals: clip to [0,1], sort, merge those within MERGE_EPS."""
         starts = np.asarray(starts, dtype=np.float64)
         ends = np.asarray(ends, dtype=np.float64)
         keep = ends > starts
@@ -236,7 +241,7 @@ class IntervalUnion:
         s, _, cm = _sweep(starts, ends)
         new_group = np.empty(s.size, dtype=bool)
         new_group[0] = True
-        new_group[1:] = s[1:] > cm[:-1] + merge_eps
+        new_group[1:] = s[1:] > cm[:-1] + MERGE_EPS
         heads = np.flatnonzero(new_group)
         tails = np.append(heads[1:], s.size) - 1
         return cls(s[heads].copy(), cm[tails].copy())
@@ -485,48 +490,36 @@ class PiecewiseCdf:
         return [self(b) for b in self.breakpoints]
 
 
-_cdf_cache: dict[int, PiecewiseCdf] = {}
-_cdf_lock = threading.Lock()
+@cache
+def _radical_cdf(r: int) -> PiecewiseCdf:
+    """The law of the squarefree r, built once per r."""
+    return PiecewiseCdf(r, *gap_multiset(r))
 
 
 def coprime_dist_cdf(q: int) -> PiecewiseCdf:
     """Exact law of ``||q x||'``; cached per radical of q."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    r = radical(q)
-    cdf = _cdf_cache.get(r)
-    if cdf is None:
-        gaps, counts = gap_multiset(r)
-        cdf = PiecewiseCdf(r, gaps, counts)
-        with _cdf_lock:
-            _cdf_cache.setdefault(r, cdf)
-    return cdf
+    return _radical_cdf(radical(q))
 
 
-_gap_cache: dict[int, tuple[int, float, float, int]] = {}
-_gap_lock = threading.Lock()
-
-
-def _gap_stats(m: int) -> tuple[int, float, float, int]:
+@cache
+def _gap_stats(m: int) -> tuple[int, float, float, tuple[int, ...]]:
     """(phi, L, P, G) of the cyclic coprime gaps g_i of m; cached per m.
 
-    L = sum log g_i, P = sum log(g_{i-1} + g_i) and G = max g_i.  Both sums
-    are ``math.fsum`` of libm logs of integers >= 1, so each is within 3u
-    relative: 2u from the logs, all >= 0, and u from the rounded sum.
+    L = sum log g_i, P = sum log(g_{i-1} + g_i) and G the distinct g_i,
+    ascending.  Both sums are ``math.fsum`` of libm logs of integers >= 1,
+    so each is within 3u relative: 2u from the logs, all >= 0, and u from
+    the rounded sum.
     """
-    stats = _gap_cache.get(m)
-    if stats is None:
-        gaps = _cyclic_gaps(m)[1]
-        merged = gaps + np.roll(gaps, 1)
-        stats = (
-            gaps.size,
-            math.fsum(map(math.log, gaps.tolist())),
-            math.fsum(map(math.log, merged.tolist())),
-            int(gaps.max()),
-        )
-        with _gap_lock:
-            _gap_cache.setdefault(m, stats)
-    return stats
+    gaps = _cyclic_gaps(m)[1]
+    merged = gaps + np.roll(gaps, 1)
+    return (
+        gaps.size,
+        math.fsum(map(math.log, gaps.tolist())),
+        math.fsum(map(math.log, merged.tolist())),
+        tuple(sorted(set(gaps.tolist()))),
+    )
 
 
 def _gap_log_sum(q: int) -> tuple[int, int, float]:
@@ -534,11 +527,13 @@ def _gap_log_sum(q: int) -> tuple[int, int, float]:
 
     Lifting along the largest prime p of r, with s = r/p: every unit of s
     lifts to p residues mod r, exactly one of them divisible by p, and
-    dropping that one merges the two gaps of s around it.  When p exceeds
-    every gap of s no two dropped residues are neighbours, so
+    dropping that one merges the two gaps of s around it.  Two lifts a
+    gap g of s apart are both divisible by p exactly when p divides g, so
+    when p divides no gap of s no two dropped residues are neighbours, and
     phi(r) = (p - 1) phi(s) and L_r = (p - 2) L_s + P_s, with s's data
     from ``_gap_stats`` (few distinct s occur).  Otherwise r's own gaps
-    are taken.  r = 1 gives (1, 0) and a prime (p - 1, log 2).  L_r is
+    are taken.  p above every gap of s settles it without a division.
+    r = 1 gives (1, 0) and a prime (p - 1, log 2).  L_r is
     within 5u relative: 3u from L_s and P_s, then one product and one sum.
     Serves the public n = 2 entry below delta = 1/4 (``_lifted_terms``),
     which builds no ``PiecewiseCdf``.
@@ -548,8 +543,8 @@ def _gap_log_sum(q: int) -> tuple[int, int, float]:
         return 1, 1, 0.0
     r = math.prod(primes)
     p = primes[-1]
-    phi_s, log_s, merged_s, max_gap_s = _gap_stats(r // p)
-    if p > max_gap_s:
+    phi_s, log_s, merged_s, gaps_s = _gap_stats(r // p)
+    if p > gaps_s[-1] or all(g % p for g in gaps_s):
         return r, (p - 1) * phi_s, (p - 2) * log_s + merged_s
     phi_r, log_r, _, _ = _gap_stats(r)
     return r, phi_r, log_r
@@ -679,7 +674,7 @@ def product_region_measure_coprime(
     from the table of ``coprime_dist_cdf(q)``.  Below delta = 1/4 its terms
     need only phi(r) and L_r, the sum of log(gap) over the cyclic coprime
     gaps of r = rad(q); L_r is lifted from s = r/p, p the largest prime of
-    r, when p exceeds every coprime gap of s, and taken from r's own gaps
+    r, when p divides no coprime gap of s, and taken from r's own gaps
     otherwise: O(1) per q after factoring, no table of r.  n >= 3 uses
     adaptive quadrature down to the n = 2 law.  The error bound is the
     derived rounding bound for n <= 2 and the quadrature bound for n >= 3.
@@ -731,13 +726,12 @@ def truncated_union_1d(
     Q: int,
     coprime: bool = False,
     budget: int = INTERVAL_BUDGET,
-    exact: bool | None = None,
 ) -> MeasureEstimate:
     """Exact measure of the union of 1-D slices for Q0 <= q <= Q.
 
-    Rational table families are swept exactly, in integers (see the module
-    docstring), when ``exact`` is true, the default for such families.
-    Sweeps whose interval count would exceed ``budget`` raise
+    A ``TablePsi`` of ints and Fractions is swept exactly, in integers,
+    from its entries; any other family in floats (see the module
+    docstring).  Sweeps whose interval count would exceed ``budget`` raise
     ResourceBudgetError.  The range is read in blocks of q, each checked
     for an infinite psi, then counted, then turned into slices, so an
     oversized range fails before it is built, and the first failure in q
@@ -745,31 +739,30 @@ def truncated_union_1d(
     """
     if not 1 <= Q0 <= Q:
         raise ValueError("need 1 <= Q0 <= Q")
-    if exact is None:
-        exact = isinstance(f, TablePsi) and f.is_rational
-    # rationality is a property of the whole family, so one q tells
-    rational = f.value_fraction(Q0) is not None
+    exact = isinstance(f, TablePsi) and f.is_rational
     slices = []
     count = 0
     for lo in range(Q0, Q + 1, SCAN_BLOCK):
-        qs = np.arange(lo, min(lo + SCAN_BLOCK, Q + 1), dtype=np.int64)
-        psis = f.values(qs)
-        if not np.all(np.isfinite(psis)):
-            raise ValueError("family evaluates to +inf inside the truncation range")
-        live = psis > 0
-        count += int(np.sum(phi_values(qs[live]) if coprime else qs[live] + 1))
+        hi = min(lo + SCAN_BLOCK, Q + 1)
+        if exact:
+            live = [(q, Fraction(v)) for q, v in enumerate(f.entries[lo - 1 : hi - 1], lo) if v > 0]
+            qs = np.array([q for q, _ in live], dtype=np.int64)
+        else:
+            qs = np.arange(lo, hi, dtype=np.int64)
+            psis = f.values(qs)
+            if not np.all(np.isfinite(psis)):
+                raise ValueError("family evaluates to +inf inside the truncation range")
+            keep = psis > 0
+            qs, psis = qs[keep], psis[keep]
+        count += int(np.sum(phi_values(qs) if coprime else qs + 1))
         if count > budget:
             raise ResourceBudgetError(
                 f"sweep would build more than budget={budget} intervals; raise the budget explicitly"
             )
-        if not exact:
-            pairs = zip(qs[live].tolist(), psis[live].tolist())
-            slices += [_slice_raw_intervals(q, d, coprime) for q, d in pairs]
-        elif rational:
-            pairs = ((q, f.value_fraction(q)) for q in qs.tolist())
-            slices += [_slice_numerators(q, d, coprime) for q, d in pairs if d > 0]
-    if exact and not rational:
-        raise ValueError("exact sweep requires a rational-valued family")
+        if exact:
+            slices += [_slice_numerators(q, d, coprime) for q, d in live]
+        else:
+            slices += [_slice_raw_intervals(q, d, coprime) for q, d in zip(qs.tolist(), psis.tolist())]
     if not slices:
         return MeasureEstimate.exact(0.0)
     if exact:

@@ -235,27 +235,18 @@ def _member_rows(
     return member
 
 
-def _membership_bulk(
-    xs: np.ndarray, q: int, psi_q: float, mode: str, coprime: bool, strict: bool = True
-) -> np.ndarray:
-    """Vectorized membership of many points, one per row of xs, in one q-slice."""
-    if psi_q <= 0.0 and strict:
-        return np.zeros(xs.shape[0], dtype=bool)
-    return _member_rows(xs.T, np.array([q]), np.array([psi_q]), mode, coprime, strict)[0]
-
-
 # ---------------------------------------------------------------------------
 # experiment configuration
 
 
-def _geometric_grid(Q0: int, Q: int, ratio: float = 2.0) -> tuple[int, ...]:
+def _geometric_grid(Q0: int, Q: int) -> tuple[int, ...]:
+    """Q0, 2 Q0, 4 Q0, ... below Q, then Q."""
     grid = []
     g = Q0
     while g < Q:
         grid.append(int(g))
-        g = max(int(g) + 1, int(round(g * ratio)))
-    grid.append(Q)
-    return tuple(sorted(set(grid)))
+        g *= 2
+    return (*grid, Q)
 
 
 @dataclass(frozen=True)
@@ -438,7 +429,7 @@ def pair_hit_table(
         xs = sample_points(seed, start, stop, n)
         member = np.empty((stop - start, len(psis)))
         for i, (q, psi_q) in enumerate(zip(qs, psis)):
-            member[:, i] = _membership_bulk(xs, q, psi_q, mode, coprime)
+            member[:, i] = _member_rows(xs.T, np.array([q]), np.array([psi_q]), mode, coprime, True)[0]
         return (member.T @ member).astype(np.int64)
 
     return sum(_map_chunks(run, samples, workers), np.zeros((len(psis),) * 2, dtype=np.int64))

@@ -110,9 +110,9 @@ class TestBinomialCiValidation:
         with pytest.raises(ValueError, match="confidence"):
             binomial_ci(5, 100, confidence)
 
-    def test_monte_carlo_estimate_rejects_bad_confidence(self):
-        with pytest.raises(ValueError, match="confidence .* outside"):
-            MeasureEstimate.monte_carlo(5, 100, seed=1, generator="x", confidence=1.5)
+    def test_monte_carlo_estimate_carries_the_95_percent_interval(self):
+        est = MeasureEstimate.monte_carlo(5, 100, seed=1, generator="x")
+        assert (est.ci_low, est.ci_high) == binomial_ci(5, 100, 0.95)
 
     def test_samples_and_hits(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,6 @@ from diolab.psi import (
     TablePsi,
     WeightFn,
     adversarial_primorial,
-    classify,
     cond1_ratio,
     cond1_scan,
     conditional_psi,
@@ -34,7 +33,6 @@ from diolab.psi import (
     partial_sum,
     partial_sum_scan,
     power_log,
-    psi_eval,
     table_psi,
 )
 from diolab.psi import _padic_abs_array
@@ -118,14 +116,14 @@ def assert_textbook(f, qs):
 
 class TestEval:
     def test_power_log_examples(self):
-        assert psi_eval(power_log(1, 1, 0), 4) == 0.25
-        assert psi_eval(power_log(2, 0.5, 0), 4) == 1.0
+        assert power_log(1, 1, 0)(4) == 0.25
+        assert power_log(2, 0.5, 0)(4) == 1.0
 
     def test_table_lookup(self):
         f = table_psi([0.5, 0, 0.1])
-        assert psi_eval(f, 2) == 0.0
-        assert psi_eval(f, 1) == 0.5
-        assert psi_eval(f, 99) == 0.0  # beyond the table
+        assert f(2) == 0.0
+        assert f(1) == 0.5
+        assert f(99) == 0.0  # beyond the table
 
     def test_table_values_build_their_floats_once(self):
         f = table_psi([0.5, Fraction(1, 3), 2])
@@ -139,20 +137,20 @@ class TestEval:
     def test_conditional_infinity(self):
         base = table_psi([0.1] * 8)
         f = conditional_psi(base, [0.5])  # ||q/2|| = 0 at even q
-        assert psi_eval(f, 2) == math.inf
-        assert psi_eval(f, 1) == pytest.approx(0.1 / 0.5)
+        assert f(2) == math.inf
+        assert f(1) == pytest.approx(0.1 / 0.5)
 
     def test_conditional_zero_conventions(self):
         zero_base = table_psi([0.0, 0.0])
         f = conditional_psi(zero_base, [0.5])
-        assert psi_eval(f, 2) == 0.0  # 0/0 = 0
+        assert f(2) == 0.0  # 0/0 = 0
         pos = table_psi([0.3, 0.3])
-        assert psi_eval(conditional_psi(pos, [0.5]), 2) == math.inf  # 0.3/0 = +inf
+        assert conditional_psi(pos, [0.5])(2) == math.inf  # 0.3/0 = +inf
 
     def test_conditional_direct_division(self):
         base = table_psi([0.1] * 10)
         f = conditional_psi(base, [0.2])  # ||1*0.2|| = 0.2
-        assert psi_eval(f, 1) == pytest.approx(0.5)
+        assert f(1) == pytest.approx(0.5)
 
     def test_conditional_values_match_scalar(self):
         # the scalar here is the textbook formula, not f(q), which reads values itself
@@ -183,7 +181,7 @@ class TestEval:
         q = qs[i % len(qs)]
         want = float(f.values(np.array(qs, dtype=np.int64))[i % len(qs)]).hex()
         assert f(q).hex() == want
-        assert psi_eval(f, q).hex() == want
+        assert f(q).hex() == want
 
     def test_one_large_q_builds_no_phi_table(self, monkeypatch):
         built = []
@@ -207,7 +205,7 @@ class TestEval:
         for f in fams:
             for _ in range(50):
                 q = int(rng.integers(1, 2000))
-                assert psi_eval(f, q) >= 0.0
+                assert f(q) >= 0.0
 
     def test_invalid_params_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -227,8 +225,8 @@ class TestEval:
 class TestPadicWeighted:
     def test_examples(self):
         f = padic_weighted_psi(power_log(1, 1, 0), [2], [("power", 1.0)])
-        assert psi_eval(f, 8) == pytest.approx(1.0)  # (1/8) / (1/8)
-        assert psi_eval(f, 9) == pytest.approx(1 / 9)  # |9|_2 = 1
+        assert f(8) == pytest.approx(1.0)  # (1/8) / (1/8)
+        assert f(9) == pytest.approx(1 / 9)  # |9|_2 = 1
 
     def test_identity_weight_reproduces_base(self):
         base = power_log(1, 1, 0)
@@ -435,23 +433,23 @@ class TestStreamedScans:
 
 class TestClassify:
     def test_examples(self):
-        assert classify(power_log(1, 1, 0), SumCriterion("log_weighted", 2)) == DIVERGENT
-        assert classify(power_log(1, 1, 3), SumCriterion("log_weighted", 2)) == CONVERGENT
-        assert classify(table_psi([1.0, 0.5]), SumCriterion("plain", 1)) == UNKNOWN
+        assert power_log(1, 1, 0).divergence(SumCriterion("log_weighted", 2)) == DIVERGENT
+        assert power_log(1, 1, 3).divergence(SumCriterion("log_weighted", 2)) == CONVERGENT
+        assert table_psi([1.0, 0.5]).divergence(SumCriterion("plain", 1)) == UNKNOWN
 
     def test_power_log_rules(self):
-        assert classify(power_log(1, 0.5, 0), SumCriterion("plain", 1)) == DIVERGENT
-        assert classify(power_log(1, 2, 0), SumCriterion("plain", 1)) == CONVERGENT
-        assert classify(power_log(1, 1, 1), SumCriterion("plain", 1)) == DIVERGENT
-        assert classify(power_log(1, 1, 1.5), SumCriterion("plain", 1)) == CONVERGENT
-        assert classify(power_log(0, 1, 0), SumCriterion("plain", 1)) == CONVERGENT
+        assert power_log(1, 0.5, 0).divergence(SumCriterion("plain", 1)) == DIVERGENT
+        assert power_log(1, 2, 0).divergence(SumCriterion("plain", 1)) == CONVERGENT
+        assert power_log(1, 1, 1).divergence(SumCriterion("plain", 1)) == DIVERGENT
+        assert power_log(1, 1, 1.5).divergence(SumCriterion("plain", 1)) == CONVERGENT
+        assert power_log(0, 1, 0).divergence(SumCriterion("plain", 1)) == CONVERGENT
         # log-weighted shifts the boundary by n-1
-        assert classify(power_log(1, 1, 2), SumCriterion("log_weighted", 2)) == DIVERGENT
-        assert classify(power_log(1, 1, 3.5), SumCriterion("log_weighted", 2)) == CONVERGENT
+        assert power_log(1, 1, 2).divergence(SumCriterion("log_weighted", 2)) == DIVERGENT
+        assert power_log(1, 1, 3.5).divergence(SumCriterion("log_weighted", 2)) == CONVERGENT
 
     def test_derived_families_unknown(self):
         f = adversarial_primorial(4)
-        assert classify(f, SumCriterion("plain", 1)) == UNKNOWN
+        assert f.divergence(SumCriterion("plain", 1)) == UNKNOWN
 
 
 class TestSerialization:

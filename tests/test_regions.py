@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import diolab.arith
+import diolab.regions
 from diolab.arith import (
+    SCAN_BLOCK,
     _cyclic_gaps,
     dist_nearest,
     dist_nearest_coprime,
@@ -21,7 +23,6 @@ from diolab.arith import (
 from diolab.errors import ResourceBudgetError
 from diolab.psi import power_log, table_psi
 from diolab.regions import (
-    MERGE_EPS,
     IntervalUnion,
     RegionSpec,
     coprime_dist_cdf,
@@ -112,6 +113,19 @@ class TestIntervalUnion:
                 assert b.intersection_measure(a) == x - y
 
 
+def touching_union(starts, ends) -> IntervalUnion:
+    """Clip, sort and merge only overlapping or touching intervals, so gaps of an ulp stay."""
+    merged = []
+    for a, b in sorted((max(a, 0.0), min(b, 1.0)) for a, b in zip(starts, ends)):
+        if b <= a:
+            continue
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return IntervalUnion(np.array([a for a, _ in merged]), np.array([b for _, b in merged]))
+
+
 def ulp_neighbours(x: float) -> list[float]:
     down, up = np.nextafter(x, -1.0), np.nextafter(x, 2.0)
     return [float(v) for v in (np.nextafter(down, -1.0), down, x, up, np.nextafter(up, 2.0))]
@@ -126,9 +140,8 @@ def union_lists(draw):
     unions = []
     for _ in range(draw(st.integers(0, 6))):
         pairs = draw(st.lists(st.tuples(index, index), max_size=8))
-        merge_eps = draw(st.sampled_from([0.0, MERGE_EPS]))
-        unions.append(IntervalUnion.from_intervals(
-            [pool[a] for a, _ in pairs], [pool[b] for _, b in pairs], merge_eps=merge_eps))
+        build = draw(st.sampled_from([touching_union, IntervalUnion.from_intervals]))
+        unions.append(build([pool[a] for a, _ in pairs], [pool[b] for _, b in pairs]))
     return unions
 
 
@@ -465,9 +478,24 @@ class TestClosedFormN2:
             # lifted within 5u; grouped by gap length, the direct sum within 4u
             assert abs(got - want) <= 9 * U * want, r
             primes = prime_factors(r)
-            if primes and primes[-1] <= _gap_stats(r // primes[-1])[3]:
+            if primes and primes[-1] <= _gap_stats(r // primes[-1])[3][-1]:
                 fallback.append(r)
+        # the only r where p is not above every gap of s; it still lifts (next test)
         assert fallback == [30030]
+
+    def test_30030_lifts_under_the_exact_condition(self, monkeypatch):
+        # 13 is not above 14, the largest gap of 2310, but divides none of its gaps
+        stats = diolab.regions._gap_stats
+        seen = []
+        monkeypatch.setattr(diolab.regions, "_gap_stats", lambda m: seen.append(m) or stats(m))
+        r, phi, got = _gap_log_sum(30030)
+        assert seen == [2310] and all(g % 13 for g in stats(2310)[3])
+        gaps, counts = gap_multiset(30030)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            want = float(sum(c * Decimal(g).ln() for g, c in zip(gaps.tolist(), counts.tolist())))
+        assert (r, phi) == (30030, stats(30030)[0])
+        assert abs(got - want) <= 5 * U * want
 
     def test_table_head_matches_lifting(self):
         # below x = 1 the table's terms are (0, phi**2/r**2, 2 phi L/r**2), each
@@ -620,10 +648,38 @@ class TestTruncatedUnion:
             assert union <= sum(singles) + 1e-12
 
     def test_exact_rational_path_matches_float(self):
-        f = table_psi([Fraction(1, 7), Fraction(1, 9), 0, Fraction(2, 11)])
-        a = truncated_union_1d(f, 1, 4, coprime=True, exact=True).value
-        b = truncated_union_1d(f, 1, 4, coprime=True, exact=False).value
-        assert a == pytest.approx(b, abs=1e-12)
+        entries = [Fraction(1, 7), Fraction(1, 9), 0, Fraction(2, 11)]
+        slices = [_slice_raw_intervals(q, float(d), True) for q, d in enumerate(entries, 1)]
+        starts, ends = (np.clip(np.concatenate(parts), 0.0, 1.0) for parts in zip(*slices))
+        swept = union_measure_raw(starts, ends)
+        exact = truncated_union_1d(table_psi(entries), 1, 4, coprime=True)
+        assert exact.provenance == "exact" and exact.value == pytest.approx(swept, abs=1e-12)
+        # one float entry and the table is swept in floats
+        floats = truncated_union_1d(table_psi([float(d) for d in entries]), 1, 4, coprime=True)
+        assert floats.value == swept
+
+    @pytest.mark.parametrize("Q0", [1, 100])
+    def test_table_shorter_than_Q_past_one_block(self, Q0, monkeypatch):
+        entries = [Fraction(1, 4 * q) for q in range(1, 151)]
+        f = table_psi(entries)
+        # q past the table reads delta = 0 without asking psi
+        monkeypatch.setattr(type(f), "values", None)
+        got = truncated_union_1d(f, Q0, SCAN_BLOCK + 5, coprime=True)
+        want = _exact_union_measure([_slice_numerators(q, d, True) for q, d in enumerate(entries, 1) if q >= Q0])
+        assert got.provenance == "exact" and got.value == float(want)
+        assert truncated_union_1d(f, 151, 2 * SCAN_BLOCK + 1).value == 0.0
+
+    def test_entry_below_the_smallest_float_is_swept_and_counted(self, monkeypatch):
+        f = table_psi([0, Fraction(1, 2**1100)])
+        assert f(2) == 0.0
+        swept = []
+        make = diolab.regions._slice_numerators
+        monkeypatch.setattr(diolab.regions, "_slice_numerators", lambda q, d, c: swept.append(q) or make(q, d, c))
+        # slice 2 has the three intervals around 0, 1/2 and 1: the budget counts exactly those
+        assert truncated_union_1d(f, 1, 2, budget=3).value == 0.0
+        assert swept == [2]
+        with pytest.raises(ResourceBudgetError):
+            truncated_union_1d(f, 1, 2, budget=2)
 
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
@@ -792,7 +848,9 @@ class TestExactSweep:
     # about 2**54) a quotient of operands rounded to float64 orders them the wrong way
     @example(([Fraction(1, 64), 0, Fraction(1, 20), 0, 0, Fraction(1, 10) + Fraction(1, 10 * 2**70)], False))
     @example(([Fraction(1, 64), 0, Fraction(1, 20), 0, 0, Fraction(1, 10) + Fraction(1, 10 * 600479950316067)], False))
-    @settings(max_examples=300, deadline=None)
+    # no shrink phase: a failing draw carries integers up to 2**100, and shrinking
+    # one ran for minutes at half a GiB
+    @settings(max_examples=300, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(rational_tables())
     def test_matches_the_fraction_oracle(self, table):
         entries, coprime = table

@@ -14,7 +14,7 @@ from diolab.sampler import (
     ExperimentConfig,
     _aggregate,
     _coprime_distances,
-    _membership_bulk,
+    _member_rows,
     _scan_chunk,
     estimate_pairwise_intersection,
     estimate_union_measure,
@@ -108,7 +108,7 @@ class TestMembership:
         agg = float(_aggregate(np.array([[dist(q, xi)] for xi in x]), mode)[0])
         psi_q = {"below": np.nextafter(agg, 0.0), "on": agg, "above": np.nextafter(agg, 1.0), "level": level}[place]
         f = table_psi([0.0] * (q - 1) + [float(psi_q)])
-        bulk = _membership_bulk(np.array([x]), q, f.values(np.array([q]))[0], mode, coprime, strict)
+        bulk = _member_rows(np.array([x]).T, np.array([q]), f.values(np.array([q])), mode, coprime, strict)[0]
         assert bulk.tolist() == [membership(x, q, f, mode=mode, coprime=coprime, strict=strict)]
 
     def test_strictness(self):
@@ -180,7 +180,7 @@ def dense_scan(seed, start, stop, n, qs, psis, mode, coprime):
     for q, psi_q in zip(qs.tolist(), psis.tolist()):
         if psi_q <= 0.0:
             continue
-        member = _membership_bulk(xs, q, psi_q, mode, coprime)
+        member = _member_rows(xs.T, np.array([q]), np.array([psi_q]), mode, coprime, True)[0]
         if member.any():
             first_hit[orig[member]] = q
             keep = ~member
@@ -309,7 +309,7 @@ def pairwise_hits(qs, f, n, mode, coprime, samples, seed):
     """Oracle for pair_hit_table: one membership pass per slice, one count per pair."""
     xs = sample_points(seed, 0, samples, n)
     psis = f.values(np.asarray(qs)).tolist()
-    member = [_membership_bulk(xs, q, d, mode, coprime) for q, d in zip(qs, psis)]
+    member = [_member_rows(xs.T, np.array([q]), np.array([d]), mode, coprime, True)[0] for q, d in zip(qs, psis)]
     hits = np.empty((len(qs), len(qs)), dtype=np.int64)
     for i in range(len(qs)):
         for j in range(len(qs)):
