@@ -44,8 +44,9 @@ print("q=360 Monte Carlo             ->", np.mean(d[:, 0] * d[:, 1] < 1 / 8))
 # linear with breakpoints at half the cyclic gaps between coprime residues.
 cdf = coprime_dist_cdf(12)
 print("\ncoprime distance law for q=12 (radical 6):")
-print("  breakpoints:", cdf.breakpoints)
-print("  values:     ", [round(v, 6) for v in cdf.values])
+knots = [g / 2 for g in cdf.gaps]
+print("  breakpoints:", knots)
+print("  values:     ", [round(cdf(t), 6) for t in knots])
 print("  P(dist < 1/2) = phi(12)/12 =", cdf(0.5))
 
 # Products of coprime distances need a convolution over that law; n=2 is

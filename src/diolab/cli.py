@@ -36,6 +36,7 @@ from .harness import (
 from .measure import MeasureEstimate
 from .psi import (
     SumCriterion,
+    TablePsi,
     WeightFn,
     adversarial_primorial,
     cond1_scan,
@@ -120,7 +121,10 @@ def cmd_union(args) -> int:
         checkpoints = (args.Q,)
     psis = fam.values(np.asarray(checkpoints, dtype=np.int64)).tolist()  # the psi each union reads
     if args.coprime:
-        default_phi_table(checkpoints[-1])  # one totient table serves every checkpoint
+        # one totient table serves every checkpoint; q past a table has psi = 0 and reads no phi
+        top = min(checkpoints[-1], len(fam.entries)) if isinstance(fam, TablePsi) else checkpoints[-1]
+        if top:
+            default_phi_table(top)
     for qc, psi_q in zip(checkpoints, psis):
         est = truncated_union_1d(fam, args.Q0, qc, coprime=bool(args.coprime))
         print(_csv_row(qc, psi_q, est))

@@ -189,8 +189,10 @@ def exact_event_stats_1d(
 
     ``intersection_matrix`` builds the pairs in one vectorised pass per row,
     bit for bit those of ``intersection_measure``; an empty slice gives a
-    zero row and column.  psi comes from ``f.values``, as in
-    ``truncated_union_1d``, so the bound and the union see the same slices.
+    zero row and column.  psi comes from ``f.values``, the float psi.
+    ``truncated_union_1d`` reads the same floats for every family but a
+    rational ``TablePsi``, whose entries it sweeps exactly: there the
+    bound's slices are those of the rounded entries, not the union's.
     """
     psis = f.values(np.arange(Q0, Q + 1, dtype=np.int64)).tolist()
     unions = [slice_union(q, d, coprime=coprime) for q, d in zip(range(Q0, Q + 1), psis)]

@@ -140,7 +140,9 @@ class MeasureEstimate:
 
     * ``"exact"``        - rational/interval arithmetic, no numeric error
     * ``"closed-form"``  - evaluated formula (float rounding only)
-    * ``"numeric-exact"``- quadrature with a tracked absolute error bound
+    * ``"numeric-exact"``- float evaluation with an absolute error bound:
+      a rounding bound derived from the float operations (the n = 2
+      coprime law), or a quadrature error bound (n >= 3)
     * ``"monte-carlo"``  - sampled hit fraction with a confidence interval
     """
 

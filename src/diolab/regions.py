@@ -32,7 +32,8 @@ Closed forms used here
 
       P(||q x||' < t) = (1/q) * sum_over_gaps min(2t, g),
 
-  which equals 2t * phi(q)/q for t <= 1/2 and reaches 1 at g_max/2.
+  which equals 2t * phi(q)/q for t <= 1/2 and reaches 1 at g_max/2.  Every
+  n = 1 coprime entry returns it at the rational delta, rounded once.
 
 * The same law is a mixture: with r = rad(q) and c_g gaps of length g,
   the distance is uniform on [0, g/2] with probability c_g g/r.  A product
@@ -74,11 +75,12 @@ Endpoints are ordered by their correctly rounded float keys num/den:
 rounding is monotone, so fl(x) < fl(y) proves x < y, and only runs of equal
 keys are settled by integer cross-multiplication.  The sweep then sees the
 rational order, so every decision, the merge test included, is the
-rational one and the ``exact`` label holds.
+rational one and the ``exact`` label holds.  Exact or float, a union merges
+only touching or overlapping intervals.
 
 Rounding bounds
 ---------------
-The ``numeric-exact`` bounds of the n = 1 and n = 2 laws are derived, not
+The ``numeric-exact`` bounds of the n = 2 law are derived, not
 chosen: each float operation is counted at a relative error <= u = 2**-53,
 a libm ``log`` at <= 1 ulp, and results in the subnormal range at an
 absolute error <= ``_TINY``.  Second-order terms in u are covered by
@@ -126,7 +128,6 @@ __all__ = [
     "uniform_product_cdf",
 ]
 
-MERGE_EPS = 1e-15
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = math.ulp(0.0)  # twice the largest rounding error of a subnormal result
 
@@ -163,6 +164,14 @@ def _sweep(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return s, e, np.maximum.accumulate(e)
 
 
+def _components(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Components of a nonempty union of closed intervals: a start above the running max end opens one."""
+    s, _, cm = _sweep(starts, ends)
+    heads = np.flatnonzero(np.concatenate(([True], s[1:] > cm[:-1])))
+    tails = np.append(heads[1:], s.size) - 1
+    return s[heads], cm[tails]
+
+
 def union_measure_raw(starts: np.ndarray, ends: np.ndarray) -> float:
     """Measure of a union of intervals given as parallel float start/end arrays."""
     if starts.size == 0:
@@ -197,9 +206,9 @@ def _exact_union_measure(slices: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     """Exact measure of the union of the intervals [lo/den, hi/den] of ``_slice_numerators`` slices.
 
     The float keys are Python int true divisions, correctly rounded at any
-    size.  ``_sweep`` merges the exact ranks, so the merge test "start >
-    running max end" is the rational one too.  Each merged component adds
-    its end and subtracts its start, in one integer sum per denominator.
+    size.  ``_components`` merges the exact ranks, so its merge test is the
+    rational one too.  Each merged component adds its end and subtracts its
+    start, in one integer sum per denominator.
     """
     los, his, dens = (np.concatenate(parts) for parts in zip(*slices))
     n = los.size
@@ -208,11 +217,9 @@ def _exact_union_measure(slices: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     order = _exact_order(keys, nums, dens)
     rank = np.empty(2 * n, dtype=np.int64)
     rank[order] = np.arange(2 * n)
-    s, _, cm = _sweep(rank[:n], rank[n:])
-    heads = np.flatnonzero(np.concatenate(([True], s[1:] > cm[:-1])))
-    tails = np.append(heads[1:], n) - 1
     sums: dict[int, int] = {}
-    for sign, ends in ((-1, order[s[heads]]), (1, order[cm[tails]])):
+    for sign, ranks in zip((-1, 1), _components(rank[:n], rank[n:])):
+        ends = order[ranks]
         for num, den in zip(nums[ends].tolist(), dens[ends].tolist()):
             sums[den] = sums.get(den, 0) + sign * num
     return sum((Fraction(v, d) for d, v in sums.items()), Fraction(0))
@@ -229,22 +236,14 @@ class IntervalUnion:
 
     @classmethod
     def from_intervals(cls, starts, ends) -> "IntervalUnion":
-        """Normalize raw intervals: clip to [0,1], sort, merge those within MERGE_EPS."""
-        starts = np.asarray(starts, dtype=np.float64)
-        ends = np.asarray(ends, dtype=np.float64)
-        keep = ends > starts
-        starts, ends = np.clip(starts[keep], 0.0, 1.0), np.clip(ends[keep], 0.0, 1.0)
-        keep = ends > starts
+        """Normalize raw intervals: clip to [0,1], sort, merge overlapping or touching ones."""
+        starts = np.clip(np.asarray(starts, dtype=np.float64), 0.0, 1.0)
+        ends = np.clip(np.asarray(ends, dtype=np.float64), 0.0, 1.0)
+        keep = ends > starts  # clipping is monotone, so it keeps every order
         starts, ends = starts[keep], ends[keep]
         if starts.size == 0:
             return cls(starts, ends)
-        s, _, cm = _sweep(starts, ends)
-        new_group = np.empty(s.size, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = s[1:] > cm[:-1] + MERGE_EPS
-        heads = np.flatnonzero(new_group)
-        tails = np.append(heads[1:], s.size) - 1
-        return cls(s[heads].copy(), cm[tails].copy())
+        return cls(*_components(starts, ends))
 
     def __len__(self) -> int:
         return self.starts.size
@@ -347,7 +346,7 @@ def _slice_numerators(q: int, delta: Fraction, coprime: bool) -> tuple[np.ndarra
 
 
 def slice_union(q: int, delta: float, coprime: bool = False) -> IntervalUnion:
-    """Exact 1-D slice {x : dist(q, x) < delta} as an interval union."""
+    """The 1-D slice {x : dist(q, x) < delta} as float intervals; its measure may be off by ulps."""
     if q < 1:
         raise ValueError("q must be >= 1")
     starts, ends = _slice_raw_intervals(q, delta, coprime)
@@ -355,11 +354,11 @@ def slice_union(q: int, delta: float, coprime: bool = False) -> IntervalUnion:
 
 
 def region_measure_1d(spec: RegionSpec) -> MeasureEstimate:
-    """Exact measure of a 1-D slice.
+    """Exact measure of a 1-D slice, rounded once.
 
-    Plain mode is min(1, 2 delta) for every q.  Coprime mode is
-    2 delta phi(q)/q while the coprime intervals stay disjoint
-    (delta < 1/2); beyond that the explicit interval union is swept.
+    Plain mode is min(1, 2 delta).  Coprime mode is the gap law at delta's
+    exact value: below 1/2 every gap (>= 1) exceeds 2 delta, so it is
+    2 delta phi(q)/q, one correctly rounded int division; above, ``eval_fraction``.
     """
     if spec.n != 1:
         raise ValueError("region_measure_1d requires n = 1")
@@ -369,8 +368,9 @@ def region_measure_1d(spec: RegionSpec) -> MeasureEstimate:
     if not spec.coprime:
         return MeasureEstimate.exact(min(1.0, 2.0 * d))
     if d < 0.5:
-        return MeasureEstimate.exact(2.0 * d * euler_phi(spec.q) / spec.q)
-    return MeasureEstimate.exact(min(1.0, slice_union(spec.q, d, coprime=True).measure))
+        a, b = d.as_integer_ratio()
+        return MeasureEstimate.exact(2 * a * euler_phi(spec.q) / (b * int(spec.q)))
+    return MeasureEstimate.exact(float(coprime_dist_cdf(spec.q).eval_fraction(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -473,21 +473,15 @@ class PiecewiseCdf:
         n_above, s_below = self._split(2.0 * t)
         return (2.0 * t * n_above + s_below) / self.modulus
 
-    def eval_fraction(self, t: Fraction) -> Fraction:
+    def eval_fraction(self, t) -> Fraction:
+        """The law at the exact value of t, a Fraction or a float (inf included)."""
         if t <= 0:
             return Fraction(0)
         if 2 * t >= self.gaps[-1]:
             return Fraction(1)
+        t = Fraction(t)
         n_above, s_below = self._split(2 * t)
         return (2 * t * n_above + s_below) / self.modulus
-
-    @property
-    def breakpoints(self) -> list[float]:
-        return [g / 2.0 for g in self.gaps]
-
-    @property
-    def values(self) -> list[float]:
-        return [self(b) for b in self.breakpoints]
 
 
 @cache
@@ -601,16 +595,12 @@ def _gl_panel(fn, a: float, b: float, rule) -> float:
 def _product_cdf_rec(
     cdf: PiecewiseCdf, k: int, delta: float, tol: float, max_panels: int = 4000
 ) -> tuple[float, float]:
-    """(value, error bound) of the k-fold product CDF at delta."""
+    """(value, error bound) of the k-fold product CDF at delta, k >= 2."""
     T = cdf.max_distance
     if delta <= 0.0:
         return 0.0, 0.0
     if delta >= T**k:
         return 1.0, 0.0
-    if k == 1:
-        value = cdf(delta)
-        # 2t n_above, + s_below, / r: three roundings, rounded up to 4u
-        return value, 4.0 * _U * value + _TINY
     if k == 2:
         return _product_law2(delta, *cdf.law2_terms(4.0 * delta))
     child_tol = 0.5 * tol
@@ -670,14 +660,14 @@ def product_region_measure_coprime(
 ) -> MeasureEstimate:
     """|{x in [0,1]^n : prod ||q x_i||' < delta}| to absolute tolerance tol.
 
-    n = 2 is the gap-pair mixture of the module docstring at every delta,
-    from the table of ``coprime_dist_cdf(q)``.  Below delta = 1/4 its terms
+    n = 1 is ``region_measure_1d``.  n = 2 is the gap-pair mixture of the
+    module docstring at every delta, from the table of ``coprime_dist_cdf(q)``.  Below delta = 1/4 its terms
     need only phi(r) and L_r, the sum of log(gap) over the cyclic coprime
     gaps of r = rad(q); L_r is lifted from s = r/p, p the largest prime of
     r, when p divides no coprime gap of s, and taken from r's own gaps
     otherwise: O(1) per q after factoring, no table of r.  n >= 3 uses
     adaptive quadrature down to the n = 2 law.  The error bound is the
-    derived rounding bound for n <= 2 and the quadrature bound for n >= 3.
+    derived rounding bound for n = 2 and the quadrature bound for n >= 3.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -685,6 +675,8 @@ def product_region_measure_coprime(
         raise ValueError("tol must be positive")
     if not delta >= 0:
         raise ValueError("delta must be >= 0")
+    if n == 1:
+        return region_measure_1d(RegionSpec(q, 1, delta, coprime=True))
     if n == 2 and 0.0 < delta < 0.25:
         return MeasureEstimate.numeric(*_product_law2(delta, *_lifted_terms(q)))
     value, err = _product_cdf_rec(coprime_dist_cdf(q), n, delta, tol)

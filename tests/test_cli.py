@@ -102,6 +102,28 @@ class TestUnion:
         checkpoints = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
         assert len(checkpoints) == 12 and builds == checkpoints[2:]
 
+    def test_table_family_sizes_phi_to_its_entries(self, capsys, monkeypatch):
+        builds = []
+
+        class CountingTable(PhiTable):
+            def __init__(self, limit):
+                builds.append(limit)
+                super().__init__(limit)
+
+        monkeypatch.setattr(diolab.arith, "PhiTable", CountingTable)
+        family = json.dumps({"family": "table", "values": [f"1/{4 * q}" for q in range(1, 201)]})
+        argv = ("union", "--family-json", family, "--Q", "20000000", "--coprime")
+        monkeypatch.setattr(diolab.arith, "_default_table", None)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        # every q past the table has psi = 0, so no sweep reads phi there
+        assert builds == [200]
+        monkeypatch.setattr(diolab.arith, "_default_table", None)
+        monkeypatch.setattr(diolab.cli, "default_phi_table", lambda limit: None)
+        builds.clear()
+        assert run_cli(capsys, *argv)[1] == out
+        assert builds == [200]
+
 
 class TestSums:
     def test_partial_sums(self, capsys):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -98,6 +99,16 @@ class TestIntervalUnion:
             mids = 0.5 * (grid[:-1] + grid[1:])
             brute = np.mean(a._inside(mids) & b._inside(mids))
             assert a.intersection_measure(b) == pytest.approx(brute, abs=2e-4)
+
+    def test_a_gap_of_a_few_ulps_stays_a_gap(self):
+        # [1/4, x] and [y, 3/4] with y three ulps above x: a real gap, far below 1e-15
+        x = 0.5
+        y = x + 3 * math.ulp(x)
+        u = IntervalUnion.from_intervals([y, 0.25], [0.75, x])
+        assert u.starts.tolist() == [0.25, y] and u.ends.tolist() == [x, 0.75]
+        assert u.measure == 0.5 - (y - x) < 0.5
+        # touching closed intervals are one component
+        assert len(IntervalUnion.from_intervals([0.25, x], [x, 0.75])) == 1
 
     def test_intersection_keeps_overlaps_a_few_ulps_wide(self):
         # A = [0, x], B = [x - m ulp, 1] for m = 1..3: the midpoint of two cuts
@@ -214,6 +225,81 @@ class TestRegionMeasure1d:
             d = float(rng.uniform(0.5, cdf.max_distance + 0.2))
             got = region_measure_1d(RegionSpec(q, 1, d, coprime=True)).value
             assert got == pytest.approx(cdf(d), abs=1e-12)
+
+
+def slice_oracle(q: int, delta: float) -> Fraction:
+    """Measure of the coprime 1-D slice: a Fraction union of its clipped intervals (c -+ delta)/q."""
+    d = Fraction(delta)
+    return fraction_union_measure(
+        (max(Fraction(0), (c - d) / q), min(Fraction(1), (c + d) / q)) for c in brute_centers(q, d)
+    )
+
+
+def slice_estimates(q: int, delta: float) -> list:
+    """Every public entry that measures one coprime 1-D slice."""
+    spec = RegionSpec(q, 1, delta, coprime=True)
+    return [
+        region_measure(spec),
+        region_measure(replace(spec, mode="max")),
+        region_measure_1d(spec),
+        product_region_measure_coprime(q, 1, delta),
+    ]
+
+
+@st.composite
+def slice_inputs(draw):
+    """q <= 400 or 2310, with delta in (0, 3]: anywhere, or at or one ulp beside a breakpoint g/2."""
+    q = draw(st.one_of(st.integers(1, 400), st.just(2310)))
+    if draw(st.booleans()):
+        return q, draw(st.floats(0.0, 3.0, exclude_min=True))
+    knot = draw(st.sampled_from(coprime_dist_cdf(q).gaps)) / 2
+    return q, draw(st.sampled_from([math.nextafter(knot, 0.0), knot, math.nextafter(knot, 4.0)]))
+
+
+class TestOneAnswerPerSlice:
+    """The gap law is the one source of a coprime 1-D slice measure, rounded once."""
+
+    @pytest.mark.parametrize("q", [1, 2, 12, 30, 49, 360, 2310])
+    def test_every_entry_returns_the_same_bits(self, q):
+        cdf = coprime_dist_cdf(q)
+        below_half = math.nextafter(0.5, 0.0)
+        knots = [g / 2 for g in cdf.gaps]
+        for delta in [0.0, 5e-324, below_half, 0.5, *knots, cdf.max_distance, 3.0, math.inf]:
+            got = slice_estimates(q, delta)
+            assert {e.provenance for e in got} == {"exact"}, delta
+            assert {e.value.hex() for e in got} == {got[0].value.hex()}, delta
+            if delta != math.inf:
+                assert got[0].value == float(slice_oracle(q, delta)), delta
+
+    def test_n1_is_the_rational_law_rounded_once(self):
+        for q in (1, 12, 30, 2310):
+            cdf = coprime_dist_cdf(q)
+            for delta in (1e-300, 1e-7, 0.3, 0.5, 1.7):
+                got = product_region_measure_coprime(q, 1, delta)
+                assert got.provenance == "exact" and got.error_bound is None
+                assert got.value == float(cdf.eval_fraction(Fraction(delta)))
+                # numpy scalars, as a caller holding arrays passes them
+                spec = RegionSpec(np.int64(q), 1, np.float64(delta), coprime=True)
+                assert region_measure_1d(spec).value == got.value
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(slice_inputs())
+    @example((2310, 0.5))
+    @example((2310, math.nextafter(0.5, 0.0)))
+    @example((1, 3.0))
+    def test_matches_the_fraction_union(self, case):
+        q, delta = case
+        want = float(slice_oracle(q, delta))
+        for est in slice_estimates(q, delta):
+            assert est.provenance == "exact"
+            assert est.value == want
+
+    def test_no_law_is_built_below_one_half(self, monkeypatch):
+        monkeypatch.setattr(diolab.regions, "_radical_cdf", None)
+        for q in (1, 30, 2310, 10**6 + 3):
+            assert region_measure_1d(RegionSpec(q, 1, 0.25, coprime=True)).value == float(
+                Fraction(euler_phi(q), 2 * q)
+            )
 
 
 class TestUniformProductCdf:
@@ -568,15 +654,6 @@ class TestClosedFormN2:
             got = product_region_measure_coprime(360, 2, delta)
             assert (got.value, got.error_bound) == piecewise(360, delta)
             assert covers(got.value, got.error_bound, mixture_oracle(360, delta)), delta
-
-    def test_n1_bound_covers_the_rational_value(self):
-        for q in (1, 12, 30, 2310):
-            cdf = coprime_dist_cdf(q)
-            for delta in (1e-7, 0.3, 0.5, 1.7):
-                if delta < cdf.max_distance:
-                    value, bound = _product_cdf_rec(cdf, 1, delta, 1e-9)
-                    exact = cdf.eval_fraction(Fraction(delta))
-                    assert abs(Fraction(value) - exact) <= Fraction(bound)
 
     @pytest.mark.parametrize("q", [1, 30, 2310])
     def test_n3_at_a_subnormal_delta(self, q):

@@ -9,7 +9,9 @@ commit and on the change with the same seeds.  For every workload and every
 end-to-end metric of BENCHMARK.json the output gives, per side, the median
 and the interquartile range (inclusive quartiles) over the runs, and the
 per-seed values; for a claimed metric it also counts the seeds the change
-won.  The host and the package versions come from the records themselves.
+won.  The host, the package versions and each side's ``src/`` line count
+come from the records themselves, so the line-count trend is committed
+beside the benchmark trend.
 """
 
 from __future__ import annotations
@@ -29,6 +31,14 @@ def load(directory: Path) -> dict[str, dict[int, dict]]:
         record = json.loads(path.read_text())
         runs.setdefault(record["workload"], {})[record["args"]["seed"]] = record
     return runs
+
+
+def src_lines(runs: dict[str, dict[int, dict]]) -> int | None:
+    """The ``src/`` line count that one side's records carry; they must agree."""
+    counts = {r["record"]["src_lines"] for seeds in runs.values() for r in seeds.values()}
+    if len(counts) > 1:
+        raise SystemExit(f"error: the records of one side carry different src_lines {sorted(counts)}")
+    return counts.pop() if counts else None
 
 
 def spread(values: list[float]) -> dict:
@@ -76,6 +86,7 @@ def main(argv=None) -> int:
         "change": "the commit that adds this file",
         "command": "python3 bench/run.py --workload W --seed S --seconds T, one run per side and seed",
         "host": {"cpu": host["cpu"], "versions": host["versions"]} if host else None,
+        "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(trend, indent=1) + "\n")
