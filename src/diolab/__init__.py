@@ -7,10 +7,8 @@ bounds, and exact fiber-triviality checks on finite product spaces.
 """
 
 from .arith import (
-    PhiTable,
     coprime_gaps,
     coprime_residues,
-    default_phi_table,
     dist_nearest,
     dist_nearest_coprime,
     euler_phi,

@@ -2,10 +2,9 @@
 
 Conventions used throughout the package:
 
-* ``phi_values(qs)`` is the one reader of Euler phi.  It sieves the shared
-  table to ``qs.max()`` when ``qs.size * isqrt(qs.max()) > qs.max()``, and
-  otherwise factors each q the shared table does not already cover; the
-  scalar ``euler_phi(q)`` is a one-element call of it and builds no table.
+* Euler phi has one kernel, ``phi_segment(lo, hi)``, a segmented sieve that
+  keeps nothing between calls but its wheel.  ``phi_values(qs)`` factors sparse
+  q and sieves the rest by it; ``euler_phi(q)`` is a one-element call, which factors.
 * ``dist_nearest(q, x)`` is the distance from ``q*x`` to the nearest integer,
   always in ``[0, 1/2]``.
 * ``dist_nearest_coprime(q, x)`` restricts the nearest integer to those
@@ -18,8 +17,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "PhiTable",
     "coprime_gaps",
     "coprime_residues",
-    "default_phi_table",
     "dist_nearest",
     "dist_nearest_coprime",
     "euler_phi",
@@ -36,6 +34,7 @@ __all__ = [
     "is_prime",
     "nearest_coprime_distance",
     "padic_abs",
+    "phi_segment",
     "phi_values",
     "prime_factors",
     "primes_up_to",
@@ -55,61 +54,71 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-SCAN_BLOCK = 1 << 16  # entries per block of a streamed pass: a strided sieve pass, a divergence-sum scan
+SCAN_BLOCK = 1 << 16  # entries per block of a streamed pass: a divergence-sum scan, a union's budget count
+SIEVE_CHUNK = 1 << 18  # entries per phi_segment call of a streamed pass: four scan blocks
+_STRIDED = 1 << 14  # prime powers up to this take one strided pass each; larger ones are gathered
+
+
+@functools.cache
+def _wheel() -> tuple[np.ndarray, np.ndarray]:
+    """Over one period of q mod 2310, the products of p - 1 and of p over the primes p <= 11 dividing q."""
+    phi, smooth = np.ones((2, 2310), dtype=np.int32)
+    for p in (2, 3, 5, 7, 11):
+        phi[::p] *= p - 1
+        smooth[::p] *= p
+    return phi, smooth
+
+
+def phi_segment(lo: int, hi: int) -> np.ndarray:
+    """Euler phi for lo <= q < hi (1 <= lo <= hi), from the primes <= isqrt(hi - 1) alone.
+
+    phi and ``smooth`` start from the wheel, which holds the first powers
+    of 2..11.  Every other prime power p**k < hi multiplies phi by p - 1
+    (k = 1) or p (k > 1), and smooth by p, at its multiples: one strided
+    pass each up to _STRIDED, one ``np.multiply.at`` (which handles
+    repeated indices) for all above.  The cofactor q // smooth is then 1 or
+    one prime P > isqrt(hi - 1), which contributes P - 1.  Every product
+    divides q, so int32 holds it while hi <= 2**31, and int64 beyond.
+    Memory is O(hi - lo): streamed callers take SIEVE_CHUNK entries at a time.
+    """
+    if not 1 <= lo <= hi:
+        raise ValueError("phi_segment needs 1 <= lo <= hi")
+    dtype = np.int32 if hi <= 2**31 else np.int64
+    n = hi - lo
+    phi, smooth = (np.resize(np.roll(w, -(lo % w.size)), n).astype(dtype, copy=False) for w in _wheel())
+    gathered, factors = [], []
+    for p in primes_up_to(math.isqrt(hi - 1)).tolist():
+        pk, f = (p * p, p) if p <= 11 else (p, p - 1)
+        while pk < hi:
+            start = -lo % pk
+            if pk <= _STRIDED:
+                phi[start::pk] *= f
+                smooth[start::pk] *= p
+            elif start < n:
+                gathered.append(np.arange(start, n, pk))
+                factors.append((f, p))
+            pk, f = pk * p, p
+    if gathered:
+        idx = np.concatenate(gathered)
+        per_index = np.repeat(np.array(factors, dtype=dtype), [i.size for i in gathered], axis=0)
+        np.multiply.at(phi, idx, per_index[:, 0])
+        np.multiply.at(smooth, idx, per_index[:, 1])
+    cofactor = np.arange(lo, hi, dtype=dtype)
+    cofactor //= smooth
+    cofactor -= 1
+    phi *= np.maximum(cofactor, 1, out=cofactor)
+    return phi
 
 
 class PhiTable:
-    """Sieved Euler phi values for 1 <= q <= limit.
-
-    Each prime p dividing q applies ``v -= v // p`` to q's entry, which
-    starts at q.  A prime p <= isqrt(limit) is applied by one strided pass.
-    Every q <= limit has at most one prime factor P above isqrt(limit), and
-    its cofactor m = q / P is at most limit // (isqrt(limit) + 1); so one
-    gathered pass per m applies every large P <= limit // m.  That is
-    O(sqrt(limit)) vector passes in all (269 + 1,731 at limit 3e6), instead
-    of one per prime.  The order does not matter: while p is still to be
-    applied, p divides q's running value (q / prod(applied primes) keeps
-    the factor p), so every step is an exact integer division.  A strided
-    pass runs in place over chunks of SCAN_BLOCK entries, so its
-    temporary stays small beside the table.
-
-    The table is immutable after construction and safe to share across
-    threads; builders below keep a process-wide cached instance.
-    """
+    """Euler phi for 0 <= q <= limit in one read-only int64 array, ``values``: 8 B per q, which no diolab reader builds."""
 
     def __init__(self, limit: int):
         if limit < 1:
             raise ValueError("PhiTable limit must be >= 1")
         self.limit = int(limit)
-        root = math.isqrt(self.limit)
-        primes = primes_up_to(self.limit)
-        cut = int(np.searchsorted(primes, root, side="right"))
-        values = np.arange(self.limit + 1, dtype=np.int64)
-        for p in primes[:cut].tolist():
-            for lo in range(p, self.limit + 1, p * SCAN_BLOCK):
-                view = values[lo : lo + p * SCAN_BLOCK : p]
-                view -= view // p
-        large = primes[cut:]
-        for m in range(1, self.limit // (root + 1) + 1):
-            big = large[: np.searchsorted(large, self.limit // m, side="right")]
-            idx = m * big
-            values[idx] -= values[idx] // big
-        values[0] = 0
-        self.values = values
+        self.values = np.concatenate(([0], phi_values(np.arange(1, self.limit + 1))))
         self.values.setflags(write=False)
-
-
-_table_lock = threading.Lock()
-_default_table: PhiTable | None = None
-
-
-def default_phi_table(limit: int) -> PhiTable:
-    """Shared phi table, grown on demand (never shrunk)."""
-    global _default_table
-    with _table_lock:
-        if _default_table is None or _default_table.limit < limit:
-            _default_table = PhiTable(limit)
-        return _default_table
 
 
 def prime_factors(q: int) -> list[int]:
@@ -145,22 +154,27 @@ def radical(q: int) -> int:
 def phi_values(qs) -> np.ndarray:
     """Euler phi over an int array of q >= 1 (each fitting int64), exact either way it is taken.
 
-    A sieve to qs.max() takes about qs.max() steps and factoring about
-    isqrt(q) per entry, so the shared table is grown only when the sieve is
-    the cheaper.  One q never is: 1 * isqrt(q) <= q.
+    Factoring costs about isqrt(q) steps per entry and sieving at most
+    qs.max(), so each q is factored when qs.size * isqrt(qs.max()) <=
+    qs.max(), as one q always is.  Otherwise the sorted q are sieved by
+    ``phi_segment`` in windows of at most SIEVE_CHUNK, each from the next q.
     """
     qs = np.asarray(qs, dtype=np.int64)
     if qs.min(initial=1) < 1:
         raise ValueError("Euler phi requires q >= 1")
     top = int(qs.max(initial=1))
-    table = _default_table
-    if table is None or table.limit < top:
-        if qs.size * math.isqrt(top) <= top:
-            limit = table.limit if table is not None else 0
-            phis = [int(table.values[q]) if q <= limit else _factored_phi(q) for q in qs.ravel().tolist()]
-            return np.array(phis, dtype=np.int64).reshape(qs.shape)
-        table = default_phi_table(top)
-    return table.values[qs]
+    if qs.size * math.isqrt(top) <= top:
+        return np.array([_factored_phi(q) for q in qs.ravel().tolist()], dtype=np.int64).reshape(qs.shape)
+    order = np.argsort(qs, axis=None, kind="stable")  # timsort: linear on the sorted blocks callers pass
+    ordered = qs.ravel()[order]
+    phis = np.empty(qs.size, dtype=np.int64)
+    i = 0
+    while i < qs.size:
+        lo = int(ordered[i])
+        j = int(np.searchsorted(ordered, lo + SIEVE_CHUNK))
+        phis[order[i:j]] = phi_segment(lo, int(ordered[j - 1]) + 1)[ordered[i:j] - lo]
+        i = j
+    return phis.reshape(qs.shape)
 
 
 def _factored_phi(q: int) -> int:
@@ -170,7 +184,7 @@ def _factored_phi(q: int) -> int:
 
 
 def euler_phi(q: int) -> int:
-    """Euler phi of q >= 1: a one-element ``phi_values`` call, which builds no table."""
+    """Euler phi of q >= 1: a one-element ``phi_values`` call, which factors q."""
     return int(phi_values([q])[0])
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import default_phi_table, euler_phi
+from .arith import euler_phi
 from .errors import DiolabError
 from .fibering import (
     DiscreteSpace,
@@ -36,7 +36,6 @@ from .harness import (
 from .measure import MeasureEstimate
 from .psi import (
     SumCriterion,
-    TablePsi,
     WeightFn,
     adversarial_primorial,
     cond1_scan,
@@ -120,11 +119,6 @@ def cmd_union(args) -> int:
     else:
         checkpoints = (args.Q,)
     psis = fam.values(np.asarray(checkpoints, dtype=np.int64)).tolist()  # the psi each union reads
-    if args.coprime:
-        # one totient table serves every checkpoint; q past a table has psi = 0 and reads no phi
-        top = min(checkpoints[-1], len(fam.entries)) if isinstance(fam, TablePsi) else checkpoints[-1]
-        if top:
-            default_phi_table(top)
     for qc, psi_q in zip(checkpoints, psis):
         est = truncated_union_1d(fam, args.Q0, qc, coprime=bool(args.coprime))
         print(_csv_row(qc, psi_q, est))

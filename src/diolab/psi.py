@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import SCAN_BLOCK, default_phi_table, is_prime, phi_values
+from .arith import PhiTable as default_phi_table  # not called here: bench/tracing.py times table builds by this name
+from .arith import SCAN_BLOCK, SIEVE_CHUNK, is_prime, phi_segment, phi_values
 from .errors import UndefinedRatioError
 
 __all__ = [
@@ -390,15 +391,6 @@ def _checkpoints(grid: Sequence[int]) -> list[int]:
     return grid
 
 
-def _reads_phi_table(f: ApproxFunction) -> bool:
-    """Whether f.values reads the shared phi table: a phi_ratio_below support at any depth."""
-    while f is not None:
-        if isinstance(f, IndicatorSupport) and f.support.kind == "phi_ratio_below":
-            return True
-        f = getattr(f, "base", None)
-    return False
-
-
 def _log_weighted(f: ApproxFunction, e: int, qs: np.ndarray) -> np.ndarray:
     """psi(q) * log(q)**e over one block of q."""
     vals = f.values(qs)
@@ -409,24 +401,26 @@ def _log_weighted(f: ApproxFunction, e: int, qs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _scan(f: ApproxFunction, grid: list[int], uses_phi: bool, streams: int, terms) -> list[np.ndarray]:
+def _scan(grid: list[int], reads_phi: bool, streams: int, terms) -> list[np.ndarray]:
     """Running sums of each term stream at the grid checkpoints, q in blocks of SCAN_BLOCK.
 
-    ``terms(qs)`` gives one block's ``streams`` term arrays.  Each block
-    adds the carried total into its first term and then takes
-    ``np.cumsum``, which adds in the same order as one cumsum over 1..Q: the
-    sums are bit for bit the same.  When the scan reads phi, the shared phi
-    table is sized to Q once, up front, so no block grows it again.
+    ``terms(qs, phis)`` gives one block's ``streams`` term arrays; phis is
+    phi over the block when ``reads_phi``, else None.  Each block adds the
+    carried total into its first term and then takes ``np.cumsum``, which
+    adds in the same order as one cumsum over 1..Q: the sums are bit for
+    bit the same.  phi is sieved by ``phi_segment`` SIEVE_CHUNK entries at a
+    time and sliced into the blocks, so memory is O(isqrt(Q) + SIEVE_CHUNK).
     """
     Q = grid[-1]
-    if uses_phi or _reads_phi_table(f):
-        default_phi_table(Q)
     marks = np.asarray(grid, dtype=np.int64)
     carried, picked = [0.0] * streams, [[] for _ in range(streams)]
     for lo in range(1, Q + 1, SCAN_BLOCK):
         qs = np.arange(lo, min(lo + SCAN_BLOCK, Q + 1), dtype=np.int64)
         at = marks[(marks >= lo) & (marks <= qs[-1])] - lo
-        for j, t in enumerate(terms(qs)):
+        if reads_phi and (lo - 1) % SIEVE_CHUNK == 0:
+            chunk = phi_segment(lo, min(lo + SIEVE_CHUNK, Q + 1))
+        phis = chunk[(lo - 1) % SIEVE_CHUNK :][: qs.size] if reads_phi else None
+        for j, t in enumerate(terms(qs, phis)):
             t = np.array(t, dtype=np.float64)  # our own copy: the carry goes into its first term
             t[0] += carried[j]
             np.cumsum(t, out=t)
@@ -445,17 +439,17 @@ def partial_sum_scan(
 ) -> list[tuple[int, float]]:
     """Partial sums at each grid checkpoint, streamed over q in blocks of SCAN_BLOCK.
 
-    Memory is O(SCAN_BLOCK) beside the shared phi table (8 B per q, built
-    only when the criterion or the family reads phi).
+    Memory is O(SCAN_BLOCK) when nothing reads phi, and O(isqrt(Q) +
+    SIEVE_CHUNK) when the criterion or the family does.
     """
     grid = _checkpoints(grid)
     e, n = criterion.log_exponent, criterion.n
 
-    def terms(qs):
+    def terms(qs, phis):
         out = _log_weighted(f, e, qs)
-        return [out * (phi_values(qs) / qs) ** n if criterion.uses_phi else out]
+        return [out * (phis / qs) ** n if criterion.uses_phi else out]
 
-    (sums,) = _scan(f, grid, criterion.uses_phi, 1, terms)
+    (sums,) = _scan(grid, criterion.uses_phi, 1, terms)
     return [(g, float(s)) for g, s in zip(grid, sums)]
 
 
@@ -476,11 +470,11 @@ def cond1_scan(f: ApproxFunction, n: int, grid: Sequence[int]) -> tuple[list[tup
     """
     grid = _checkpoints(grid)
 
-    def terms(qs):
+    def terms(qs, phis):
         den = _log_weighted(f, n - 1, qs)
-        return [den * (phi_values(qs) / qs) ** n, den]
+        return [den * (phis / qs) ** n, den]
 
-    num, den = _scan(f, grid, True, 2, terms)
+    num, den = _scan(grid, True, 2, terms)
     points = [(g, float(a / b)) for g, a, b in zip(grid, num, den) if b > 0.0]
     if not points:
         raise UndefinedRatioError("log-weighted partial sum is zero on the whole grid")

@@ -94,7 +94,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -412,7 +412,8 @@ class PiecewiseCdf:
     radical of q (the law only sees the squarefree kernel).  Evaluation is
     float by default; ``eval_fraction`` is exact on rational inputs.
 
-    It also holds the n = 2 product law's table: the sorted distinct gap
+    It also holds the n = 2 product law's table, built on the first
+    ``law2_terms`` call: the sorted distinct gap
     products P = g h with the running sums ``below``, ``above`` and
     ``above_log`` of the module docstring, so ``law2_terms`` serves any
     delta with one bisection.  ``below`` and ``above`` are integer ratios,
@@ -421,11 +422,6 @@ class PiecewiseCdf:
     within 7u: 2u from the log, u each from K_P and r**2 as floats, and u
     each from the product, the sum and the division (every term >= 0).
     """
-
-    __slots__ = (
-        "modulus", "gaps", "counts", "phi", "_ccounts", "_cgsum",
-        "_products", "_below", "_above", "_above_log",
-    )
 
     def __init__(self, modulus: int, gaps: np.ndarray, counts: np.ndarray):
         self.modulus = int(modulus)
@@ -439,22 +435,26 @@ class PiecewiseCdf:
             cgsum.append(cgsum[-1] + c * g)
         self._ccounts = ccounts
         self._cgsum = cgsum
+
+    @cached_property
+    def _law2(self) -> tuple[list, list, list, list]:
         weights = Counter()  # K_P
         for g, c in zip(self.gaps, self.counts):
             for h, e in zip(self.gaps, self.counts):
                 weights[g * h] += c * e
-        self._products = sorted(weights)
+        products = sorted(weights)
         r2 = self.modulus**2
-        ks = [weights[P] for P in self._products]
-        self._below = [n / r2 for n in accumulate((P * k for P, k in zip(self._products, ks)), initial=0)]
-        self._above = [(self.phi**2 - k) / r2 for k in accumulate(ks, initial=0)]
-        logs = [k * math.log(P) for P, k in zip(self._products, ks)]
-        self._above_log = [math.fsum(logs[i:]) / r2 for i in range(len(logs) + 1)]
+        ks = [weights[P] for P in products]
+        below = [n / r2 for n in accumulate((P * k for P, k in zip(products, ks)), initial=0)]
+        above = [(self.phi**2 - k) / r2 for k in accumulate(ks, initial=0)]
+        logs = [k * math.log(P) for P, k in zip(products, ks)]
+        return products, below, above, [math.fsum(logs[i:]) / r2 for i in range(len(logs) + 1)]
 
     def law2_terms(self, x: float) -> tuple[float, float, float]:
         """(below, above, above_log) at i = #{P <= x}, for ``_product_law2`` at delta = x/4."""
-        i = bisect_right(self._products, x)
-        return self._below[i], self._above[i], self._above_log[i]
+        products, below, above, above_log = self._law2
+        i = bisect_right(products, x)
+        return below[i], above[i], above_log[i]
 
     @property
     def max_distance(self) -> float:
@@ -484,9 +484,9 @@ class PiecewiseCdf:
         return (2 * t * n_above + s_below) / self.modulus
 
 
-@cache
+@lru_cache(maxsize=1024)
 def _radical_cdf(r: int) -> PiecewiseCdf:
-    """The law of the squarefree r, built once per r."""
+    """The law of the squarefree r, kept for the 1024 radicals read last."""
     return PiecewiseCdf(r, *gap_multiset(r))
 
 

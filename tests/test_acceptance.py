@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diolab.arith import PhiTable, euler_phi
+from diolab.arith import euler_phi
 from diolab.borel_cantelli import EventStats, bc_lower_bound
 from diolab.cli import main as cli_main
 from diolab.fibering import (
@@ -34,6 +34,7 @@ from diolab.regions import (
     uniform_product_cdf,
 )
 from diolab.sampler import ExperimentConfig, estimate_union_measure, sample_points
+from phi_reference import PhiTable as ReferenceTable
 
 
 def report(criterion: str, detail: str, elapsed: float):
@@ -107,7 +108,7 @@ def test_criterion_3_exact_coprime_slice_measures():
     """Interval-union measure equals 2 delta phi(q)/q within 1e-12 for all
     q <= 1e4 and delta in {1e-3, 1e-1}.  Runtime < 20 s."""
     t0 = time.perf_counter()
-    table = PhiTable(10_000)
+    table = ReferenceTable(10_000)  # the verbatim whole-range sieve, independent of phi_segment
     worst = 0.0
     for delta in (1e-3, 1e-1):
         for q in range(1, 10_001):

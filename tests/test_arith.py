@@ -1,17 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diolab
 import diolab.arith
 from diolab.arith import (
+    SIEVE_CHUNK,
     PhiTable,
     coprime_gaps,
     coprime_residues,
-    default_phi_table,
     dist_nearest,
     dist_nearest_coprime,
     euler_phi,
@@ -19,11 +24,15 @@ from diolab.arith import (
     is_prime,
     nearest_coprime_distance,
     padic_abs,
+    phi_segment,
     phi_values,
     prime_factors,
     primes_up_to,
     radical,
 )
+from phi_reference import PhiTable as ReferenceTable
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def brute_phi(q: int) -> int:
@@ -31,15 +40,45 @@ def brute_phi(q: int) -> int:
 
 
 def trial_division_phi(q: int) -> int:
-    # independent of every PhiTable: euler_phi would read the cached one
+    # independent of every sieve: euler_phi factors too, but through phi_values
     v = q
     for p in prime_factors(q):
         v = v // p * (p - 1)
     return v
 
 
-# limits where isqrt(limit) moves, so a prime changes sides of the sieve's cut
-SIEVE_CUTS = sorted({1, 2, 3} | {p * p + d for p in (2, 3, 5, 7, 11, 13, 31, 47) for d in (-1, 0, 1)})
+# limits where isqrt(limit) moves, so a prime changes sides of the sieve's cut: the
+# wheel's last prime (11) and the next, and squares either side of the strided cut 2**14
+SIEVE_CUTS = sorted({1, 2, 3} | {p * p + d for p in (2, 3, 5, 7, 11, 13, 31, 47, 127, 131) for d in (-1, 0, 1)})
+REFERENCE_TOP = 3 * SIEVE_CHUNK + 1000
+_reference = []
+
+
+def reference_phi(qs) -> list[int]:
+    """phi from the verbatim whole-range sieve, built once to REFERENCE_TOP."""
+    if not _reference:
+        _reference.append(ReferenceTable(REFERENCE_TOP).values)
+    return _reference[0][np.asarray(qs, dtype=np.int64)].tolist()
+
+
+def oracle_phi(qs) -> list[int]:
+    """The reference sieve where it reaches, trial division beyond."""
+    return [reference_phi([q])[0] if q <= REFERENCE_TOP else trial_division_phi(q) for q in qs]
+
+
+@st.composite
+def spans(draw):
+    """[lo, hi) from 1, across a chunk or wheel edge, at a square cut, or around 2**31."""
+    kind = draw(st.sampled_from(["from_one", "edge", "cut", "int32_top"]))
+    if kind == "from_one":
+        return 1, draw(st.integers(1, 5_000))
+    if kind == "edge":
+        edge = draw(st.sampled_from([SIEVE_CHUNK * k + 1 for k in (1, 2, 3)] + [2310, 2 * 2310, 1 << 14]))
+        return max(1, edge - draw(st.integers(0, 3_000))), edge + draw(st.integers(0, 3_000))
+    if kind == "cut":
+        hi = draw(st.sampled_from(SIEVE_CUTS[1:]))
+        return max(1, hi - draw(st.integers(1, 400))), hi
+    return 2**31 - draw(st.integers(0, 12)), 2**31 + draw(st.integers(0, 12))
 
 
 def with_examples(values):
@@ -68,17 +107,18 @@ class TestEulerPhi:
             counted = int(np.count_nonzero(np.gcd(np.arange(1, q + 1), q) == 1))
             assert table.values[int(q)] == counted
 
-    def test_table_fallback_consistency(self, monkeypatch):
-        # a shared table covering only q <= 50: the rest is factored, and the table does not grow
+    def test_table_fallback_consistency(self):
+        # no table is shared: building one changes nothing phi_values returns, and every
+        # PhiTable is the segmented kernel's values, unchanged by later calls
         table = PhiTable(50)
-        monkeypatch.setattr(diolab.arith, "_default_table", table)
         for q in [1, 7, 50, 51, 97, 360, 1999]:
             assert euler_phi(q) == brute_phi(q)
         assert euler_phi(97) == 96
         assert euler_phi(360) == 96
         assert phi_values([7, 50, 51, 510510]).tolist() == [6, 20, 32, 92160]
-        assert table.values[50] == 20
-        assert diolab.arith._default_table is table
+        assert table.values[1:].tolist() == reference_phi(range(1, 51))
+        assert PhiTable(20).values.tolist() == table.values[:21].tolist()
+        assert not table.values.flags.writeable
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.integers(1, 3_000), min_size=1, max_size=80), st.none() | st.integers(10**6, 10**9))
@@ -88,20 +128,63 @@ class TestEulerPhi:
     @example([30030, 1], 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 1_000_003)
     def test_phi_values_is_the_sieve(self, small, large):
         qs = small + ([] if large is None else [large])
-        want = PhiTable(max(small)).values[small].tolist() + ([] if large is None else [trial_division_phi(large)])
+        want = reference_phi(small) + ([] if large is None else [trial_division_phi(large)])
+        sieved = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diolab.arith, "_default_table", None)
+            mp.setattr(diolab.arith, "phi_segment", lambda lo, hi: sieved.append((lo, hi)) or phi_segment(lo, hi))
             assert [euler_phi(q) for q in qs] == [int(phi_values([q])[0]) for q in qs] == want
-            assert diolab.arith._default_table is None  # one-element calls build no table, q = 1 included
+            assert sieved == []  # one-element calls factor, q = 1 included
             assert phi_values(np.array(qs)).tolist() == want
-            # the table is built exactly when sieving to max(qs) is the cheaper side of the rule
-            top = max(qs)
-            assert (diolab.arith._default_table is not None) == (len(qs) * math.isqrt(top) > top)
+        # the q are sieved exactly when that is the cheaper side of the rule, from the least q
+        top = max(qs)
+        assert bool(sieved) == (len(qs) * math.isqrt(top) > top)
+        if sieved:
+            assert sieved[0][0] == min(qs) and sieved[-1][1] == top + 1
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(spans())
+    @example((1, 1))
+    @example((1, 2))
+    @example((1, 2**14 + 1))
+    @example((2**31 - 40, 2**31))
+    @example((2**31 - 3, 2**31 + 3))
+    @example((3 * SIEVE_CHUNK - 500, 3 * SIEVE_CHUNK + 1000))
+    # q with two gathered prime powers, where np.multiply.at meets a repeated index
+    @example((16411 * 16417 - 2, 16411 * 16417 + 3))
+    @example((131**2 * 137**2 - 2, 131**2 * 137**2 + 3))
+    @example((16411**2 - 1, 16411**2 + 2))
+    def test_segment_matches_the_reference_sieve(self, span):
+        lo, hi = span
+        got = phi_segment(lo, hi)
+        assert got.dtype == (np.int32 if hi <= 2**31 else np.int64)
+        assert got.tolist() == oracle_phi(range(lo, hi))
+
+    def test_segment_rejects_a_bad_span(self):
+        with pytest.raises(ValueError):
+            phi_segment(0, 5)
+        with pytest.raises(ValueError):
+            phi_segment(6, 5)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(1, REFERENCE_TOP), min_size=1, max_size=3_000),
+        st.lists(st.integers(1, 3_000), max_size=40),
+        st.randoms(use_true_random=False),
+    )
+    @example([SIEVE_CHUNK, SIEVE_CHUNK + 1, 2 * SIEVE_CHUNK + 7] * 700, [1, 1, 2], None)
+    def test_unsorted_values_with_duplicates(self, spread, near, rng):
+        # windows of the sieve start wherever the next uncovered q lies, in any input order
+        qs = spread + near + spread[: len(spread) // 3]
+        if rng is not None:
+            rng.shuffle(qs)
+        got = phi_values(np.array(qs).reshape(-1, 1))
+        assert got.shape == (len(qs), 1) and got.dtype == np.int64
+        assert got.ravel().tolist() == reference_phi(qs)
 
     def test_prime_and_multiplicative(self):
-        table = default_phi_table(2000)
+        table = phi_values(np.arange(1, 2001))
         for p in [2, 3, 5, 7, 11, 101, 997]:
-            assert table.values[p] == p - 1
+            assert table[p - 1] == p - 1
         rng = np.random.default_rng(0)
         for _ in range(200):
             a = int(rng.integers(1, 40))
@@ -116,12 +199,30 @@ class TestEulerPhi:
         table = PhiTable(limit)
         assert table.values[0] == 0
         assert table.values[1:].tolist() == [trial_division_phi(q) for q in range(1, limit + 1)]
+        assert table.values.tolist() == ReferenceTable(limit).values.tolist()
 
     def test_bounds(self):
         table = PhiTable(500)
         vals = table.values[1:]
         assert np.all(vals >= 1)
         assert np.all(vals <= np.arange(1, 501))
+
+
+def test_no_module_holds_phi_state():
+    # phi readers keep no table: after large reads no diolab module holds an array
+    # longer than one sieve chunk, and the wheel is the only cached array
+    phi_values(np.arange(1, 2 * SIEVE_CHUNK))
+    diolab.cond1_scan(diolab.power_log(1, 1, 0), 2, [3 * SIEVE_CHUNK])
+    for module in [m for name, m in sys.modules.items() if name.startswith("diolab")]:
+        for name, value in vars(module).items():
+            assert not (isinstance(value, np.ndarray) and value.size > SIEVE_CHUNK), (module.__name__, name)
+    assert [w.size for w in diolab.arith._wheel()] == [2310, 2310]
+
+
+def test_importing_diolab_builds_no_wheel():
+    # the wheel is built on the first sieve, so a run that reads no phi pays nothing for it
+    code = "import diolab, diolab.arith as a; assert a._wheel.cache_info().currsize == 0"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
 
 
 class TestDistNearest:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import diolab.arith
 import diolab.cli
-from diolab.arith import PhiTable
+from diolab.arith import phi_segment
 from diolab.cli import CSV_HEADER, main
 from diolab.psi import power_log
 
@@ -74,55 +75,27 @@ class TestUnion:
         assert out.strip().splitlines()[1].split(",")[2] == repr(psi)
 
 
-    def test_grid_builds_one_totient_table(self, capsys, monkeypatch):
-        builds = []
-
-        class CountingTable(PhiTable):
-            def __init__(self, limit):
-                builds.append(limit)
-                super().__init__(limit)
-
-        monkeypatch.setattr(diolab.arith, "PhiTable", CountingTable)
-        argv = ("union", "--c", "0.25", "--Q", "2000", "--coprime", "--grid")
-        monkeypatch.setattr(diolab.arith, "_default_table", None)
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert builds == [2000]
-        # a plain union reads no phi, so it builds no table
-        monkeypatch.setattr(diolab.arith, "_default_table", None)
-        builds.clear()
-        assert run_cli(capsys, *(a for a in argv if a != "--coprime"))[0] == 0
-        assert builds == []
-        # without the up-front sizing each checkpoint grows the table in turn, except
-        # Q = 1 and 2, where factoring each q costs less than a sieve
-        monkeypatch.setattr(diolab.arith, "_default_table", None)
-        monkeypatch.setattr(diolab.cli, "default_phi_table", lambda limit: None)
-        builds.clear()
-        assert run_cli(capsys, *argv)[1] == out
-        checkpoints = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
-        assert len(checkpoints) == 12 and builds == checkpoints[2:]
+    def test_coprime_union_holds_no_whole_range_array(self, capsys):
+        # phi is sieved per block of q as the sweep counts it, so a range far past the
+        # budget fails in its first block; a totient table to 2e7 alone is 160 MB
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "union", "--c", "0.25", "--Q", "20000000", "--coprime")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and err.startswith("error: sweep would build more than budget=5000000")
+        assert out == CSV_HEADER + "\n"
+        assert peak < 8 * 2**20
 
     def test_table_family_sizes_phi_to_its_entries(self, capsys, monkeypatch):
-        builds = []
-
-        class CountingTable(PhiTable):
-            def __init__(self, limit):
-                builds.append(limit)
-                super().__init__(limit)
-
-        monkeypatch.setattr(diolab.arith, "PhiTable", CountingTable)
+        sieved = []
+        monkeypatch.setattr(diolab.arith, "phi_segment", lambda lo, hi: sieved.append((lo, hi)) or phi_segment(lo, hi))
         family = json.dumps({"family": "table", "values": [f"1/{4 * q}" for q in range(1, 201)]})
-        argv = ("union", "--family-json", family, "--Q", "20000000", "--coprime")
-        monkeypatch.setattr(diolab.arith, "_default_table", None)
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, "union", "--family-json", family, "--Q", "20000000", "--coprime")
         assert code == 0
         # every q past the table has psi = 0, so no sweep reads phi there
-        assert builds == [200]
-        monkeypatch.setattr(diolab.arith, "_default_table", None)
-        monkeypatch.setattr(diolab.cli, "default_phi_table", lambda limit: None)
-        builds.clear()
-        assert run_cli(capsys, *argv)[1] == out
-        assert builds == [200]
+        assert sieved == [(1, 201)]
 
 
 class TestSums:

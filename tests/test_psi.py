@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import diolab.arith
 import diolab.psi
-from diolab.arith import PhiTable, default_phi_table, dist_nearest, padic_abs, prime_factors
+from diolab.arith import SIEVE_CHUNK, dist_nearest, padic_abs, phi_segment, prime_factors
 from diolab.errors import UndefinedRatioError
+from phi_reference import PhiTable as ReferenceTable
 from diolab.psi import (
     SCAN_BLOCK,
     CONVERGENT,
@@ -184,15 +185,14 @@ class TestEval:
         assert f(q).hex() == want
 
     def test_one_large_q_builds_no_phi_table(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(diolab.arith, "_default_table", None)
-        monkeypatch.setattr(diolab.arith, "PhiTable", lambda limit: built.append(limit))
+        sieved = []
+        monkeypatch.setattr(diolab.arith, "phi_segment", lambda lo, hi: sieved.append((lo, hi)))
         f = indicator_support(power_log(1, 0, 0), "phi_ratio_below", 0.3)
         q = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 1_000_003  # phi(q)/q < 0.19
         assert f(q) == 1.0
         assert f(q + 2) == 0.0
         assert f.values(np.array([q, q + 2, 10**9 + 7])).tolist() == [1.0, 0.0, 0.0]
-        assert built == []
+        assert sieved == []
 
     def test_scalar_rejects_q_below_one(self):
         with pytest.raises(ValueError):
@@ -349,7 +349,7 @@ def whole_range_summand(f, criterion, Q):
     if e > 0:
         out = out * np.log(qs.astype(np.float64)) ** e
     if criterion.uses_phi:
-        out = out * (PhiTable(Q).values[1 : Q + 1] / qs) ** criterion.n
+        out = out * (ReferenceTable(Q).values[1 : Q + 1] / qs) ** criterion.n
     return out
 
 
@@ -379,47 +379,41 @@ class TestStreamedScans:
         assert running == max(r for _, r in expected)
 
     @pytest.mark.parametrize(
-        "scan",
+        "scan, reads_phi",
         [
-            lambda f, Q: cond1_scan(f, 2, [Q]),
-            lambda f, Q: partial_sum_scan(f, SumCriterion("plain", 1), [Q]),
+            (lambda f, Q: cond1_scan(f, 2, [Q]), True),
+            (lambda f, Q: partial_sum_scan(f, SumCriterion("plain", 1), [Q]), False),
         ],
         ids=["cond1", "plain"],
     )
-    def test_one_scan_builds_one_table(self, monkeypatch, scan):
-        builds, calls = [], []
+    def test_one_scan_sieves_each_q_once(self, monkeypatch, scan, reads_phi):
+        scans, blocks = [], []
 
-        class CountingTable(PhiTable):
-            def __init__(self, limit):
-                builds.append(limit)
-                super().__init__(limit)
+        def recorder(calls):
+            return lambda lo, hi: calls.append((lo, hi)) or phi_segment(lo, hi)
 
-        monkeypatch.setattr(diolab.arith, "PhiTable", CountingTable)
-        monkeypatch.setattr(diolab.arith, "_default_table", None)
-        real = diolab.psi.default_phi_table
-
-        def counted(limit=10_000):
-            calls.append(limit)
-            return real(limit)
-
-        # the name benchmark tracing rebinds must be the one the scans call
-        monkeypatch.setattr(diolab.psi, "default_phi_table", counted)
-        Q = 3 * SCAN_BLOCK + 5
+        monkeypatch.setattr(diolab.psi, "phi_segment", recorder(scans))
+        monkeypatch.setattr(diolab.arith, "phi_segment", recorder(blocks))
+        Q = 5 * SCAN_BLOCK + 777  # the last block is long enough that sieving beats factoring
         scan(indicator_support(power_log(1, 1, 0), "phi_ratio_below", 0.5), Q)
-        assert builds == [Q]
-        assert calls[0] == Q
-        builds.clear()
-        scan(power_log(1, 1, 0), Q)  # table already large enough
-        assert builds == []
+        # the scan's own phi comes in chunks that tile 1..Q; the family sieves each block it reads
+        tiles = [(lo, min(lo + SIEVE_CHUNK, Q + 1)) for lo in range(1, Q + 1, SIEVE_CHUNK)]
+        assert scans == (tiles if reads_phi else [])
+        assert blocks == [(lo, min(lo + SCAN_BLOCK, Q + 1)) for lo in range(1, Q + 1, SCAN_BLOCK)]
+        scans.clear()
+        blocks.clear()
+        scan(power_log(1, 1, 0), Q)
+        assert scans == (tiles if reads_phi else []) and blocks == []
 
     def test_plain_sum_of_a_plain_family_builds_no_table(self, monkeypatch):
-        monkeypatch.setattr(diolab.arith, "_default_table", None)
+        sieved = []
+        monkeypatch.setattr(diolab.psi, "phi_segment", lambda lo, hi: sieved.append((lo, hi)))
+        monkeypatch.setattr(diolab.arith, "phi_segment", lambda lo, hi: sieved.append((lo, hi)))
         partial_sum_scan(power_log(1, 1, 0), SumCriterion("log_weighted", 2), [SCAN_BLOCK + 1])
-        assert diolab.arith._default_table is None
+        assert sieved == []
 
     def test_memory_is_a_block_not_the_range(self):
         Q = 1_000_000
-        default_phi_table(Q)
         tracemalloc.start()
         try:
             cond1_scan(power_log(1, 1, 0), 2, [1, Q])
@@ -427,7 +421,7 @@ class TestStreamedScans:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one whole-range float64 array alone would be 7.6 MiB
+        # phi is sieved inside the measured peak; one whole-range int64 or float64 array alone would be 7.6 MiB
         assert peak < 6 * 2**20
 
 

@@ -18,6 +18,7 @@ from diolab.arith import (
     dist_nearest_coprime,
     euler_phi,
     gap_multiset,
+    phi_values,
     prime_factors,
     radical,
 )
@@ -374,6 +375,20 @@ class TestCoprimeDistCdf:
             a, b = coprime_dist_cdf(q), coprime_dist_cdf(r)
             for t in np.linspace(0, 3, 50):
                 assert a(float(t)) == b(float(t))
+
+    def test_law_cache_is_bounded(self):
+        # each coprime 1-D slice at delta >= 1/2 reads its radical's law; over many q the
+        # kept laws stay bounded, and none builds the n = 2 table it does not read
+        diolab.regions._radical_cdf.cache_clear()
+        tracemalloc.start()
+        try:
+            for q in range(1, 4001):
+                region_measure_1d(RegionSpec(q, 1, 0.7, coprime=True))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+        assert diolab.regions._radical_cdf.cache_info().currsize <= 1024
 
     def test_matches_swept_slice_measure(self):
         # P(||q x||' < t) equals the exact interval-union measure of the slice
@@ -775,16 +790,18 @@ class TestTruncatedUnion:
 
     def test_only_coprime_sweeps_read_phi(self, monkeypatch):
         f = power_log(0.25, 1, 0)
-        monkeypatch.setattr(diolab.arith, "_default_table", None)
+        reads = []
+        monkeypatch.setattr(diolab.regions, "phi_values", lambda qs: reads.append(len(qs)) or phi_values(qs))
         truncated_union_1d(f, 1, 500)
         with pytest.raises(ResourceBudgetError):
             truncated_union_1d(f, 1, 500, budget=100)
-        assert diolab.arith._default_table is None
+        assert reads == []
         # a coprime sweep builds phi(q) intervals per slice: the budget counts exactly those
         total = sum(euler_phi(q) for q in range(1, 501))
         truncated_union_1d(f, 1, 500, coprime=True, budget=total)
         with pytest.raises(ResourceBudgetError):
             truncated_union_1d(f, 1, 500, coprime=True, budget=total - 1)
+        assert reads == [500, 500]  # one read per block of q
 
 
 def brute_centers(q: int, delta) -> list[int]:
