@@ -21,12 +21,11 @@ column-wise ``np.maximum``.  A chunk allocates its work arrays once, 64-byte
 aligned, and runs every pass on views of them with ``out=`` ufuncs;
 retired samples are swapped out, not copied away (fresh arrays per pass
 re-faulted their pages, which above ~10,000 samples cost more than the
-arithmetic).  Every (q, sample) pair goes through the same float
-operations whatever its block.  Coprime membership uses the plain
-distances as a filter (``||qx||' >= ||qx||`` coordinatewise), resolves
-rounded numerators with a vectorized gcd, and runs the outward coprime
-search as one vector pass over the entries whose rounded numerator shares
-a factor with q.
+arithmetic).  A pass takes only plain distances, |z - rint(z)| for z = q*x,
+which filter coprime membership (``||qx||' >= ||qx||`` coordinatewise); its
+candidate (q, sample) pairs wait in a window that ``_resolve`` decides in
+one vector call (see ``_scan_chunk``).  Every pair goes through the same
+float operations whatever its block or window.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ GENERATOR_ID = "splitmix64-v1"
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+_PAIR_ROWS = 2**24  # pair_hit_table's rows per block: float32 sums of as many 0/1 entries are exact
 
 
 def mix64(z: int) -> int:
@@ -125,12 +125,11 @@ def membership(
 def _plain_distances(z: np.ndarray, out=None) -> np.ndarray:
     """Distances of each entry of z to the nearest integer, into ``out`` if given.
 
-    z is overwritten: it holds 1 - frac once frac is taken.
+    z - rint(z) is exact for every float, so this is the true distance; z is left as it was.
     """
-    d = np.floor(z, out=out)
+    d = np.rint(z, out=out)
     np.subtract(z, d, out=d)
-    np.minimum(d, np.subtract(1.0, d, out=z), out=d)
-    return d
+    return np.abs(d, out=d)
 
 
 def _aggregate(d: np.ndarray, mode: str, out=None) -> np.ndarray:
@@ -203,9 +202,9 @@ def _member_rows(
     xt holds the points coordinate-major, shape (n, points), and so do the
     (n, len(qs), points) distance arrays, so each ufunc's inner loop runs
     along the points and each coordinate's distances are one contiguous
-    block.  Plain distances of z = q*x filter; the coprime variant
-    recomputes z for the candidate (q, point) pairs only and fixes them up.
-    Results live in ``work``'s buffers, fresh ones when it is not given.
+    block.  Plain distances of z = q*x filter; the coprime variant sends the
+    candidate (q, point) pairs to ``_resolve``.  Results live in ``work``'s
+    buffers, fresh ones when it is not given.
     """
     n, points = xt.shape
     m = qs.size
@@ -220,19 +219,26 @@ def _member_rows(
         _aggregate(d, mode, work.agg[:size].reshape(m, points)), psis[:, None],
         out=work.member[:size].reshape(m, points),
     )
-    if not coprime or not member.any():
-        return member
-    # plain distances only filter; resolve candidates against coprime numerators
-    j, r = np.divmod(np.flatnonzero(member), points)
-    qc = qs[j]
-    zc = qc.astype(np.float64) * xt[:, r]
-    bad = np.gcd(np.rint(zc).astype(np.int64), qc) != 1
+    if coprime and member.any():
+        j, r = np.divmod(np.flatnonzero(member), points)
+        member[j, r] = _resolve(xt[:, r], qs[j], psis[j], mode, compare)
+    return member
+
+
+def _resolve(xc: np.ndarray, qc: np.ndarray, psic: np.ndarray, mode: str, compare) -> np.ndarray:
+    """Coprime membership of plain candidates: point xc[:, i] in the qc[i]-slice at level psic[i].
+
+    z = q*x is recomputed with the pass's float operations; rounded numerators
+    go through a vectorized gcd, and those sharing a factor with q take the
+    outward coprime search.
+    """
+    z = qc.astype(np.float64) * xc
+    d = _plain_distances(z)
+    bad = np.gcd(np.rint(z).astype(np.int64), qc) != 1
     if bad.any():
         c, k = np.nonzero(bad)
-        dc = d[:, j, r]
-        dc[c, k] = _coprime_distances(zc[c, k], qc[k])
-        member[j, r] = compare(_aggregate(dc, mode), psis[j])
-    return member
+        d[c, k] = _coprime_distances(z[c, k], qc[k])
+    return compare(_aggregate(d, mode), psic)
 
 
 # ---------------------------------------------------------------------------
@@ -325,22 +331,19 @@ class ExperimentConfig:
 
 
 def _scan_chunk(
-    seed: int,
-    start: int,
-    stop: int,
-    n: int,
-    qs: np.ndarray,
-    psis: np.ndarray,
-    mode: str,
-    coprime: bool,
+    seed: int, start: int, stop: int, n: int, qs: np.ndarray, psis: np.ndarray, mode: str, coprime: bool,
 ) -> np.ndarray:
     """First hitting q per sample in [start, stop); 0 when never a member.
 
     Each pass tests the ``live`` samples against the next m = max(1, chunk //
-    live) values of q, so one set of work buffers serves every pass; a
-    sample's first hit is its first member q of the block.  The live samples
-    are the first ``live`` columns of x, and the live columns past the new
-    end fill the slots of each pass's hits, so retiring costs O(hits).
+    live) values of q in plain distances, on one set of work buffers, and
+    adds its candidate (q, column) pairs to the window.  The window closes at
+    live // 16 pairs or when q runs out: one ``_resolve`` call decides its
+    coprime pairs, each column's smallest member q is its first hit, and the
+    hit samples retire.  Until then the columns stay put, and each hit sample
+    still live holds a pair, so they are under 1/16 of a pass.  The live
+    samples are the first ``live`` columns of x, and the live columns past
+    the new end fill the slots of the hits, so retiring costs O(hits).
     """
     size = stop - start
     x = _aligned(n * size).reshape(n, size)
@@ -350,20 +353,33 @@ def _scan_chunk(
     positive = psis > 0.0
     qs, psis = qs[positive], psis[positive]
     work = _Work(size, n)
-    live, i = size, 0
+    live, i, w0, count, pending = size, 0, 0, 0, []
     while live and i < qs.size:
         block = slice(i, i + max(1, size // live))
         i = block.stop
-        member = _member_rows(x[:, :live], qs[block], psis[block], mode, coprime, True, work)
-        if not member.any():
+        member = _member_rows(x[:, :live], qs[block], psis[block], mode, False, True, work)
+        pending.append(np.flatnonzero(member) + (block.start - w0) * live)
+        count += pending[-1].size
+        if count < live // 16 and i < qs.size:
             continue
-        # the OR runs along the mask's long sample axis, never along its short q axis
-        hit = np.logical_or.reduce(member, axis=0)
-        cols = np.flatnonzero(hit)
-        first_hit[orig[cols]] = qs[block][member[:, cols].argmax(axis=0)]
-        live -= cols.size
-        holes, movers = cols[cols < live], live + np.flatnonzero(~hit[live:])
-        x[:, holes], orig[holes] = x[:, movers], orig[movers]
+        if count:
+            j, c = np.divmod(np.concatenate(pending), live)
+            j += w0
+            if coprime:
+                true = _resolve(x[:, c], qs[j], psis[j], mode, np.less)
+                j, c = j[true], c[true]
+            order = np.argsort(c, kind="stable")  # each column's pairs stay in q order
+            c, j = c[order], j[order]
+            first = np.ones(c.size, dtype=bool)
+            first[1:] = c[1:] != c[:-1]
+            cols = c[first]
+            first_hit[orig[cols]] = qs[j[first]]
+            hit = np.zeros(live, dtype=bool)
+            hit[cols] = True
+            live -= cols.size
+            holes, movers = cols[cols < live], live + np.flatnonzero(~hit[live:])
+            x[:, holes], orig[holes] = x[:, movers], orig[movers]
+        w0, count, pending = i, 0, []
     return first_hit
 
 
@@ -416,23 +432,27 @@ def pair_hit_table(
 ) -> np.ndarray:
     """hits[i, j] = #{samples in both the qs[i]- and qs[j]-slices}, as int64.
 
-    One membership pass per slice builds the 0/1 matrix M (samples x k) of
-    each chunk, and M.T @ M counts every pair at once: float64 sums of 0/1
-    entries are exact integers below 2**53, and integer chunk sums do not
-    depend on the worker count.
+    One membership pass per slice fills a row of the float32 0/1 matrix M of
+    each block of at most ``_PAIR_ROWS`` samples, and M @ M.T counts every
+    pair at once: float32 sums of 0/1 entries are exact integers up to 2**24,
+    and integer block sums do not depend on the worker count.
     """
     psis = f.values(np.asarray(qs, dtype=np.int64)).tolist()
     if not all(math.isfinite(p) for p in psis):
         raise ValueError("psi must be finite at every q")
+    hits = np.zeros((len(psis),) * 2, dtype=np.int64)
+
+    def counts(a: int, b: int) -> np.ndarray:
+        xt = sample_points(seed, a, b, n).T
+        member = np.empty((len(psis), b - a), dtype=np.float32)
+        for i, (q, psi_q) in enumerate(zip(qs, psis)):
+            member[i] = _member_rows(xt, np.array([q]), np.array([psi_q]), mode, coprime, True)[0]
+        return (member @ member.T).astype(np.int64)
 
     def run(start: int, stop: int) -> np.ndarray:
-        xs = sample_points(seed, start, stop, n)
-        member = np.empty((stop - start, len(psis)))
-        for i, (q, psi_q) in enumerate(zip(qs, psis)):
-            member[:, i] = _member_rows(xs.T, np.array([q]), np.array([psi_q]), mode, coprime, True)[0]
-        return (member.T @ member).astype(np.int64)
+        return sum((counts(a, min(stop, a + _PAIR_ROWS)) for a in range(start, stop, _PAIR_ROWS)), hits)
 
-    return sum(_map_chunks(run, samples, workers), np.zeros((len(psis),) * 2, dtype=np.int64))
+    return sum(_map_chunks(run, samples, workers), hits)
 
 
 def estimate_pairwise_intersection(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from diolab.arith import dist_nearest, dist_nearest_coprime, nearest_coprime_distance
 from diolab.errors import ResourceBudgetError
 from diolab.psi import power_log, table_psi
+from diolab import sampler
 from diolab.regions import RegionSpec, region_measure_1d
 from diolab.sampler import (
     GENERATOR_ID,
@@ -15,6 +16,7 @@ from diolab.sampler import (
     _aggregate,
     _coprime_distances,
     _member_rows,
+    _plain_distances,
     _scan_chunk,
     estimate_pairwise_intersection,
     estimate_union_measure,
@@ -172,15 +174,28 @@ class TestEstimateUnion:
         assert est.seed == 9
 
 
+def scalar_member(x, q, psi_q, mode):
+    """Coprime membership of point x in the q-slice from the scalar distances alone."""
+    agg = float(_aggregate(np.array([[dist_nearest_coprime(q, v)] for v in x]), mode)[0])
+    return agg < psi_q
+
+
 def dense_scan(seed, start, stop, n, qs, psis, mode, coprime):
-    """Oracle for _scan_chunk: a fresh membership pass over the survivors at every q."""
+    """Oracle for _scan_chunk: a fresh membership pass over the survivors at every q.
+
+    The vector plain test only filters; every coprime candidate is decided by
+    the scalar ``dist_nearest_coprime``, so no fix-up is shared with the scan.
+    """
     xs = sample_points(seed, start, stop, n)
     first_hit = np.zeros(stop - start, dtype=np.int64)
     orig = np.arange(stop - start)
     for q, psi_q in zip(qs.tolist(), psis.tolist()):
         if psi_q <= 0.0:
             continue
-        member = _member_rows(xs.T, np.array([q]), np.array([psi_q]), mode, coprime, True)[0]
+        member = _member_rows(xs.T, np.array([q]), np.array([psi_q]), mode, False, True)[0]
+        if coprime:
+            for k in np.flatnonzero(member):
+                member[k] = scalar_member(xs[k].tolist(), q, psi_q, mode)
         if member.any():
             first_hit[orig[member]] = q
             keep = ~member
@@ -244,6 +259,37 @@ class TestScanChunk:
         assert np.count_nonzero(want > q0) > 0
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("q0", [2290, 30010])
+    @pytest.mark.parametrize("n, mode", [(1, "product"), (2, "product"), (2, "max")])
+    def test_a_window_holds_a_plain_only_candidate_then_a_hit(self, n, mode, q0):
+        # qa = q0 + 20 is the primorial 2310 or 30030, where most rounded
+        # numerators share a factor with q.  Sample s is a plain candidate at qa
+        # but no coprime member, and truly hits at qb.  The plain candidates
+        # stay below live // 16 in all, so the one window is still pending
+        # when q runs out, and only the window's resolve tells qa from qb.
+        seed, size, qa, qb = 23 + n, 3000, q0 + 20, q0 + 27
+        xs = sample_points(seed, 0, size, n)
+
+        def aggs(q, dist):
+            return _aggregate(np.array([[dist(q, v) for v in col.tolist()] for col in xs.T]), mode)
+
+        plain_a, true_a = aggs(qa, dist_nearest), aggs(qa, dist_nearest_coprime)
+        plain_b, true_b = aggs(qb, dist_nearest), aggs(qb, dist_nearest_coprime)
+        # plain candidates at qa and qb when psi sits one ulp above s's aggregates
+        load = np.searchsorted(np.sort(plain_a), plain_a, "right") + np.searchsorted(np.sort(plain_b), true_b, "right")
+        plain_only = true_a > np.nextafter(plain_a, 1.0)
+        s = int(np.flatnonzero(plain_only)[np.argmin(load[plain_only])])
+        levels = [1e-5 if k % 3 else 0.0 for k in range(40)]
+        levels[qa - q0], levels[qb - q0] = np.nextafter(plain_a[s], 1.0), np.nextafter(true_b[s], 1.0)
+        f, qs = table_window(q0, levels)
+        psis = f.values(qs)
+        assert np.count_nonzero(_member_rows(xs.T, qs, psis, mode, False, True)) < size // 16
+        args = (seed, 0, size, n, qs, psis, mode, True)
+        got, want = _scan_chunk(*args), dense_scan(*args)
+        assert want[s] == qb and scalar_member(xs[s].tolist(), qb, psis[qb - q0], mode)
+        assert np.count_nonzero(want) > 1
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_divergent_entry_matches_dense_scan(self, workers):
         # mc-battery's divergent entry, shrunk to 3,000 samples
@@ -268,6 +314,36 @@ class TestScanChunk:
         runs = [estimate_union_measure(cfg, workers=w) for w in (1, 2, 3)]
         assert runs[0][-1][1].value > 0.0
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestPlainDistances:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(q=st.integers(1, 10**6), k=st.integers(0, 2**53 - 1))
+    @example(q=1, k=0)
+    @example(q=2, k=2**52)  # q * x = 1
+    @example(q=10**6, k=2**53 - 1)
+    def test_matches_scalar_bits(self, q, k):
+        # samples are exactly k * 2**-53, and the scan takes z = q * x
+        x = k * 2.0**-53
+        z = np.array([q * x])
+        assert bits(_plain_distances(z)) == bits([dist_nearest(q, x)])
+
+    def test_integers_half_integers_and_their_neighbours(self):
+        ks = [0.0, 1.0, 2.0, 3.0, 1000.0, 2.0**30, 2.0**52 - 1, 2.0**52, 2.0**53]
+        halves = [k + 0.5 for k in ks[:-2]]  # k + 0.5 is a float only below 2**52
+        z = np.array(
+            ks + [5e-324, 0.5 - 2.0**-54]
+            + halves + [np.nextafter(h, 0.0) for h in halves] + [np.nextafter(h, np.inf) for h in halves]
+        )
+        before = z.copy()
+        out = np.empty_like(z)
+        assert _plain_distances(z, out) is out
+        assert bits(out).tolist() == bits([dist_nearest(1, v) for v in z.tolist()]).tolist()
+        assert bits(z).tolist() == bits(before).tolist()
 
 
 class TestCoprimeDistances:
@@ -337,6 +413,17 @@ class TestPairHitTable:
         want = pairwise_hits(qs.tolist(), f, n, mode, coprime, samples, seed)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_row_blocks_sum_to_the_table(self, monkeypatch, workers):
+        # float32 counts are exact only per block of _PAIR_ROWS samples; a small
+        # block makes every chunk split, with a short block at its end
+        f, qs = table_window(2290, [0.3, 0.05, 1e-3, 1.0, 0.01] * 3)
+        args = (qs.tolist(), f, 2, "product", True, 401, 9)
+        monkeypatch.setattr(sampler, "_PAIR_ROWS", 37)
+        got = pair_hit_table(*args, workers)
+        assert np.array_equal(got, pairwise_hits(*args))
+        assert got[3, 3] == 401
 
     @pytest.mark.parametrize("mode, n, coprime", [("product", 1, True), ("product", 2, False), ("max", 2, True)])
     def test_off_diagonal_sum_counts_ordered_pairs_per_sample(self, mode, n, coprime):
