@@ -2,9 +2,10 @@
 
 Conventions used throughout the package:
 
-* Euler phi has one kernel, ``phi_segment(lo, hi)``, a segmented sieve that
-  keeps nothing between calls but its wheel.  ``phi_values(qs)`` factors sparse
-  q and sieves the rest by it; ``euler_phi(q)`` is a one-element call, which factors.
+* Euler phi has one kernel, ``phi_segment(lo, hi, step)``, a segmented sieve
+  over an arithmetic progression that keeps nothing between calls but its
+  wheel.  ``phi_values(qs)`` factors sparse q and sieves the rest by it at
+  step 1; ``euler_phi(q)`` is a one-element call, which factors.
 * ``dist_nearest(q, x)`` is the distance from ``q*x`` to the nearest integer,
   always in ``[0, 1/2]``.
 * ``dist_nearest_coprime(q, x)`` restricts the nearest integer to those
@@ -69,41 +70,54 @@ def _wheel() -> tuple[np.ndarray, np.ndarray]:
     return phi, smooth
 
 
-def phi_segment(lo: int, hi: int) -> np.ndarray:
-    """Euler phi for lo <= q < hi (1 <= lo <= hi), from the primes <= isqrt(hi - 1) alone.
+def phi_segment(lo: int, hi: int, step: int) -> np.ndarray:
+    """Euler phi at q = lo, lo + step, ... below hi (1 <= lo <= hi, step >= 1), from the primes <= isqrt(last q) alone.
 
-    phi and ``smooth`` start from the wheel, which holds the first powers
-    of 2..11.  Every other prime power p**k < hi multiplies phi by p - 1
-    (k = 1) or p (k > 1), and smooth by p, at its multiples: one strided
-    pass each up to _STRIDED, one ``np.multiply.at`` (which handles
-    repeated indices) for all above.  The cofactor q // smooth is then 1 or
-    one prime P > isqrt(hi - 1), which contributes P - 1.  Every product
-    divides q, so int32 holds it while hi <= 2**31, and int64 beyond.
-    Memory is O(hi - lo): streamed callers take SIEVE_CHUNK entries at a time.
+    phi and ``smooth`` start from the wheel, read along the progression,
+    which holds the first powers of 2..11.  Every other prime power p**k
+    up to the last q multiplies phi by p - 1 (k = 1) or p (k > 1), and
+    smooth by p, at the entries i it divides: those with step*i = -lo
+    (mod p**k), which are every (p**k / g)-th from one solution when
+    g = gcd(step, p**k) divides lo, and none otherwise.  One strided pass
+    each up to an index stride of _STRIDED, one ``np.multiply.at`` (which
+    handles repeated indices) for all above.  The cofactor q // smooth is
+    then 1 or one prime P > isqrt(last q), which contributes P - 1.  Every
+    product divides q, so int32 holds it while the last q < 2**31, and
+    int64 beyond.  Cost and memory follow the progression's length, not
+    hi - lo: step 210 sieves 1/210 of the range, and streamed callers take
+    SIEVE_CHUNK entries at a time.
     """
-    if not 1 <= lo <= hi:
-        raise ValueError("phi_segment needs 1 <= lo <= hi")
-    dtype = np.int32 if hi <= 2**31 else np.int64
-    n = hi - lo
-    phi, smooth = (np.resize(np.roll(w, -(lo % w.size)), n).astype(dtype, copy=False) for w in _wheel())
+    if not 1 <= lo <= hi or step < 1:
+        raise ValueError("phi_segment needs 1 <= lo <= hi and step >= 1")
+    n = len(range(lo, hi, step))
+    top = lo + step * (n - 1)  # the last q, or lo - step when there is none
+    dtype = np.int32 if top < 2**31 else np.int64
+    if n == 0:
+        return np.empty(0, dtype=dtype)
+    along = (lo % 2310 + step % 2310 * np.arange(2310 // math.gcd(step, 2310))) % 2310
+    phi, smooth = (np.resize(w[along], n).astype(dtype, copy=False) for w in _wheel())
     gathered, factors = [], []
-    for p in primes_up_to(math.isqrt(hi - 1)).tolist():
+    for p in primes_up_to(math.isqrt(top)).tolist():
         pk, f = (p * p, p) if p <= 11 else (p, p - 1)
-        while pk < hi:
-            start = -lo % pk
-            if pk <= _STRIDED:
-                phi[start::pk] *= f
-                smooth[start::pk] *= p
-            elif start < n:
-                gathered.append(np.arange(start, n, pk))
-                factors.append((f, p))
+        while pk <= top:
+            g = math.gcd(step, pk)
+            if lo % g == 0:
+                stride = pk // g
+                # step 1 needs no inverse, and its start costs what it did before progressions
+                start = -lo % pk if step == 1 else -lo // g * pow(step // g, -1, stride) % stride
+                if stride <= _STRIDED:
+                    phi[start::stride] *= f
+                    smooth[start::stride] *= p
+                elif start < n:
+                    gathered.append(np.arange(start, n, stride))
+                    factors.append((f, p))
             pk, f = pk * p, p
     if gathered:
         idx = np.concatenate(gathered)
         per_index = np.repeat(np.array(factors, dtype=dtype), [i.size for i in gathered], axis=0)
         np.multiply.at(phi, idx, per_index[:, 0])
         np.multiply.at(smooth, idx, per_index[:, 1])
-    cofactor = np.arange(lo, hi, dtype=dtype)
+    cofactor = np.arange(lo, lo + step * n, step, dtype=dtype)
     cofactor //= smooth
     cofactor -= 1
     phi *= np.maximum(cofactor, 1, out=cofactor)
@@ -156,8 +170,12 @@ def phi_values(qs) -> np.ndarray:
 
     Factoring costs about isqrt(q) steps per entry and sieving at most
     qs.max(), so each q is factored when qs.size * isqrt(qs.max()) <=
-    qs.max(), as one q always is.  Otherwise the sorted q are sieved by
-    ``phi_segment`` in windows of at most SIEVE_CHUNK, each from the next q.
+    qs.max(), as one q always is.  Otherwise the q are grouped by window
+    (q - 1) // SIEVE_CHUNK, and each window is sieved by ``phi_segment``
+    from its least q to its largest.  Input already grouped, as sorted q
+    are, is read in place; any other order is grouped by a stable sort of
+    the small unsigned window indices, which numpy radix-sorts in linear
+    time, never by sorting the q themselves.
     """
     qs = np.asarray(qs, dtype=np.int64)
     if qs.min(initial=1) < 1:
@@ -165,15 +183,20 @@ def phi_values(qs) -> np.ndarray:
     top = int(qs.max(initial=1))
     if qs.size * math.isqrt(top) <= top:
         return np.array([_factored_phi(q) for q in qs.ravel().tolist()], dtype=np.int64).reshape(qs.shape)
-    order = np.argsort(qs, axis=None, kind="stable")  # timsort: linear on the sorted blocks callers pass
-    ordered = qs.ravel()[order]
+    flat = qs.ravel()
+    window = flat - 1
+    window >>= SIEVE_CHUNK.bit_length() - 1  # // SIEVE_CHUNK, a power of two
+    window = window.astype(np.min_scalar_type((top - 1) // SIEVE_CHUNK))
+    order = None if (window[1:] >= window[:-1]).all() else np.argsort(window, kind="stable")
+    if order is not None:
+        window = window[order]
+    cuts = [0, *(np.flatnonzero(window[1:] != window[:-1]) + 1).tolist(), qs.size]
     phis = np.empty(qs.size, dtype=np.int64)
-    i = 0
-    while i < qs.size:
-        lo = int(ordered[i])
-        j = int(np.searchsorted(ordered, lo + SIEVE_CHUNK))
-        phis[order[i:j]] = phi_segment(lo, int(ordered[j - 1]) + 1)[ordered[i:j] - lo]
-        i = j
+    for i, j in zip(cuts, cuts[1:]):
+        at = slice(i, j) if order is None else order[i:j]
+        sub = flat[at]
+        lo = int(sub.min())
+        phis[at] = phi_segment(lo, int(sub.max()) + 1, 1)[sub - lo]
     return phis.reshape(qs.shape)
 
 

@@ -19,6 +19,7 @@ Family conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -95,7 +96,17 @@ class ApproxFunction:
     ``f(q)`` is ``f.values([q])[0]`` bit for bit, so q must fit in int64.
     A one-element call pays numpy's fixed cost per call, so loops over many
     q should read one ``values`` array.
+
+    The support contract: ``nonzero_support`` is a pair (step, last), with
+    last an int or None for no end.  It promises that ``values`` is exactly
+    +0.0, for every input, at each q >= 1 that is not a multiple of step or
+    lies past last.  A family derives it from its own definition, and
+    declares one only where that holds whatever its parameters; the default
+    (1, None) promises nothing.  The divergence scans visit only the q it
+    leaves, which changes no sum: each skipped term is +0.0.
     """
+
+    nonzero_support: tuple = (1, None)
 
     def __call__(self, q: int) -> float:
         if q < 1:
@@ -165,6 +176,11 @@ class TablePsi(ApproxFunction):
         idx = np.where(qs <= len(self.entries), qs - 1, len(self.entries))
         return self._floats[idx]
 
+    @property
+    def nonzero_support(self) -> tuple:
+        """Every q up to the last entry: past it, q reads the trailing 0.0."""
+        return 1, len(self.entries)
+
     @cached_property
     def is_rational(self) -> bool:
         """Whether every entry is an int or a Fraction: such a table's unions are swept exactly."""
@@ -198,7 +214,7 @@ class SupportPredicate:
         if self.kind in ("multiples_of", "primorial_multiples") and int(self.param) < 1:
             raise ValueError("modulus parameter must be >= 1")
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         if self.kind == "multiples_of":
             return int(self.param)
@@ -213,6 +229,8 @@ class SupportPredicate:
         qs = np.asarray(qs, dtype=np.int64)
         if self.kind == "phi_ratio_below":
             return phi_values(qs) / qs < self.param
+        if self.modulus > np.iinfo(np.int64).max:
+            return np.zeros(qs.shape, dtype=bool)  # no q that fits int64 is a multiple
         return qs % self.modulus == 0
 
     def spec_dict(self) -> dict:
@@ -227,6 +245,14 @@ class IndicatorSupport(ApproxFunction):
     def values(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=np.int64)
         return np.where(self.support.mask(qs), self.base.values(qs), 0.0)
+
+    @property
+    def nonzero_support(self) -> tuple:
+        """The base's, narrowed to the multiples of a modulus: off the mask the value is the literal 0.0."""
+        step, last = self.base.nonzero_support
+        if self.support.kind == "phi_ratio_below":
+            return step, last
+        return math.lcm(step, self.support.modulus), last
 
     def spec_dict(self) -> dict:
         return {
@@ -257,6 +283,11 @@ class ConditionalPsi(ApproxFunction):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = np.where(d > 0.0, b / np.where(d > 0.0, d, 1.0), np.where(b > 0.0, np.inf, 0.0))
         return out
+
+    @property
+    def nonzero_support(self) -> tuple:
+        """The base's: where the base is +0.0, so is 0/d for d > 0, and 0/0 is taken as 0."""
+        return self.base.nonzero_support
 
     def spec_dict(self) -> dict:
         return {
@@ -401,24 +432,32 @@ def _log_weighted(f: ApproxFunction, e: int, qs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _scan(grid: list[int], reads_phi: bool, streams: int, terms) -> list[np.ndarray]:
-    """Running sums of each term stream at the grid checkpoints, q in blocks of SCAN_BLOCK.
+def _scan(grid: list[int], support: tuple, reads_phi: bool, streams: int, terms) -> list[np.ndarray]:
+    """Running sums of each term stream at the grid checkpoints, over the q a family's support leaves.
 
-    ``terms(qs, phis)`` gives one block's ``streams`` term arrays; phis is
-    phi over the block when ``reads_phi``, else None.  Each block adds the
-    carried total into its first term and then takes ``np.cumsum``, which
-    adds in the same order as one cumsum over 1..Q: the sums are bit for
-    bit the same.  phi is sieved by ``phi_segment`` SIEVE_CHUNK entries at a
-    time and sliced into the blocks, so memory is O(isqrt(Q) + SIEVE_CHUNK).
+    With support (step, last), q runs over step, 2*step, ... up to
+    min(Q, last), SCAN_BLOCK of them per block.  ``terms(qs, phis)`` gives
+    one block's ``streams`` term arrays; phis is phi over the block when
+    ``reads_phi``, else None.  Each block adds the carried total into its
+    first term and then takes ``np.cumsum``, which adds in the same order
+    as one cumsum over 1..Q; every q skipped has a +0.0 term, and s + 0.0
+    is s, so the sums are bit for bit the same.  A checkpoint reads the
+    total at the last support q at or before it: 0.0 before the first, the
+    carried total past the last.  phi is sieved by ``phi_segment`` along
+    the progression, SIEVE_CHUNK entries at a time, and sliced into the
+    blocks.  So time follows the support, not the range, at
+    O(min(Q, last) / step), and memory is O(isqrt(Q) + SIEVE_CHUNK).
     """
-    Q = grid[-1]
-    marks = np.asarray(grid, dtype=np.int64)
-    carried, picked = [0.0] * streams, [[] for _ in range(streams)]
-    for lo in range(1, Q + 1, SCAN_BLOCK):
-        qs = np.arange(lo, min(lo + SCAN_BLOCK, Q + 1), dtype=np.int64)
-        at = marks[(marks >= lo) & (marks <= qs[-1])] - lo
+    step, last = support
+    count = (grid[-1] if last is None else min(grid[-1], last)) // step
+    reads = np.array([min(g // step, count) for g in grid], dtype=np.int64)  # support q at or before each checkpoint
+    carried, picked = [0.0] * streams, [[np.zeros(np.count_nonzero(reads == 0))] for _ in range(streams)]
+    for lo in range(1, count + 1, SCAN_BLOCK):
+        hi = min(lo + SCAN_BLOCK, count + 1)
+        qs = np.arange(lo * step, hi * step, step, dtype=np.int64)
+        at = reads[(reads >= lo) & (reads < hi)] - lo
         if reads_phi and (lo - 1) % SIEVE_CHUNK == 0:
-            chunk = phi_segment(lo, min(lo + SIEVE_CHUNK, Q + 1))
+            chunk = phi_segment(lo * step, min(lo + SIEVE_CHUNK, count + 1) * step, step)
         phis = chunk[(lo - 1) % SIEVE_CHUNK :][: qs.size] if reads_phi else None
         for j, t in enumerate(terms(qs, phis)):
             t = np.array(t, dtype=np.float64)  # our own copy: the carry goes into its first term
@@ -439,8 +478,10 @@ def partial_sum_scan(
 ) -> list[tuple[int, float]]:
     """Partial sums at each grid checkpoint, streamed over q in blocks of SCAN_BLOCK.
 
-    Memory is O(SCAN_BLOCK) when nothing reads phi, and O(isqrt(Q) +
-    SIEVE_CHUNK) when the criterion or the family does.
+    Only the q of the family's ``nonzero_support`` are read (see ``_scan``),
+    so cost follows the support, not the range.  Memory is O(SCAN_BLOCK)
+    when nothing reads phi, and O(isqrt(Q) + SIEVE_CHUNK) when the
+    criterion or the family does.
     """
     grid = _checkpoints(grid)
     e, n = criterion.log_exponent, criterion.n
@@ -449,7 +490,7 @@ def partial_sum_scan(
         out = _log_weighted(f, e, qs)
         return [out * (phis / qs) ** n if criterion.uses_phi else out]
 
-    (sums,) = _scan(grid, criterion.uses_phi, 1, terms)
+    (sums,) = _scan(grid, f.nonzero_support, criterion.uses_phi, 1, terms)
     return [(g, float(s)) for g, s in zip(grid, sums)]
 
 
@@ -464,8 +505,9 @@ def cond1_ratio(f: ApproxFunction, n: int, Q: int) -> float:
 def cond1_scan(f: ApproxFunction, n: int, grid: Sequence[int]) -> tuple[list[tuple[int, float]], float]:
     """Ratio at each checkpoint plus the running maximum (limsup proxy).
 
-    Streamed like ``partial_sum_scan``; the log-weighted summand is computed
-    once per block and the numerator is it times (phi(q)/q)**n.
+    Streamed like ``partial_sum_scan``, over the family's support; the
+    log-weighted summand is computed once per block and the numerator is it
+    times (phi(q)/q)**n.
     Checkpoints with a zero denominator are skipped.
     """
     grid = _checkpoints(grid)
@@ -474,7 +516,7 @@ def cond1_scan(f: ApproxFunction, n: int, grid: Sequence[int]) -> tuple[list[tup
         den = _log_weighted(f, n - 1, qs)
         return [den * (phis / qs) ** n, den]
 
-    num, den = _scan(grid, True, 2, terms)
+    num, den = _scan(grid, f.nonzero_support, True, 2, terms)
     points = [(g, float(a / b)) for g, a, b in zip(grid, num, den) if b > 0.0]
     if not points:
         raise UndefinedRatioError("log-weighted partial sum is zero on the whole grid")

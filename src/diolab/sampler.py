@@ -433,9 +433,10 @@ def pair_hit_table(
     """hits[i, j] = #{samples in both the qs[i]- and qs[j]-slices}, as int64.
 
     One membership pass per slice fills a row of the float32 0/1 matrix M of
-    each block of at most ``_PAIR_ROWS`` samples, and M @ M.T counts every
-    pair at once: float32 sums of 0/1 entries are exact integers up to 2**24,
-    and integer block sums do not depend on the worker count.
+    each block of at most ``_PAIR_ROWS`` samples, every pass in the block's
+    one set of work buffers, and M @ M.T counts every pair at once: float32
+    sums of 0/1 entries are exact integers up to 2**24, and integer block
+    sums do not depend on the worker count.
     """
     psis = f.values(np.asarray(qs, dtype=np.int64)).tolist()
     if not all(math.isfinite(p) for p in psis):
@@ -445,8 +446,10 @@ def pair_hit_table(
     def counts(a: int, b: int) -> np.ndarray:
         xt = sample_points(seed, a, b, n).T
         member = np.empty((len(psis), b - a), dtype=np.float32)
+        work = _Work(b - a, n)  # one set of buffers serves every slice of the block
         for i, (q, psi_q) in enumerate(zip(qs, psis)):
-            member[i] = _member_rows(xt, np.array([q]), np.array([psi_q]), mode, coprime, True)[0]
+            member[i] = _member_rows(xt, np.array([q]), np.array([psi_q]), mode, coprime, True, work)[0]
+        del work, xt  # freed before the product, which holds the peak
         return (member @ member.T).astype(np.int64)
 
     def run(start: int, stop: int) -> np.ndarray:

@@ -81,6 +81,30 @@ def spans(draw):
     return 2**31 - draw(st.integers(0, 12)), 2**31 + draw(st.integers(0, 12))
 
 
+@st.composite
+def progressions(draw):
+    """(lo, hi, step) with lo anywhere, on the progression's residue or off it, and steps of four kinds.
+
+    Steps that share wheel primes, steps above isqrt(hi), steps that a
+    prime power p**k divides (with lo a multiple of p or of p**k, so some
+    or all entries meet p**k), and any step over a span straddling 2**31.
+    """
+    kind = draw(st.sampled_from(["wheel", "above_root", "prime_power", "int32_top"]))
+    if kind == "int32_top":
+        step = draw(st.integers(1, 5_000))
+        lo = 2**31 - step * draw(st.integers(0, 12)) - draw(st.integers(0, step))
+        return lo, lo + step * draw(st.integers(1, 24)), step
+    if kind == "wheel":
+        step = draw(st.sampled_from([2, 6, 10, 22, 30, 77, 210, 2310, 4620, 30030]))
+    elif kind == "prime_power":
+        step = draw(st.sampled_from([4, 8, 9, 27, 25, 49, 121, 169, 2**10, 3**7, 4 * 13**2, 131**2]))
+    else:
+        step = draw(st.integers(math.isqrt(REFERENCE_TOP) + 1, 40_000))
+    lo = draw(st.integers(1, REFERENCE_TOP // 169)) * draw(st.sampled_from([1, 2, 3, 13, 169]))
+    hi = lo + step * draw(st.integers(0, 700)) + draw(st.integers(0, step))
+    return lo, min(hi, REFERENCE_TOP), step
+
+
 def with_examples(values):
     def wrap(test):
         for v in values:
@@ -131,7 +155,7 @@ class TestEulerPhi:
         want = reference_phi(small) + ([] if large is None else [trial_division_phi(large)])
         sieved = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diolab.arith, "phi_segment", lambda lo, hi: sieved.append((lo, hi)) or phi_segment(lo, hi))
+            mp.setattr(diolab.arith, "phi_segment", lambda *span: sieved.append(span) or phi_segment(*span))
             assert [euler_phi(q) for q in qs] == [int(phi_values([q])[0]) for q in qs] == want
             assert sieved == []  # one-element calls factor, q = 1 included
             assert phi_values(np.array(qs)).tolist() == want
@@ -155,15 +179,33 @@ class TestEulerPhi:
     @example((16411**2 - 1, 16411**2 + 2))
     def test_segment_matches_the_reference_sieve(self, span):
         lo, hi = span
-        got = phi_segment(lo, hi)
+        got = phi_segment(lo, hi, 1)
         assert got.dtype == (np.int32 if hi <= 2**31 else np.int64)
         assert got.tolist() == oracle_phi(range(lo, hi))
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(progressions())
+    @example((1, 1, 5))
+    @example((7, 8, 10**12))
+    @example((210, 3_000_001, 210))
+    @example((13, 13 + 169 * 4000, 169))
+    @example((169, 169 + 169 * 4000, 169))
+    @example((2**31 - 210 * 5, 2**31 + 210 * 5, 210))
+    @example((2**31 - 1, 2**31 + 10**9, 10**9))
+    def test_progression_matches_the_reference_sieve(self, span):
+        lo, hi, step = span
+        got = phi_segment(lo, hi, step)
+        qs = range(lo, hi, step)
+        assert got.dtype == (np.int32 if not qs or qs[-1] < 2**31 else np.int64)
+        assert got.tolist() == oracle_phi(qs)
+
     def test_segment_rejects_a_bad_span(self):
         with pytest.raises(ValueError):
-            phi_segment(0, 5)
+            phi_segment(0, 5, 1)
         with pytest.raises(ValueError):
-            phi_segment(6, 5)
+            phi_segment(6, 5, 1)
+        with pytest.raises(ValueError):
+            phi_segment(1, 5, 0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

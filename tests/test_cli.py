@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -8,9 +9,10 @@ import pytest
 
 import diolab.arith
 import diolab.cli
+import diolab.psi
 from diolab.arith import phi_segment
 from diolab.cli import CSV_HEADER, main
-from diolab.psi import power_log
+from diolab.psi import TablePsi, power_log
 
 
 def run_cli(capsys, *argv):
@@ -90,12 +92,12 @@ class TestUnion:
 
     def test_table_family_sizes_phi_to_its_entries(self, capsys, monkeypatch):
         sieved = []
-        monkeypatch.setattr(diolab.arith, "phi_segment", lambda lo, hi: sieved.append((lo, hi)) or phi_segment(lo, hi))
+        monkeypatch.setattr(diolab.arith, "phi_segment", lambda *span: sieved.append(span) or phi_segment(*span))
         family = json.dumps({"family": "table", "values": [f"1/{4 * q}" for q in range(1, 201)]})
         code, out, _ = run_cli(capsys, "union", "--family-json", family, "--Q", "20000000", "--coprime")
         assert code == 0
         # every q past the table has psi = 0, so no sweep reads phi there
-        assert sieved == [(1, 201)]
+        assert sieved == [(1, 201, 1)]
 
 
 class TestSums:
@@ -112,6 +114,25 @@ class TestSums:
         code, out, _ = run_cli(capsys, "sums", "--Q", "256", "--cond1")
         assert code == 0
         assert out.splitlines()[0] == "q,ratio,running_max"
+
+    @pytest.mark.parametrize("mode", [["--criterion", "phi_log_weighted", "--n", "2"], ["--cond1"]], ids=["sums", "cond1"])
+    def test_a_table_is_read_to_its_last_entry_at_any_q(self, capsys, monkeypatch, mode):
+        # psi is 0 past the table, so a scan to Q = 1e10 reads psi and phi at q <= 200 alone
+        read = []
+
+        def reading(q):
+            assert q <= 200, f"read q = {q} past the table"  # fails in the first block of a dense scan
+            read.append(q)
+
+        values = TablePsi.values
+        monkeypatch.setattr(TablePsi, "values", lambda f, qs: reading(int(qs.max())) or values(f, qs))
+        monkeypatch.setattr(diolab.psi, "phi_segment", lambda *span: reading(range(*span)[-1]) or phi_segment(*span))
+        family = json.dumps({"family": "table", "values": [f"1/{4 * q}" for q in range(1, 201)]})
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "sums", "--family-json", family, "--Q", "10000000000", *mode)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out.splitlines()[-1].split(",")[0] == "10000000000"
+        assert len(read) == 2 and max(read) == 200
 
 
 class TestFiberCheck:

@@ -186,7 +186,7 @@ class TestEval:
 
     def test_one_large_q_builds_no_phi_table(self, monkeypatch):
         sieved = []
-        monkeypatch.setattr(diolab.arith, "phi_segment", lambda lo, hi: sieved.append((lo, hi)))
+        monkeypatch.setattr(diolab.arith, "phi_segment", lambda *span: sieved.append(span))
         f = indicator_support(power_log(1, 0, 0), "phi_ratio_below", 0.3)
         q = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 1_000_003  # phi(q)/q < 0.19
         assert f(q) == 1.0
@@ -390,16 +390,16 @@ class TestStreamedScans:
         scans, blocks = [], []
 
         def recorder(calls):
-            return lambda lo, hi: calls.append((lo, hi)) or phi_segment(lo, hi)
+            return lambda *span: calls.append(span) or phi_segment(*span)
 
         monkeypatch.setattr(diolab.psi, "phi_segment", recorder(scans))
         monkeypatch.setattr(diolab.arith, "phi_segment", recorder(blocks))
         Q = 5 * SCAN_BLOCK + 777  # the last block is long enough that sieving beats factoring
         scan(indicator_support(power_log(1, 1, 0), "phi_ratio_below", 0.5), Q)
         # the scan's own phi comes in chunks that tile 1..Q; the family sieves each block it reads
-        tiles = [(lo, min(lo + SIEVE_CHUNK, Q + 1)) for lo in range(1, Q + 1, SIEVE_CHUNK)]
+        tiles = [(lo, min(lo + SIEVE_CHUNK, Q + 1), 1) for lo in range(1, Q + 1, SIEVE_CHUNK)]
         assert scans == (tiles if reads_phi else [])
-        assert blocks == [(lo, min(lo + SCAN_BLOCK, Q + 1)) for lo in range(1, Q + 1, SCAN_BLOCK)]
+        assert blocks == [(lo, min(lo + SCAN_BLOCK, Q + 1), 1) for lo in range(1, Q + 1, SCAN_BLOCK)]
         scans.clear()
         blocks.clear()
         scan(power_log(1, 1, 0), Q)
@@ -407,8 +407,8 @@ class TestStreamedScans:
 
     def test_plain_sum_of_a_plain_family_builds_no_table(self, monkeypatch):
         sieved = []
-        monkeypatch.setattr(diolab.psi, "phi_segment", lambda lo, hi: sieved.append((lo, hi)))
-        monkeypatch.setattr(diolab.arith, "phi_segment", lambda lo, hi: sieved.append((lo, hi)))
+        monkeypatch.setattr(diolab.psi, "phi_segment", lambda *span: sieved.append(span))
+        monkeypatch.setattr(diolab.arith, "phi_segment", lambda *span: sieved.append(span))
         partial_sum_scan(power_log(1, 1, 0), SumCriterion("log_weighted", 2), [SCAN_BLOCK + 1])
         assert sieved == []
 
@@ -423,6 +423,152 @@ class TestStreamedScans:
             tracemalloc.stop()
         # phi is sieved inside the measured peak; one whole-range int64 or float64 array alone would be 7.6 MiB
         assert peak < 6 * 2**20
+
+
+def _finite_entry():
+    return st.one_of(unit_floats, st.fractions(0, 2, max_denominator=1000), st.integers(0, 3))
+
+
+@st.composite
+def tail_tables(draw):
+    """A table that ends in zeros, and now and then holds one inf entry."""
+    entries = draw(st.lists(_finite_entry(), max_size=30)) + [0] * draw(st.integers(0, 6))
+    if entries and draw(st.integers(0, 5)) == 0:
+        entries[draw(st.integers(0, len(entries) - 1))] = math.inf
+    return table_psi(entries)
+
+
+moduli = st.one_of(
+    st.tuples(st.just("multiples_of"), st.integers(1, 40)),
+    st.tuples(st.just("primorial_multiples"), st.integers(1, 4)),
+)
+support_leaves = st.one_of(
+    tail_tables(),
+    st.builds(power_log, st.floats(0.0, 4.0), st.floats(-1.0, 3.0), st.floats(-3.0, 5.0)),
+    # c = 0: 0 * q**400 is NaN from q = 6 on, so this family may not promise zeros
+    st.builds(power_log, st.just(0.0), st.sampled_from([-400.0, 1.0]), st.just(0.0)),
+)
+
+irrational_anchors = st.sampled_from([math.sqrt(2) - 1, (math.sqrt(5) - 1) / 2])  # ||q x|| > 0 at every q here
+
+
+def support_wrapped(base):
+    return st.one_of(
+        st.builds(lambda f, s: indicator_support(f, *s), base, moduli),
+        st.builds(indicator_support, base, st.just("phi_ratio_below"), unit_floats),
+        st.builds(conditional_psi, base, st.lists(irrational_anchors | unit_floats, min_size=1, max_size=2)),
+        # a weight 2**(-v * 200) underflows to 0 at v >= 6, where a zero base gives 0/0
+        st.builds(
+            lambda f, e: padic_weighted_psi(f, [2], [("power", e)]), base, st.sampled_from([0.5, -1.0, 200.0])
+        ),
+    )
+
+
+support_families = st.recursive(support_leaves, support_wrapped, max_leaves=3)
+
+
+@st.composite
+def support_grids(draw, f):
+    """Checkpoints anywhere up to 3000, and at the support's edges: before its first q, on one, past a table's end."""
+    step, last = f.nonzero_support
+    edges = [step - 1, step, 2 * step, 3 * step + 1] + ([] if last is None else [last, last + 1, last + 50])
+    picked = draw(st.lists(st.sampled_from(edges), max_size=3))
+    return [g for g in picked if 1 <= g <= 4000] + draw(st.lists(st.integers(1, 3000), min_size=1, max_size=4))
+
+
+def dense_partial_sums(f, criterion, grid):
+    """The unstreamed formula: every q of 1..Q, read at once, and one cumsum."""
+    Q = max(grid)
+    if not np.all(np.isfinite(f.values(np.arange(1, Q + 1)))):
+        raise ValueError("psi is not finite")
+    whole = np.cumsum(whole_range_summand(f, criterion, Q))
+    return [(g, float(whole[g - 1])) for g in sorted(set(grid))]
+
+
+def dense_cond1(f, n, grid):
+    num = dense_partial_sums(f, SumCriterion("phi_log_weighted", n), grid)
+    den = dense_partial_sums(f, SumCriterion("log_weighted", n), grid)
+    points = [(g, a / b) for (g, a), (_, b) in zip(num, den) if b > 0.0]
+    if not points:
+        raise UndefinedRatioError("zero denominator")
+    return points, max(r for _, r in points)
+
+
+def outcome(fn, *args):
+    """The value as exact float bits, or the type of the exception raised."""
+    try:
+        out = fn(*args)
+    except (ValueError, UndefinedRatioError) as exc:
+        return type(exc)
+    points, best = out if isinstance(out, tuple) else (out, None)
+    return [(g, float(s).hex()) for g, s in points], None if best is None else best.hex()
+
+
+class TestSupport:
+    """Scans that visit only a family's ``nonzero_support`` against the dense scan of every q.
+
+    Float warnings are silenced on both sides, so a non-finite psi reports
+    through the scans' own ValueError on both.  The contract is about values:
+    a warning that only an evaluation off the support would raise is one the
+    sparse scan rightly never meets.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(families, st.integers(1, 3000))
+    @example(table_psi([1, 0, 2]), 5)
+    @example(indicator_support(indicator_support(power_log(1, 1, 0), "multiples_of", 4), "multiples_of", 6), 40)
+    @example(power_log(0, -400, 0), 10)
+    @example(padic_weighted_psi(indicator_support(power_log(1, 1, 0), "multiples_of", 3), [2], [("power", 200.0)]), 100)
+    def test_values_are_plus_zero_off_the_support(self, f, Q):
+        step, last = f.nonzero_support
+        qs = np.arange(1, Q + 1)
+        off = (qs % step != 0) | (qs > (Q if last is None else last))
+        with np.errstate(all="ignore"):
+            vals = f.values(qs[off])
+        assert np.all(vals == 0.0) and not np.any(np.signbit(vals))
+
+    @pytest.mark.parametrize("blocks", [None, (4, 12)], ids=["real_blocks", "blocks_of_4"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        support_families.flatmap(lambda f: st.tuples(st.just(f), support_grids(f))),
+        st.sampled_from(["plain", "log_weighted", "phi_log_weighted", "phi_plain"]),
+        st.integers(1, 3),
+    )
+    @example((table_psi([0, 0, Fraction(1, 3), 1, 0, 0]), [1, 2, 3, 4, 6, 7, 500]), "phi_plain", 2)
+    @example((indicator_support(table_psi([1.0] * 40), "primorial_multiples", 2), [5, 6, 36, 40, 41, 90]), "plain", 1)
+    @example((indicator_support(power_log(0, -400, 0), "multiples_of", 40), [20, 39]), "plain", 1)
+    @example((conditional_psi(indicator_support(power_log(1, 1, 0), "multiples_of", 7), [0.5]), [6, 13, 14]), "plain", 1)
+    @example(
+        (padic_weighted_psi(indicator_support(power_log(1, 1, 0), "multiples_of", 3), [2], [("power", 200.0)]), [100]),
+        "plain",
+        1,
+    )
+    def test_scans_match_the_dense_scan(self, blocks, family_grid, kind, n):
+        f, grid = family_grid
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            if blocks:
+                mp.setattr(diolab.psi, "SCAN_BLOCK", blocks[0])
+                mp.setattr(diolab.psi, "SIEVE_CHUNK", blocks[1])
+            criterion = SumCriterion(kind, n)
+            assert outcome(partial_sum_scan, f, criterion, grid) == outcome(dense_partial_sums, f, criterion, grid)
+            assert outcome(cond1_scan, f, n, grid) == outcome(dense_cond1, f, n, grid)
+
+    def test_a_modulus_past_int64_has_no_multiple(self):
+        f = adversarial_primorial(16)  # the 16th primorial is about 3.3e19
+        assert f.nonzero_support == (f.support.modulus, None) and f.support.modulus > 2**63
+        assert not np.any(f.values(np.array([1, 2**62, 2**63 - 1])))
+        assert partial_sum_scan(f, SumCriterion("phi_plain", 2), [1, 10**12]) == [(1, 0.0), (10**12, 0.0)]
+
+    def test_a_sparse_scan_reads_only_the_support(self, monkeypatch):
+        read, sieved = [], []
+        values = IndicatorSupport.values
+        monkeypatch.setattr(IndicatorSupport, "values", lambda f, qs: read.append(qs.copy()) or values(f, qs))
+        monkeypatch.setattr(diolab.psi, "phi_segment", lambda *span: sieved.append(span) or phi_segment(*span))
+        Q = 3 * SCAN_BLOCK * 210 + 5000  # four blocks, the last one short
+        cond1_scan(adversarial_primorial(4), 2, [1, 209, 210, Q])
+        qs = np.concatenate(read)
+        assert np.array_equal(qs, np.arange(210, Q + 1, 210))
+        assert sieved == [(210, (Q // 210 + 1) * 210, 210)]
 
 
 class TestClassify:
