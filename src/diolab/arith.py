@@ -2,10 +2,10 @@
 
 Conventions used throughout the package:
 
-* Euler phi has one kernel, ``phi_segment(lo, hi, step)``, a segmented sieve
-  over an arithmetic progression that keeps nothing between calls but its
-  wheel.  ``phi_values(qs)`` factors sparse q and sieves the rest by it at
-  step 1; ``euler_phi(q)`` is a one-element call, which factors.
+* Euler phi has one kernel, ``phi_segment(lo, hi, step)``: phi(step*j) over
+  an interval of j, sieved and lifted by multiplicativity, keeping nothing
+  between calls but its wheel.  ``phi_values(qs)`` factors sparse q and
+  sieves the rest by it; ``euler_phi(q)`` is a one-element call, which factors.
 * ``dist_nearest(q, x)`` is the distance from ``q*x`` to the nearest integer,
   always in ``[0, 1/2]``.
 * ``dist_nearest_coprime(q, x)`` restricts the nearest integer to those
@@ -71,56 +71,52 @@ def _wheel() -> tuple[np.ndarray, np.ndarray]:
 
 
 def phi_segment(lo: int, hi: int, step: int) -> np.ndarray:
-    """Euler phi at q = lo, lo + step, ... below hi (1 <= lo <= hi, step >= 1), from the primes <= isqrt(last q) alone.
+    """Euler phi of q = step*j for lo <= j < hi (1 <= lo <= hi, step >= 1); ValueError if a q passes int64.
 
-    phi and ``smooth`` start from the wheel, read along the progression,
-    which holds the first powers of 2..11.  Every other prime power p**k
-    up to the last q multiplies phi by p - 1 (k = 1) or p (k > 1), and
-    smooth by p, at the entries i it divides: those with step*i = -lo
-    (mod p**k), which are every (p**k / g)-th from one solution when
-    g = gcd(step, p**k) divides lo, and none otherwise.  One strided pass
-    each up to an index stride of _STRIDED, one ``np.multiply.at`` (which
-    handles repeated indices) for all above.  The cofactor q // smooth is
-    then 1 or one prime P > isqrt(last q), which contributes P - 1.  Every
-    product divides q, so int32 holds it while the last q < 2**31, and
-    int64 beyond.  Cost and memory follow the progression's length, not
-    hi - lo: step 210 sieves 1/210 of the range, and streamed callers take
-    SIEVE_CHUNK entries at a time.
+    phi(j) is sieved from the primes <= isqrt(hi - 1) alone: the wheel holds
+    the first powers of 2..11, every other prime power p**k < hi multiplies
+    phi by p - 1 (k = 1) or p (k > 1) and ``smooth`` by p at its multiples
+    (strided up to _STRIDED, one ``np.multiply.at`` above), and the cofactor
+    j // smooth is 1 or one prime P > isqrt(hi - 1), giving P - 1.  A step
+    > 1 is lifted by phi(step*j) = phi(j) * step * prod (p - 1)/p over the
+    primes p of step not dividing j.  Every product divides step*j: int32
+    below 2**31, int64 beyond.  Cost is O(hi - lo + isqrt(hi)) at any step.
     """
     if not 1 <= lo <= hi or step < 1:
         raise ValueError("phi_segment needs 1 <= lo <= hi and step >= 1")
-    n = len(range(lo, hi, step))
-    top = lo + step * (n - 1)  # the last q, or lo - step when there is none
+    top = step * max(hi - 1, 1)  # the last q, or step itself for the empty span at 1
+    if top > np.iinfo(np.int64).max:
+        raise ValueError(f"phi_segment would read q = {top}, past int64")
     dtype = np.int32 if top < 2**31 else np.int64
-    if n == 0:
-        return np.empty(0, dtype=dtype)
-    along = (lo % 2310 + step % 2310 * np.arange(2310 // math.gcd(step, 2310))) % 2310
-    phi, smooth = (np.resize(w[along], n).astype(dtype, copy=False) for w in _wheel())
+    n = hi - lo
+    phi, smooth = (np.resize(np.roll(w, -(lo % w.size)), n).astype(dtype, copy=False) for w in _wheel())
     gathered, factors = [], []
-    for p in primes_up_to(math.isqrt(top)).tolist():
+    for p in primes_up_to(math.isqrt(hi - 1)).tolist():
         pk, f = (p * p, p) if p <= 11 else (p, p - 1)
-        while pk <= top:
-            g = math.gcd(step, pk)
-            if lo % g == 0:
-                stride = pk // g
-                # step 1 needs no inverse, and its start costs what it did before progressions
-                start = -lo % pk if step == 1 else -lo // g * pow(step // g, -1, stride) % stride
-                if stride <= _STRIDED:
-                    phi[start::stride] *= f
-                    smooth[start::stride] *= p
-                elif start < n:
-                    gathered.append(np.arange(start, n, stride))
-                    factors.append((f, p))
+        while pk < hi:
+            start = -lo % pk
+            if pk <= _STRIDED:
+                phi[start::pk] *= f
+                smooth[start::pk] *= p
+            elif start < n:
+                gathered.append(np.arange(start, n, pk))
+                factors.append((f, p))
             pk, f = pk * p, p
     if gathered:
         idx = np.concatenate(gathered)
         per_index = np.repeat(np.array(factors, dtype=dtype), [i.size for i in gathered], axis=0)
         np.multiply.at(phi, idx, per_index[:, 0])
         np.multiply.at(smooth, idx, per_index[:, 1])
-    cofactor = np.arange(lo, lo + step * n, step, dtype=dtype)
+    cofactor = np.arange(lo, hi, dtype=dtype)
     cofactor //= smooth
     cofactor -= 1
     phi *= np.maximum(cofactor, 1, out=cofactor)
+    if step > 1:
+        phi *= step
+        for p in prime_factors(step):
+            multiples = phi[-lo % p :: p].copy()  # p | j: phi(j) already holds p's share of phi(step*j)
+            phi -= phi // p
+            phi[-lo % p :: p] = multiples
     return phi
 
 
@@ -168,23 +164,24 @@ def radical(q: int) -> int:
 def phi_values(qs) -> np.ndarray:
     """Euler phi over an int array of q >= 1 (each fitting int64), exact either way it is taken.
 
-    Factoring costs about isqrt(q) steps per entry and sieving at most
-    qs.max(), so each q is factored when qs.size * isqrt(qs.max()) <=
-    qs.max(), as one q always is.  Otherwise the q are grouped by window
-    (q - 1) // SIEVE_CHUNK, and each window is sieved by ``phi_segment``
-    from its least q to its largest.  Input already grouped, as sorted q
-    are, is read in place; any other order is grouped by a stable sort of
-    the small unsigned window indices, which numpy radix-sorts in linear
-    time, never by sorting the q themselves.
+    The q are read as g*j, with g their gcd when the first 64 share one
+    and 1 otherwise.  Factoring costs about isqrt(q) steps per entry and
+    sieving at most j.max(), so each q is factored when qs.size *
+    isqrt(j.max()) <= j.max(), as one q always is.  Otherwise each window
+    (j - 1) // SIEVE_CHUNK holding a j is sieved by ``phi_segment`` at step
+    g, from its least j to its largest; input not already grouped, as
+    sorted q are, is grouped by a stable radix sort of the window indices.
     """
     qs = np.asarray(qs, dtype=np.int64)
     if qs.min(initial=1) < 1:
         raise ValueError("Euler phi requires q >= 1")
-    top = int(qs.max(initial=1))
-    if qs.size * math.isqrt(top) <= top:
-        return np.array([_factored_phi(q) for q in qs.ravel().tolist()], dtype=np.int64).reshape(qs.shape)
     flat = qs.ravel()
-    window = flat - 1
+    g = int(np.gcd.reduce(flat)) if math.gcd(*flat[:64].tolist()) > 1 else 1
+    js = flat // g if g > 1 else flat
+    top = int(js.max(initial=1))
+    if js.size * math.isqrt(top) <= top:
+        return np.array([_factored_phi(q) for q in flat.tolist()], dtype=np.int64).reshape(qs.shape)
+    window = js - 1
     window >>= SIEVE_CHUNK.bit_length() - 1  # // SIEVE_CHUNK, a power of two
     window = window.astype(np.min_scalar_type((top - 1) // SIEVE_CHUNK))
     order = None if (window[1:] >= window[:-1]).all() else np.argsort(window, kind="stable")
@@ -194,9 +191,9 @@ def phi_values(qs) -> np.ndarray:
     phis = np.empty(qs.size, dtype=np.int64)
     for i, j in zip(cuts, cuts[1:]):
         at = slice(i, j) if order is None else order[i:j]
-        sub = flat[at]
+        sub = js[at]
         lo = int(sub.min())
-        phis[at] = phi_segment(lo, int(sub.max()) + 1, 1)[sub - lo]
+        phis[at] = phi_segment(lo, int(sub.max()) + 1, g)[sub - lo]
     return phis.reshape(qs.shape)
 
 

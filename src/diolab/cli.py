@@ -137,9 +137,9 @@ def cmd_sums(args) -> int:
             best = max(best, ratio)
             print(f"{qc},{fmt(ratio)},{fmt(best)}")
         return 0
-    criterion = SumCriterion(args.criterion, args.n)
+    sums = partial_sum_scan(fam, SumCriterion(args.criterion, args.n), grid)
     print("q,partial_sum")
-    for qc, s in partial_sum_scan(fam, criterion, grid):
+    for qc, s in sums:
         print(f"{qc},{fmt(s)}")
     return 0
 

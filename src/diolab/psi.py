@@ -443,13 +443,15 @@ def _scan(grid: list[int], support: tuple, reads_phi: bool, streams: int, terms)
     as one cumsum over 1..Q; every q skipped has a +0.0 term, and s + 0.0
     is s, so the sums are bit for bit the same.  A checkpoint reads the
     total at the last support q at or before it: 0.0 before the first, the
-    carried total past the last.  phi is sieved by ``phi_segment`` along
-    the progression, SIEVE_CHUNK entries at a time, and sliced into the
-    blocks.  So time follows the support, not the range, at
-    O(min(Q, last) / step), and memory is O(isqrt(Q) + SIEVE_CHUNK).
+    carried total past the last.  phi(step*j) comes from ``phi_segment``
+    SIEVE_CHUNK indices j at a time, sliced into the blocks.  So time
+    follows the support, not the range, at O(min(Q, last) / step), memory
+    is O(isqrt(count) + SIEVE_CHUNK), and a last q past int64 raises.
     """
     step, last = support
     count = (grid[-1] if last is None else min(grid[-1], last)) // step
+    if step * count > np.iinfo(np.int64).max:
+        raise ValueError(f"the scan would read q = {step * count}, past int64")
     reads = np.array([min(g // step, count) for g in grid], dtype=np.int64)  # support q at or before each checkpoint
     carried, picked = [0.0] * streams, [[np.zeros(np.count_nonzero(reads == 0))] for _ in range(streams)]
     for lo in range(1, count + 1, SCAN_BLOCK):
@@ -457,7 +459,7 @@ def _scan(grid: list[int], support: tuple, reads_phi: bool, streams: int, terms)
         qs = np.arange(lo * step, hi * step, step, dtype=np.int64)
         at = reads[(reads >= lo) & (reads < hi)] - lo
         if reads_phi and (lo - 1) % SIEVE_CHUNK == 0:
-            chunk = phi_segment(lo * step, min(lo + SIEVE_CHUNK, count + 1) * step, step)
+            chunk = phi_segment(lo, min(lo + SIEVE_CHUNK, count + 1), step)
         phis = chunk[(lo - 1) % SIEVE_CHUNK :][: qs.size] if reads_phi else None
         for j, t in enumerate(terms(qs, phis)):
             t = np.array(t, dtype=np.float64)  # our own copy: the carry goes into its first term
@@ -480,7 +482,7 @@ def partial_sum_scan(
 
     Only the q of the family's ``nonzero_support`` are read (see ``_scan``),
     so cost follows the support, not the range.  Memory is O(SCAN_BLOCK)
-    when nothing reads phi, and O(isqrt(Q) + SIEVE_CHUNK) when the
+    when nothing reads phi, and O(isqrt(Q / step) + SIEVE_CHUNK) when the
     criterion or the family does.
     """
     grid = _checkpoints(grid)

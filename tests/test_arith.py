@@ -81,28 +81,31 @@ def spans(draw):
     return 2**31 - draw(st.integers(0, 12)), 2**31 + draw(st.integers(0, 12))
 
 
-@st.composite
-def progressions(draw):
-    """(lo, hi, step) with lo anywhere, on the progression's residue or off it, and steps of four kinds.
+# steps of every kind the lift meets: none, prime powers, primorials, a prime past isqrt of every j
+MULTIPLE_STEPS = [1, 169, 2**12, 2**12 * 5**12, 210, 30030, 10**9 + 7]
 
-    Steps that share wheel primes, steps above isqrt(hi), steps that a
-    prime power p**k divides (with lo a multiple of p or of p**k, so some
-    or all entries meet p**k), and any step over a span straddling 2**31.
+
+@st.composite
+def multiples(draw):
+    """(lo, hi, step) for phi(step*j) over lo <= j < hi: any j, j sharing a prime with step, or step*j around 2**31.
+
+    The large prime step takes short spans of small j, which never share
+    it: trial division of step*j runs to about sqrt(step) per entry, and
+    to the step itself for a j that shares it.
     """
-    kind = draw(st.sampled_from(["wheel", "above_root", "prime_power", "int32_top"]))
+    kind = draw(st.sampled_from(["any", "shared", "int32_top"]))
     if kind == "int32_top":
-        step = draw(st.integers(1, 5_000))
-        lo = 2**31 - step * draw(st.integers(0, 12)) - draw(st.integers(0, step))
-        return lo, lo + step * draw(st.integers(1, 24)), step
-    if kind == "wheel":
-        step = draw(st.sampled_from([2, 6, 10, 22, 30, 77, 210, 2310, 4620, 30030]))
-    elif kind == "prime_power":
-        step = draw(st.sampled_from([4, 8, 9, 27, 25, 49, 121, 169, 2**10, 3**7, 4 * 13**2, 131**2]))
-    else:
-        step = draw(st.integers(math.isqrt(REFERENCE_TOP) + 1, 40_000))
-    lo = draw(st.integers(1, REFERENCE_TOP // 169)) * draw(st.sampled_from([1, 2, 3, 13, 169]))
-    hi = lo + step * draw(st.integers(0, 700)) + draw(st.integers(0, step))
-    return lo, min(hi, REFERENCE_TOP), step
+        step = draw(st.sampled_from([1, 169, 2**12, 210, 30030]))
+        lo = max(1, (2**31 - 1) // step - draw(st.integers(0, 12)))
+        return lo, lo + draw(st.integers(0, 24)), step
+    step = draw(st.sampled_from(MULTIPLE_STEPS))
+    if step == 10**9 + 7:
+        lo = draw(st.integers(1, 500))
+        return lo, lo + draw(st.integers(0, 12)), step
+    lo = draw(st.integers(1, 5_000))
+    if kind == "shared":
+        lo *= draw(st.sampled_from(prime_factors(step) or [1]))
+    return lo, lo + draw(st.integers(0, 700)), step
 
 
 def with_examples(values):
@@ -159,11 +162,38 @@ class TestEulerPhi:
             assert [euler_phi(q) for q in qs] == [int(phi_values([q])[0]) for q in qs] == want
             assert sieved == []  # one-element calls factor, q = 1 included
             assert phi_values(np.array(qs)).tolist() == want
-        # the q are sieved exactly when that is the cheaper side of the rule, from the least q
-        top = max(qs)
+        # the q = g*j are sieved exactly when that is the cheaper side of the rule for the j,
+        # from the least j at step g
+        g = math.gcd(*qs)
+        top = max(qs) // g
         assert bool(sieved) == (len(qs) * math.isqrt(top) > top)
         if sieved:
-            assert sieved[0][0] == min(qs) and sieved[-1][1] == top + 1
+            assert sieved[0][0] == min(qs) // g and sieved[-1][1] == top + 1
+            assert {span[2] for span in sieved} == {g}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([1, 2, 6, 7, 97, 169, 210, 1024, 30030]),
+        st.lists(st.integers(1, 3_000), min_size=2, max_size=500),
+        st.lists(st.integers(1, 3_000), max_size=2),
+        st.randoms(use_true_random=False),
+    )
+    @example(6, list(range(1, 65)), [], None)
+    @example(6, list(range(1, 65)), [7], None)  # the first 64 q share 6, the whole input only 1
+    @example(30030, [SIEVE_CHUNK - 1, SIEVE_CHUNK, 2 * SIEVE_CHUNK + 3] * 700, [], None)
+    def test_a_common_divisor_is_sieved_as_the_step(self, g, js, extra, rng):
+        qs = [g * j for j in js]
+        if rng is not None:
+            rng.shuffle(qs)
+        qs += extra
+        sieved = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diolab.arith, "phi_segment", lambda *span: sieved.append(span) or phi_segment(*span))
+            got = phi_values(np.array(qs))
+        assert got.tolist() == oracle_phi(qs)
+        # every span is a window of the j = q / gcd(q), sieved at that step
+        shared = math.gcd(*qs)
+        assert all(step == shared and hi - 1 <= max(qs) // shared for _, hi, step in sieved)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(spans())
@@ -184,19 +214,19 @@ class TestEulerPhi:
         assert got.tolist() == oracle_phi(range(lo, hi))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(progressions())
+    @given(multiples())
     @example((1, 1, 5))
-    @example((7, 8, 10**12))
-    @example((210, 3_000_001, 210))
-    @example((13, 13 + 169 * 4000, 169))
-    @example((169, 169 + 169 * 4000, 169))
-    @example((2**31 - 210 * 5, 2**31 + 210 * 5, 210))
-    @example((2**31 - 1, 2**31 + 10**9, 10**9))
+    @example((7, 7, 10**12))
+    @example((1, 14_286, 210))  # every multiple of 210 up to 3e6
+    @example((1, 4_001, 169))
+    @example((2**31 // 210 - 5, 2**31 // 210 + 6, 210))
+    @example((1, 2, 2**62))
+    @example((1, 2, 2**63 - 1))
     def test_progression_matches_the_reference_sieve(self, span):
         lo, hi, step = span
         got = phi_segment(lo, hi, step)
-        qs = range(lo, hi, step)
-        assert got.dtype == (np.int32 if not qs or qs[-1] < 2**31 else np.int64)
+        qs = [step * j for j in range(lo, hi)]
+        assert got.dtype == (np.int32 if step * max(hi - 1, 1) < 2**31 else np.int64)
         assert got.tolist() == oracle_phi(qs)
 
     def test_segment_rejects_a_bad_span(self):
@@ -206,6 +236,14 @@ class TestEulerPhi:
             phi_segment(6, 5, 1)
         with pytest.raises(ValueError):
             phi_segment(1, 5, 0)
+        # the product step*(hi - 1) is the last q, and int64 must hold it
+        with pytest.raises(ValueError, match="past int64"):
+            phi_segment(2, 3, 2**62)
+        with pytest.raises(ValueError, match="past int64"):
+            phi_segment(1, 2**61 + 2, 4)
+        with pytest.raises(ValueError, match="past int64"):
+            phi_segment(1, 1, 2**63)
+        assert phi_segment(3, 4, 2**61).tolist() == [2**61]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

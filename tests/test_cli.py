@@ -126,13 +126,25 @@ class TestSums:
 
         values = TablePsi.values
         monkeypatch.setattr(TablePsi, "values", lambda f, qs: reading(int(qs.max())) or values(f, qs))
-        monkeypatch.setattr(diolab.psi, "phi_segment", lambda *span: reading(range(*span)[-1]) or phi_segment(*span))
+        monkeypatch.setattr(
+            diolab.psi, "phi_segment", lambda lo, hi, step: reading(step * (hi - 1)) or phi_segment(lo, hi, step)
+        )
         family = json.dumps({"family": "table", "values": [f"1/{4 * q}" for q in range(1, 201)]})
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "sums", "--family-json", family, "--Q", "10000000000", *mode)
         assert time.perf_counter() - start < 1.0
         assert code == 0 and out.splitlines()[-1].split(",")[0] == "10000000000"
         assert len(read) == 2 and max(read) == 200
+
+    @pytest.mark.parametrize("mode", [[], ["--criterion", "phi_plain"], ["--cond1"]], ids=["plain", "phi", "cond1"])
+    def test_a_support_q_past_int64_exits_2(self, capsys, mode):
+        # the multiples of 1e18 up to Q = 2e19 pass 2**63 - 1: the scan fails before any output
+        family = json.dumps(
+            {"family": "indicator_support", "base": {"family": "power_log", "c": 1, "a": 1, "b": 0},
+             "support": {"kind": "multiples_of", "param": 10**18}}
+        )
+        code, out, err = run_cli(capsys, "sums", "--family-json", family, "--Q", str(2 * 10**19), *mode)
+        assert code == 2 and out == "" and "past int64" in err
 
 
 class TestFiberCheck:

@@ -568,7 +568,20 @@ class TestSupport:
         cond1_scan(adversarial_primorial(4), 2, [1, 209, 210, Q])
         qs = np.concatenate(read)
         assert np.array_equal(qs, np.arange(210, Q + 1, 210))
-        assert sieved == [(210, (Q // 210 + 1) * 210, 210)]
+        assert sieved == [(1, Q // 210 + 1, 210)]
+
+    def test_a_last_q_past_int64_raises(self):
+        # a scan that would read a support q past 2**63 - 1 fails, instead of wrapping it to a
+        # negative q that the mask zeroes; one whose support stops short of it runs at any Q
+        f = indicator_support(power_log(1, 1, 0), "multiples_of", 10**18)
+        for kind in ("plain", "phi_plain"):
+            with pytest.raises(ValueError, match="past int64"):
+                partial_sum_scan(f, SumCriterion(kind, 1), [10, 2 * 10**19])
+        with pytest.raises(ValueError, match="past int64"):
+            cond1_scan(f, 2, [2 * 10**19])
+        harmonic = math.fsum(1 / (k * 10**18) for k in range(1, 10))
+        assert partial_sum_scan(f, SumCriterion("plain", 1), [2**63 - 1])[0][1] == pytest.approx(harmonic, rel=1e-15)
+        assert partial_sum_scan(table_psi([1, 0.5]), SumCriterion("phi_plain", 1), [2 * 10**19]) == [(2 * 10**19, 1.25)]
 
 
 class TestClassify:
