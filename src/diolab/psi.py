@@ -163,7 +163,7 @@ class TablePsi(ApproxFunction):
         for v in self.entries:
             if not isinstance(v, (int, float, Fraction)):
                 raise ValueError("table entries must be numbers")
-            if v < 0:
+            if not v >= 0:  # also rejects nan
                 raise ValueError("table entries must be >= 0")
 
     @cached_property
@@ -180,11 +180,6 @@ class TablePsi(ApproxFunction):
     def nonzero_support(self) -> tuple:
         """Every q up to the last entry: past it, q reads the trailing 0.0."""
         return 1, len(self.entries)
-
-    @cached_property
-    def is_rational(self) -> bool:
-        """Whether every entry is an int or a Fraction: such a table's unions are swept exactly."""
-        return all(isinstance(v, (int, Fraction)) for v in self.entries)
 
     def spec_dict(self) -> dict:
         vals = [str(v) if isinstance(v, Fraction) else v for v in self.entries]

@@ -63,20 +63,26 @@ Closed forms used here
 
 Exact truncated unions
 ----------------------
-``truncated_union_1d`` sweeps exactly, in integers, when and only when the
-family is a ``TablePsi`` whose entries are all ints or Fractions; every
-other family is swept in floats.  It reads the entries themselves, and
-only for q within the table (q past it has delta = 0), so the cost is that
-of the slices, and an entry too small to be a positive float is still
-swept and counted against the interval budget.  The
-slice q with delta = a/b has the endpoints (c b -+ a)/(b q), kept as
-integer numerators over one denominator per slice and clipped in integers.
-Endpoints are ordered by their correctly rounded float keys num/den:
-rounding is monotone, so fl(x) < fl(y) proves x < y, and only runs of equal
-keys are settled by integer cross-multiplication.  The sweep then sees the
-rational order, so every decision, the merge test included, is the
-rational one and the ``exact`` label holds.  Exact or float, a union merges
-only touching or overlapping intervals.
+``truncated_union_1d`` returns the measure of the union of the slices
+Q0 <= q <= Q, rounded once, for psi as the family gives it: psi(q) is the
+rational a/b of a ``TablePsi`` entry as written (int, Fraction or float)
+and of any other family's float value.  That is its ``exact`` label: no
+decision is float-rounded.  It reads only the family's ``nonzero_support``
+and caps delta at q, where a slice covers [0, 1] already.  The centres c
+of slice q, -delta < c < q + delta, are chosen in integers, and each float
+key (c -+ float(delta))/q of ``_slice_raw_intervals`` is within
+bound = 4u (1 + 2 max delta/q) + _TINY of its rational: u each for the sum
+and the quotient, u delta/q for float(delta) when delta is no float,
+_TINY below the normal range, and the constants rounded up to cover the
+comparisons.  One float sweep decides wherever keys lie more than 2 bound
+apart (Shewchuk's filter), and reads rationals only where they do not: it
+puts each run of such starts in rational order, and settles a merge of
+start s[i+1] with running maximum end cm[i] by the rationals, the largest
+end being among the keys within 2 bound of cm[i].  A component that is
+one interval inside [bound, 1 - bound] adds 2a/(bq) through a count per
+slice; any other adds its rational end, found the same way, less its
+start, both clipped to [0, 1].  The sum is one integer per denominator,
+rounded once.  A union merges touching intervals as well as overlapping ones.
 
 Rounding bounds
 ---------------
@@ -157,72 +163,19 @@ class RegionSpec:
 # interval unions
 
 
-def _sweep(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Intervals in stable start order, with the running maximum of their ends."""
-    order = np.argsort(starts, kind="stable")
-    s, e = starts[order], ends[order]
-    return s, e, np.maximum.accumulate(e)
+def _sweep(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(order, starts, ends, running maximum of the ends) of intervals sorted by start."""
+    order = np.argsort(starts)
+    e = ends[order]
+    return order, starts[order], e, np.maximum.accumulate(e)
 
 
 def _components(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Components of a nonempty union of closed intervals: a start above the running max end opens one."""
-    s, _, cm = _sweep(starts, ends)
+    _, s, _, cm = _sweep(starts, ends)
     heads = np.flatnonzero(np.concatenate(([True], s[1:] > cm[:-1])))
     tails = np.append(heads[1:], s.size) - 1
     return s[heads], cm[tails]
-
-
-def union_measure_raw(starts: np.ndarray, ends: np.ndarray) -> float:
-    """Measure of a union of intervals given as parallel float start/end arrays."""
-    if starts.size == 0:
-        return 0.0
-    s, e, cm = _sweep(starts, ends)
-    frontier = np.empty_like(cm)
-    frontier[0] = s[0]
-    frontier[1:] = cm[:-1]
-    contrib = e - np.maximum(s, frontier)
-    return np.sum(contrib[contrib > 0])
-
-
-def _exact_order(keys: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """Indices of the rationals nums/dens in ascending order, from their float keys.
-
-    keys[i] is num/den correctly rounded, and rounding is monotone, so
-    keys[i] < keys[j] proves nums[i]/dens[i] < nums[j]/dens[j].  Only runs
-    of equal keys are reordered, by Fraction comparison, which is integer
-    cross-multiplication.
-    """
-    order = np.argsort(keys, kind="stable")
-    tied = np.diff(keys[order]) == 0
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], tied, [False]))))
-    for lo, hi in zip(edges[0::2].tolist(), (edges[1::2] + 1).tolist()):
-        run = order[lo:hi]
-        exact = [Fraction(n, d) for n, d in zip(nums[run].tolist(), dens[run].tolist())]
-        order[lo:hi] = run[sorted(range(run.size), key=exact.__getitem__)]
-    return order
-
-
-def _exact_union_measure(slices: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Fraction:
-    """Exact measure of the union of the intervals [lo/den, hi/den] of ``_slice_numerators`` slices.
-
-    The float keys are Python int true divisions, correctly rounded at any
-    size.  ``_components`` merges the exact ranks, so its merge test is the
-    rational one too.  Each merged component adds its end and subtracts its
-    start, in one integer sum per denominator.
-    """
-    los, his, dens = (np.concatenate(parts) for parts in zip(*slices))
-    n = los.size
-    nums, dens = np.concatenate([los, his]), np.concatenate([dens, dens])
-    keys = (nums / dens).astype(np.float64)
-    order = _exact_order(keys, nums, dens)
-    rank = np.empty(2 * n, dtype=np.int64)
-    rank[order] = np.arange(2 * n)
-    sums: dict[int, int] = {}
-    for sign, ranks in zip((-1, 1), _components(rank[:n], rank[n:])):
-        ends = order[ranks]
-        for num, den in zip(nums[ends].tolist(), dens[ends].tolist()):
-            sums[den] = sums.get(den, 0) + sign * num
-    return sum((Fraction(v, d) for d, v in sums.items()), Fraction(0))
 
 
 class IntervalUnion:
@@ -319,37 +272,29 @@ def _slice_centers(q: int, delta, coprime: bool) -> np.ndarray:
         return np.arange(0, q + 1, dtype=np.int64)
     res = coprime_residues(q)
     centers = np.concatenate([res - q, res, res + q])
-    # exact for integer c: c > a iff c > floor(a), c < b iff c < ceil(b); the
-    # centres lie in [-q, 2q), so clamping there only keeps an infinite delta finite
-    lo = math.floor(max(-q - 1, -delta))
-    hi = math.ceil(min(2 * q + 1, q + delta))
-    return centers[(centers > lo) & (centers < hi)]
+    # exact for integer c and k = ceil(delta): c > -delta iff c > -k, c < q + delta iff c < q + k (no
+    # float sum q + delta to round); the centres lie in [-q, 2q), so a cap at q + 1 keeps every one
+    k = math.ceil(min(delta, q + 1))
+    return centers[(centers > -k) & (centers < q + k)]
 
 
-def _slice_raw_intervals(q: int, delta, coprime: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (unclipped, unmerged) float intervals of one 1-D slice."""
-    if delta <= 0:
-        return np.empty(0), np.empty(0)
-    centers = _slice_centers(q, delta, coprime)
-    return (centers - delta) / q, (centers + delta) / q
+def _slice_raw_intervals(q: int, delta, coprime: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, ends, centres): the raw (unclipped, unmerged) float intervals of one 1-D slice.
 
-
-def _slice_numerators(q: int, delta: Fraction, coprime: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(los, his, dens): the numerators c b -+ a over b q of one 1-D slice, delta = a/b > 0.
-
-    They are Python ints in object arrays, clipped to [0, 1] in integers.
+    The centres come from delta itself, the keys (c -+ float(delta))/q from its float.
     """
-    a, b = delta.numerator, delta.denominator
-    den = b * q
-    cbs = _slice_centers(q, delta, coprime).astype(object) * b
-    return np.maximum(cbs - a, 0), np.minimum(cbs + a, den), np.full(cbs.size, den, dtype=object)
+    if delta <= 0:
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+    centers = _slice_centers(q, delta, coprime)
+    d = float(delta)
+    return (centers - d) / q, (centers + d) / q, centers
 
 
 def slice_union(q: int, delta: float, coprime: bool = False) -> IntervalUnion:
     """The 1-D slice {x : dist(q, x) < delta} as float intervals; its measure may be off by ulps."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    starts, ends = _slice_raw_intervals(q, delta, coprime)
+    starts, ends, _ = _slice_raw_intervals(q, delta, coprime)
     return IntervalUnion.from_intervals(starts, ends)
 
 
@@ -712,6 +657,73 @@ def region_measure(spec: RegionSpec, tol: float = 1e-9) -> MeasureEstimate:
 INTERVAL_BUDGET = 5_000_000
 
 
+def _exact_union(slices: list[tuple[int, object]], coprime: bool) -> float:
+    """Measure of the union of the 1-D slices (q, delta), each delta an int, a float or a Fraction in (0, q].
+
+    One ``_sweep`` of the unclipped float keys, certified against the key
+    bound: see "Exact truncated unions" in the module docstring.
+    """
+    parts = [_slice_raw_intervals(q, d, coprime) for q, d in slices]
+    offsets = np.cumsum([0] + [c.size for _, _, c in parts])  # slice k holds keys offsets[k]:offsets[k+1]
+    starts, ends, centres = (np.concatenate(x) for x in zip(*parts))
+    del parts
+    order, s, e, cm = _sweep(starts, ends)
+    del starts, ends
+    bound = 4 * _U * (1 + 2 * max(float(d) / q for q, d in slices)) + _TINY  # of each key
+    tol = 2 * bound
+    ratios = [(q, *d.as_integer_ratio()) for q, d in slices]
+
+    def exact(js: np.ndarray, side: int) -> list[tuple[int, int]]:
+        """(num, den) of the endpoints (c + side delta)/q behind the sorted keys js: side -1 for starts, 1 for ends."""
+        i = order[js]
+        out = []
+        for c, k in zip(centres[i].tolist(), (np.searchsorted(offsets, i, "right") - 1).tolist()):
+            q, a, b = ratios[k]
+            out.append((c * b + side * a, b * q))
+        return out
+
+    def tops(ix: np.ndarray) -> list[tuple[int, int]]:
+        """The largest end at sorted indices <= i, for each i in ix: only keys within tol of cm[i] can hold it."""
+        floor = cm[ix] - tol
+        lo = np.searchsorted(cm, floor)
+        size = ix + 1 - lo
+        owner = np.repeat(np.arange(ix.size), size)
+        cand = np.arange(owner.size) + np.repeat(lo - np.cumsum(size) + size, size)
+        near = e[cand] >= floor[owner]
+        best = [None] * ix.size
+        for k, x in zip(owner[near].tolist(), exact(cand[near], 1)):
+            best[k] = x if best[k] is None else max(best[k], x, key=lambda nd: Fraction(*nd))
+        return best
+
+    tied = np.diff(s) <= tol
+    if tied.any():  # put each run of near-tied starts in rational order
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], tied, [False]))))
+        for lo, hi in zip(edges[0::2].tolist(), (edges[1::2] + 1).tolist()):
+            keys = [Fraction(*x) for x in exact(np.arange(lo, hi), -1)]
+            run = lo + np.array(sorted(range(hi - lo), key=keys.__getitem__))
+            order[lo:hi], s[lo:hi], e[lo:hi] = order[run], s[run], e[run]
+        np.maximum.accumulate(e, out=cm)
+    gap = s[1:] - cm[:-1]
+    split = gap > tol
+    unsure = np.flatnonzero(~split & (gap >= -tol))
+    del gap
+    for i, start, top in zip(unsure.tolist(), exact(unsure + 1, -1), tops(unsure)):
+        split[i] = Fraction(*start) > Fraction(*top)
+    heads = np.flatnonzero(np.concatenate(([True], split)))
+    tails = np.append(heads[1:], s.size) - 1
+    alone = (heads == tails) & (s[heads] >= bound) & (e[heads] <= 1 - bound)
+    sums = Counter()
+    counts = np.bincount(np.searchsorted(offsets, order[heads[alone]], "right") - 1, minlength=len(slices))
+    for k in np.flatnonzero(counts).tolist():
+        q, a, b = ratios[k]
+        sums[b * q] += 2 * int(counts[k]) * a
+    for (lo, lo_den), (hi, hi_den) in zip(exact(heads[~alone], -1), tops(tails[~alone])):
+        sums[lo_den] -= max(lo, 0)  # each clipped to [0, 1]: every interval meets (0, 1), so each component does
+        sums[hi_den] += min(hi, hi_den)
+    den = math.lcm(*sums)
+    return sum(n * (den // d) for d, n in sums.items()) / den
+
+
 def truncated_union_1d(
     f: ApproxFunction,
     Q0: int,
@@ -721,44 +733,35 @@ def truncated_union_1d(
 ) -> MeasureEstimate:
     """Exact measure of the union of 1-D slices for Q0 <= q <= Q.
 
-    A ``TablePsi`` of ints and Fractions is swept exactly, in integers,
-    from its entries; any other family in floats (see the module
-    docstring).  Sweeps whose interval count would exceed ``budget`` raise
-    ResourceBudgetError.  The range is read in blocks of q, each checked
-    for an infinite psi, then counted, then turned into slices, so an
-    oversized range fails before it is built, and the first failure in q
-    order is the one raised.
+    Each slice is read at the rational psi(q): a ``TablePsi``'s entry as
+    written, any other family's float value (see the module docstring).
+    Only the q of the family's ``nonzero_support`` are read.  Sweeps whose
+    interval count would exceed ``budget`` raise ResourceBudgetError.  The
+    support is read in blocks of SCAN_BLOCK q, each checked for an infinite
+    psi, then counted, then turned into slices, so an oversized range fails
+    before it is built, and the first failure in q order is the one raised.
     """
     if not 1 <= Q0 <= Q:
         raise ValueError("need 1 <= Q0 <= Q")
-    exact = isinstance(f, TablePsi) and f.is_rational
+    step, last = f.nonzero_support
+    count = (Q if last is None else min(Q, last)) // step
+    if step * count > np.iinfo(np.int64).max:
+        raise ValueError(f"the sweep would read q = {step * count}, past int64")
+    table = f.entries if isinstance(f, TablePsi) else None
     slices = []
-    count = 0
-    for lo in range(Q0, Q + 1, SCAN_BLOCK):
-        hi = min(lo + SCAN_BLOCK, Q + 1)
-        if exact:
-            live = [(q, Fraction(v)) for q, v in enumerate(f.entries[lo - 1 : hi - 1], lo) if v > 0]
-            qs = np.array([q for q, _ in live], dtype=np.int64)
-        else:
-            qs = np.arange(lo, hi, dtype=np.int64)
-            psis = f.values(qs)
-            if not np.all(np.isfinite(psis)):
-                raise ValueError("family evaluates to +inf inside the truncation range")
-            keep = psis > 0
-            qs, psis = qs[keep], psis[keep]
-        count += int(np.sum(phi_values(qs) if coprime else qs + 1))
-        if count > budget:
+    total = 0
+    for lo in range(-(-Q0 // step), count + 1, SCAN_BLOCK):
+        qs = np.arange(lo, min(lo + SCAN_BLOCK, count + 1), dtype=np.int64) * step
+        psis = f.values(qs) if table is None else np.array([table[q - 1] for q in qs.tolist()], dtype=object)
+        if not np.all(psis < math.inf):  # +inf or nan
+            raise ValueError("family evaluates to +inf inside the truncation range")
+        keep = psis > 0
+        qs, psis = qs[keep], psis[keep]
+        total += int(np.sum(phi_values(qs) if coprime else qs + 1))
+        if total > budget:
             raise ResourceBudgetError(
                 f"sweep would build more than budget={budget} intervals; raise the budget explicitly"
             )
-        if exact:
-            slices += [_slice_numerators(q, d, coprime) for q, d in live]
-        else:
-            slices += [_slice_raw_intervals(q, d, coprime) for q, d in zip(qs.tolist(), psis.tolist())]
-    if not slices:
-        return MeasureEstimate.exact(0.0)
-    if exact:
-        return MeasureEstimate.exact(min(1, _exact_union_measure(slices)))
-    starts = np.clip(np.concatenate([s for s, _ in slices]), 0.0, 1.0)
-    ends = np.clip(np.concatenate([e for _, e in slices]), 0.0, 1.0)
-    return MeasureEstimate.exact(min(1.0, union_measure_raw(starts, ends)))
+        # a slice with delta >= q covers [0, 1] already, so the clamp keeps the union and bounds the keys
+        slices += [(q, min(v, q)) for q, v in zip(qs.tolist(), psis.tolist())]
+    return MeasureEstimate.exact(_exact_union(slices, coprime) if slices else 0.0)

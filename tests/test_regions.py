@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -23,7 +24,7 @@ from diolab.arith import (
     radical,
 )
 from diolab.errors import ResourceBudgetError
-from diolab.psi import power_log, table_psi
+from diolab.psi import TablePsi, indicator_support, power_log, table_psi
 from diolab.regions import (
     IntervalUnion,
     RegionSpec,
@@ -42,11 +43,8 @@ from diolab.regions import (
     _gap_stats,
     _lifted_terms,
     _product_cdf_rec,
-    _exact_union_measure,
     _product_law2,
-    _slice_numerators,
     _slice_raw_intervals,
-    union_measure_raw,
 )
 from diolab.sampler import sample_points
 
@@ -741,14 +739,18 @@ class TestTruncatedUnion:
 
     def test_exact_rational_path_matches_float(self):
         entries = [Fraction(1, 7), Fraction(1, 9), 0, Fraction(2, 11)]
-        slices = [_slice_raw_intervals(q, float(d), True) for q, d in enumerate(entries, 1)]
-        starts, ends = (np.clip(np.concatenate(parts), 0.0, 1.0) for parts in zip(*slices))
-        swept = union_measure_raw(starts, ends)
         exact = truncated_union_1d(table_psi(entries), 1, 4, coprime=True)
-        assert exact.provenance == "exact" and exact.value == pytest.approx(swept, abs=1e-12)
-        # one float entry and the table is swept in floats
+        assert exact.provenance == "exact" and exact.value == float(brute_union(entries, True))
+        # float entries are swept exactly too, at the rational values of the floats
         floats = truncated_union_1d(table_psi([float(d) for d in entries]), 1, 4, coprime=True)
-        assert floats.value == swept
+        assert floats.provenance == "exact"
+        assert floats.value == float(brute_union([Fraction(float(d)) for d in entries], True))
+
+    @pytest.mark.parametrize("coprime", [False, True])
+    def test_a_delta_past_q_covers_the_unit_interval(self, coprime):
+        # the union caps delta at q, where slice q covers [0, 1]: entries past any float are swept too
+        for entries in ([10**400], [0, Fraction(10**400, 3)], [0.0, 1e300], [0, 0, 3]):
+            assert truncated_union_1d(table_psi(entries), 1, len(entries), coprime=coprime).value == 1.0
 
     @pytest.mark.parametrize("Q0", [1, 100])
     def test_table_shorter_than_Q_past_one_block(self, Q0, monkeypatch):
@@ -757,16 +759,47 @@ class TestTruncatedUnion:
         # q past the table reads delta = 0 without asking psi
         monkeypatch.setattr(type(f), "values", None)
         got = truncated_union_1d(f, Q0, SCAN_BLOCK + 5, coprime=True)
-        want = _exact_union_measure([_slice_numerators(q, d, True) for q, d in enumerate(entries, 1) if q >= Q0])
+        want = brute_union([d if q >= Q0 else 0 for q, d in enumerate(entries, 1)], True)
         assert got.provenance == "exact" and got.value == float(want)
         assert truncated_union_1d(f, 151, 2 * SCAN_BLOCK + 1).value == 0.0
+
+    @pytest.mark.parametrize("modulus", [1, 7], ids=["float_table", "multiples_of_7"])
+    def test_only_the_support_is_read_at_any_q(self, monkeypatch, modulus):
+        # psi is 0 off the support (modulus, 200), so a union to Q = 1e10 reads psi and phi there alone
+        entries = [1 / (4 * q) for q in range(1, 201)]
+        f = table_psi(entries)
+        if modulus > 1:
+            f = indicator_support(f, "multiples_of", modulus)
+        assert f.nonzero_support == (modulus, 200)
+
+        def reading(qs):
+            off = [q for q in qs.tolist() if q > 200 or q % modulus]
+            assert not off, f"read q = {off[0]} off the support"
+
+        values = TablePsi.values
+        monkeypatch.setattr(TablePsi, "values", lambda g, qs: reading(qs) or values(g, qs))
+        monkeypatch.setattr(diolab.regions, "phi_values", lambda qs: reading(qs) or phi_values(qs))
+        start = time.perf_counter()
+        got = truncated_union_1d(f, 1, 10**10, coprime=True)
+        assert time.perf_counter() - start < 1.0
+        want = brute_union([Fraction(d) if q % modulus == 0 else 0 for q, d in enumerate(entries, 1)], True)
+        assert got.provenance == "exact" and got.value == float(want)
+
+    @pytest.mark.parametrize(
+        "c, a, Q, want",
+        [(0.25, 1, 2000, 0.9978022458044786), (0.1, 0.9, 1500, 0.9059889201548638), (0.25, 1, 4000, 0.9987045476974454)],
+    )
+    def test_pins_the_integer_sweep_of_the_float_values(self, c, a, Q, want):
+        # each pin is the integer sweep of the table of Fraction(float(psi(q))); a plain float
+        # sweep read 0.9978022458044611 at Q = 2000, 80 ulps off
+        assert truncated_union_1d(power_log(c, a, 0), 1, Q, coprime=True).value == want
 
     def test_entry_below_the_smallest_float_is_swept_and_counted(self, monkeypatch):
         f = table_psi([0, Fraction(1, 2**1100)])
         assert f(2) == 0.0
         swept = []
-        make = diolab.regions._slice_numerators
-        monkeypatch.setattr(diolab.regions, "_slice_numerators", lambda q, d, c: swept.append(q) or make(q, d, c))
+        make = diolab.regions._slice_raw_intervals
+        monkeypatch.setattr(diolab.regions, "_slice_raw_intervals", lambda q, d, c: swept.append(q) or make(q, d, c))
         # slice 2 has the three intervals around 0, 1/2 and 1: the budget counts exactly those
         assert truncated_union_1d(f, 1, 2, budget=3).value == 0.0
         assert swept == [2]
@@ -805,7 +838,8 @@ class TestTruncatedUnion:
 
 
 def brute_centers(q: int, delta) -> list[int]:
-    """Numerators c coprime to q with -delta < c < q + delta, compared one by one."""
+    """Numerators c coprime to q with -delta < c < q + delta, compared one by one as rationals."""
+    delta = Fraction(delta)
     return [c for c in range(-q, 2 * q) if math.gcd(c, q) == 1 and -delta < c < q + delta]
 
 
@@ -832,8 +866,7 @@ class TestSliceCenters:
                 got = slice_union(q, d, coprime=True)
                 assert np.array_equal(got.starts, want.starts) and np.array_equal(got.ends, want.ends)
                 swept = truncated_union_1d(table_psi([0] * (q - 1) + [d]), q, q, coprime=True)
-                clipped = np.clip(starts, 0.0, 1.0), np.clip(ends, 0.0, 1.0)
-                assert swept.value == min(1.0, union_measure_raw(*clipped))
+                assert swept.value == float(brute_union([0] * (q - 1) + [Fraction(d)], True))
 
     @pytest.mark.parametrize("q", [5, 12, 30])
     def test_fraction_delta_at_and_1e_20_beside_an_integer(self, q):
@@ -844,13 +877,9 @@ class TestSliceCenters:
                     (max(Fraction(0), Fraction(c - d, q)), min(Fraction(1), Fraction(c + d, q)))
                     for c in brute_centers(q, d)
                 ]
-                los, his, dens = _slice_numerators(q, d, True)
-                got = [(Fraction(a, n), Fraction(b, n)) for a, b, n in zip(los.tolist(), his.tolist(), dens.tolist())]
-                assert got == want
-                exact = _exact_union_measure([(los, his, dens)])
-                assert isinstance(exact, Fraction) and exact == fraction_union_measure(want)
+                assert _slice_raw_intervals(q, d, True)[2].tolist() == brute_centers(q, d)
                 swept = truncated_union_1d(table_psi([0] * (q - 1) + [d]), q, q, coprime=True)
-                assert swept.value == float(exact)
+                assert swept.value == float(fraction_union_measure(want))
 
 
 def admissible(c: int, q: int, coprime: bool) -> bool:
@@ -934,8 +963,37 @@ def rational_tables(draw):
     return entries, coprime
 
 
+@st.composite
+def float_tables(draw):
+    """(entries, coprime): a float table whose slices share centres, meeting there or a few ulps apart.
+
+    Entries are 0, subnormal, below an ulp of 1 or up to 1/(3q), and one
+    may reach 1/2.  Up to four pairs (q, m q) are then tied: the slices
+    share every centre of q, and delta(m q) = m delta(q) moved by up to two
+    ulps puts their endpoints there at the same rational or a few ulps
+    apart, so the float keys tie or misorder.
+    """
+    coprime = draw(st.booleans())
+    Q = draw(st.integers(2, 16))
+    small = st.sampled_from([0.0, 5e-324, 1e-300, 5e-17])
+    entries = [draw(st.one_of(small, st.floats(0.0, 1.0 / (3 * q)))) for q in range(1, Q + 1)]
+    if draw(st.booleans()):
+        entries[draw(st.integers(0, Q - 1))] = draw(st.floats(0.25, 0.5))
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(1, Q // 2))
+        m = draw(st.integers(2, Q // q))
+        d = entries[q - 1] or 1 / (8 * q)
+        entries[q - 1] = d
+        d *= m
+        move = draw(st.integers(-2, 2))
+        for _ in range(abs(move)):
+            d = math.nextafter(d, math.copysign(math.inf, move))
+        entries[m * q - 1] = d
+    return entries, coprime
+
+
 class TestExactSweep:
-    """The integer sweep of rational tables against Fraction intervals built by brute force."""
+    """The union sweep of rational tables, float tables and power_log against Fraction intervals built by brute force."""
 
     # slices 3 and 6 share the centres 1/3 and 2/3, where slice 6 starts 1/(60 K) below
     # slice 3: the float keys tie for K = 2**70, and for K near 2**55/60 (slice 6 over
@@ -949,9 +1007,38 @@ class TestExactSweep:
     def test_matches_the_fraction_oracle(self, table):
         entries, coprime = table
         want = brute_union(entries, coprime)
-        slices = [_slice_numerators(q, d, coprime) for q, d in enumerate(entries, 1) if d > 0]
-        assert _exact_union_measure(slices) == want
         got = truncated_union_1d(table_psi(entries), 1, len(entries), coprime=coprime)
+        assert got.provenance == "exact" and got.value == float(want)
+
+    # q = 1 with a delta below half an ulp of 1: the centre 1 lies below q + delta, but not below
+    # the float sum 1 + delta, and nothing else covers its sliver [1 - delta, 1]
+    @example(([5e-17], True))
+    # slices 2, 4 and 8 share the centre 1/2: the starts of 2 and 4 meet, and delta(8) one ulp above
+    # 4 delta(2) puts 8's start below theirs by less than an ulp of the key
+    @example(([0.0, 0.125, 0.0, 0.25, 0.0, 0.0, 0.0, math.nextafter(0.5, 1.0)], False))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(float_tables())
+    def test_float_tables_match_the_fraction_oracle(self, table):
+        entries, coprime = table
+        want = brute_union([Fraction(d) for d in entries], coprime)
+        got = truncated_union_1d(table_psi(entries), 1, len(entries), coprime=coprime)
+        assert got.provenance == "exact" and got.value == float(want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.floats(1e-3, 2.0),
+        st.sampled_from([0, 1, 2]),
+        st.sampled_from([0, 1]),
+        st.integers(1, 16),
+        st.integers(1, 16),
+        st.booleans(),
+    )
+    def test_power_log_matches_the_fraction_oracle(self, c, a, b, Q0, Q, coprime):
+        Q0, Q = min(Q0, Q), max(Q0, Q)
+        f = power_log(c, a, b)
+        psis = f.values(np.arange(1, Q + 1)).tolist()
+        want = brute_union([Fraction(d) if q >= Q0 else 0 for q, d in enumerate(psis, 1)], coprime)
+        got = truncated_union_1d(f, Q0, Q, coprime=coprime)
         assert got.provenance == "exact" and got.value == float(want)
 
 
