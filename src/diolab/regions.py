@@ -70,19 +70,17 @@ and of any other family's float value.  That is its ``exact`` label: no
 decision is float-rounded.  It reads only the family's ``nonzero_support``
 and caps delta at q, where a slice covers [0, 1] already.  The centres c
 of slice q, -delta < c < q + delta, are chosen in integers, and each float
-key (c -+ float(delta))/q of ``_slice_raw_intervals`` is within
-bound = 4u (1 + 2 max delta/q) + _TINY of its rational: u each for the sum
-and the quotient, u delta/q for float(delta) when delta is no float,
-_TINY below the normal range, and the constants rounded up to cover the
-comparisons.  One float sweep decides wherever keys lie more than 2 bound
-apart (Shewchuk's filter), and reads rationals only where they do not: it
-puts each run of such starts in rational order, and settles a merge of
-start s[i+1] with running maximum end cm[i] by the rationals, the largest
-end being among the keys within 2 bound of cm[i].  A component that is
-one interval inside [bound, 1 - bound] adds 2a/(bq) through a count per
-slice; any other adds its rational end, found the same way, less its
-start, both clipped to [0, 1].  The sum is one integer per denominator,
-rounded once.  A union merges touching intervals as well as overlapping ones.
+key (c -+ float(delta))/q is within bound = 4u (1 + 2 max delta/q) + _TINY
+of its rational: u each for the sum and the quotient, u delta/q for
+float(delta) when delta is no float, _TINY below the normal range, and
+constants rounded up to cover the comparisons.  One float sweep decides
+wherever keys lie more than 2 bound apart (Shewchuk's filter) and compares
+rationals only where they do not: in runs of near-tied starts that could
+open a component, and in merges (touching intervals merge) of a start with
+the running maximum end, whose rational is among the ends within 2 bound.
+A component of one interval inside [bound, 1 - bound] adds 2a/(bq) by a
+count per slice; any other adds its rational end less its start, clipped
+to [0, 1].  The sum is one integer per denominator, rounded once.
 
 Rounding bounds
 ---------------
@@ -100,7 +98,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, cmp_to_key, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -658,11 +656,7 @@ INTERVAL_BUDGET = 5_000_000
 
 
 def _exact_union(slices: list[tuple[int, object]], coprime: bool) -> float:
-    """Measure of the union of the 1-D slices (q, delta), each delta an int, a float or a Fraction in (0, q].
-
-    One ``_sweep`` of the unclipped float keys, certified against the key
-    bound: see "Exact truncated unions" in the module docstring.
-    """
+    """Measure of the union of the 1-D slices (q, delta), 0 < delta <= q: the certified sweep of the module docstring."""
     parts = [_slice_raw_intervals(q, d, coprime) for q, d in slices]
     offsets = np.cumsum([0] + [c.size for _, _, c in parts])  # slice k holds keys offsets[k]:offsets[k+1]
     starts, ends, centres = (np.concatenate(x) for x in zip(*parts))
@@ -676,39 +670,49 @@ def _exact_union(slices: list[tuple[int, object]], coprime: bool) -> float:
     def exact(js: np.ndarray, side: int) -> list[tuple[int, int]]:
         """(num, den) of the endpoints (c + side delta)/q behind the sorted keys js: side -1 for starts, 1 for ends."""
         i = order[js]
-        out = []
-        for c, k in zip(centres[i].tolist(), (np.searchsorted(offsets, i, "right") - 1).tolist()):
-            q, a, b = ratios[k]
-            out.append((c * b + side * a, b * q))
-        return out
+        slice_of = map(ratios.__getitem__, (np.searchsorted(offsets, i, "right") - 1).tolist())
+        return [(c * b + side * a, b * q) for c, (q, a, b) in zip(centres[i].tolist(), slice_of)]
+
+    def above(x: tuple[int, int], y: tuple[int, int]) -> bool:  # of rationals (num, den), den > 0
+        return x[0] * y[1] > y[0] * x[1]
+
+    by_value = cmp_to_key(lambda x, y: above(x, y) - above(y, x))
 
     def tops(ix: np.ndarray) -> list[tuple[int, int]]:
-        """The largest end at sorted indices <= i, for each i in ix: only keys within tol of cm[i] can hold it."""
+        """The largest end at sorted indices <= i, for each i of the ascending ix: among the ``near`` keys
+        within tol of cm[i], read after the i before (whose top it takes where they reach back) only."""
         floor = cm[ix] - tol
-        lo = np.searchsorted(cm, floor)
-        size = ix + 1 - lo
+        reach = np.searchsorted(cm, floor)
+        lo = np.searchsorted(near, np.maximum(reach, np.append(0, ix[:-1] + 1)))
+        size = np.searchsorted(near, ix, "right") - lo
         owner = np.repeat(np.arange(ix.size), size)
-        cand = np.arange(owner.size) + np.repeat(lo - np.cumsum(size) + size, size)
-        near = e[cand] >= floor[owner]
+        cand = near[np.arange(owner.size) + np.repeat(lo - np.cumsum(size) + size, size)]
+        keep = e[cand] >= floor[owner]
         best = [None] * ix.size
-        for k, x in zip(owner[near].tolist(), exact(cand[near], 1)):
-            best[k] = x if best[k] is None else max(best[k], x, key=lambda nd: Fraction(*nd))
+        for k, x in zip(owner[keep].tolist(), exact(cand[keep], 1)):
+            best[k] = x if best[k] is None or above(x, best[k]) else best[k]
+        for k in (np.flatnonzero(reach[1:] <= ix[:-1]) + 1).tolist():
+            best[k] = best[k - 1] if best[k] is None or above(best[k - 1], best[k]) else best[k]
         return best
 
-    tied = np.diff(s) <= tol
-    if tied.any():  # put each run of near-tied starts in rational order
-        edges = np.flatnonzero(np.diff(np.concatenate(([False], tied, [False]))))
-        for lo, hi in zip(edges[0::2].tolist(), (edges[1::2] + 1).tolist()):
-            keys = [Fraction(*x) for x in exact(np.arange(lo, hi), -1)]
-            run = lo + np.array(sorted(range(hi - lo), key=keys.__getitem__))
-            order[lo:hi], s[lo:hi], e[lo:hi] = order[run], s[run], e[run]
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], np.diff(s) <= tol, [False]))))
+    los, his = edges[0::2], edges[1::2] + 1  # the runs of near-tied starts
+    # a run whose starts all lie more than tol below the running maximum end merges whole, in any order
+    sort = (los == 0) | (s[his - 1] >= cm[los - 1] - tol)
+    if sort.any():  # put every other run in rational order, in its place
+        pos = np.concatenate([np.arange(lo, hi) for lo, hi in zip(los[sort].tolist(), his[sort].tolist())])
+        run = np.repeat(np.arange(np.count_nonzero(sort)), (his - los)[sort]).tolist()
+        keys = list(map(by_value, exact(pos, -1)))
+        new = pos[sorted(range(pos.size), key=lambda k: (run[k], keys[k]))]
+        order[pos], s[pos], e[pos] = order[new], s[new], e[new]
         np.maximum.accumulate(e, out=cm)
+    near = np.flatnonzero(e >= cm - tol)  # every end within tol of the running maximum where it stands
     gap = s[1:] - cm[:-1]
     split = gap > tol
     unsure = np.flatnonzero(~split & (gap >= -tol))
     del gap
     for i, start, top in zip(unsure.tolist(), exact(unsure + 1, -1), tops(unsure)):
-        split[i] = Fraction(*start) > Fraction(*top)
+        split[i] = above(start, top)
     heads = np.flatnonzero(np.concatenate(([True], split)))
     tails = np.append(heads[1:], s.size) - 1
     alone = (heads == tails) & (s[heads] >= bound) & (e[heads] <= 1 - bound)
@@ -731,15 +735,13 @@ def truncated_union_1d(
     coprime: bool = False,
     budget: int = INTERVAL_BUDGET,
 ) -> MeasureEstimate:
-    """Exact measure of the union of 1-D slices for Q0 <= q <= Q.
+    """Exact measure of the union of 1-D slices for Q0 <= q <= Q, at the rational psi(q) of the family.
 
-    Each slice is read at the rational psi(q): a ``TablePsi``'s entry as
-    written, any other family's float value (see the module docstring).
-    Only the q of the family's ``nonzero_support`` are read.  Sweeps whose
-    interval count would exceed ``budget`` raise ResourceBudgetError.  The
-    support is read in blocks of SCAN_BLOCK q, each checked for an infinite
-    psi, then counted, then turned into slices, so an oversized range fails
-    before it is built, and the first failure in q order is the one raised.
+    That is a ``TablePsi``'s entry as written, any other family's float value
+    (module docstring).  The q of the family's ``nonzero_support`` are read in
+    blocks of SCAN_BLOCK, each checked for an infinite psi, then counted, then
+    turned into slices: a sweep whose interval count would exceed ``budget``
+    raises ResourceBudgetError before it is built, the first failure in q order.
     """
     if not 1 <= Q0 <= Q:
         raise ValueError("need 1 <= Q0 <= Q")
@@ -762,6 +764,5 @@ def truncated_union_1d(
             raise ResourceBudgetError(
                 f"sweep would build more than budget={budget} intervals; raise the budget explicitly"
             )
-        # a slice with delta >= q covers [0, 1] already, so the clamp keeps the union and bounds the keys
         slices += [(q, min(v, q)) for q, v in zip(qs.tolist(), psis.tolist())]
     return MeasureEstimate.exact(_exact_union(slices, coprime) if slices else 0.0)

@@ -752,6 +752,49 @@ class TestTruncatedUnion:
         for entries in ([10**400], [0, Fraction(10**400, 3)], [0.0, 1e300], [0, 0, 3]):
             assert truncated_union_1d(table_psi(entries), 1, len(entries), coprime=coprime).value == 1.0
 
+    @pytest.mark.parametrize("coprime", [False, True])
+    def test_sub_ulp_slices_that_share_centres(self, coprime):
+        # every key ties with the keys of the same centre p/r in other slices, and the exact
+        # union, about 2e-20 sum phi(r)/r, is far from what float keys of zero length give
+        f = power_log(1e-20, 0, 0)
+        want = brute_union([Fraction(1e-20)] * 40, coprime)
+        assert truncated_union_1d(f, 1, 40, coprime=coprime).value == float(want)
+
+    def test_ties_under_one_long_maximum_stay_cheap(self):
+        # slice 1 spans [-1/2, 1/2] and [1/2, 3/2], and every other slice puts sub-ulp intervals at
+        # its centres p/r, whose keys tie.  Inside [0, 1/2) the runs of ties merge whole, in any
+        # order; at 1/2 the 150 even q each make an uncertain merge under the running maximum that
+        # slice 1 set at the first key.  Sorting every run exactly took 10 MiB here, and reading
+        # every key back to that maximum for each merge 110 MiB.
+        tracemalloc.start()
+        try:
+            got = truncated_union_1d(table_psi([0.5] + [1e-20] * 299), 1, 300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.value == 1.0 and peak < 6 * 2**20
+
+    def test_one_long_component_reads_back_only_the_keys_near_its_end(self):
+        # slice 1 spans [-1, 1] and [0, 2], so the plain union to 500 is one component, whose end
+        # was set by its second key: its n keys take about seven float arrays of n at the peak,
+        # and reading every key back to that end took three more
+        n = sum(q + 1 for q in range(1, 501))
+        tracemalloc.start()
+        try:
+            got = truncated_union_1d(power_log(1, 3, 0), 1, 500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.value == 1.0 and peak < 8 * 8 * n
+
+    def test_an_uncertain_merge_reads_the_largest_end_before_it(self):
+        # A = 1/3 -+ a (slice 3) and B = 1/3 -+ b (slice 6), b < a within a few ulps, then C from
+        # slice 2 starting between their ends: C merges with A, whose end lies before B in start order
+        a, b = Fraction(4, 10**16), Fraction(2, 10**16)
+        entries = [0, 1 - 2 * (Fraction(1, 3) + (a + b) / 2), 3 * a, 0, 0, 6 * b]
+        got = truncated_union_1d(table_psi(entries), 1, 6)
+        assert got.value == float(brute_union(entries, False))
+
     @pytest.mark.parametrize("Q0", [1, 100])
     def test_table_shorter_than_Q_past_one_block(self, Q0, monkeypatch):
         entries = [Fraction(1, 4 * q) for q in range(1, 151)]
