@@ -679,8 +679,8 @@ def _exact_union(slices: list[tuple[int, object]], coprime: bool) -> float:
     by_value = cmp_to_key(lambda x, y: above(x, y) - above(y, x))
 
     def tops(ix: np.ndarray) -> list[tuple[int, int]]:
-        """The largest end at sorted indices <= i, for each i of the ascending ix: among the ``near`` keys
-        within tol of cm[i], read after the i before (whose top it takes where they reach back) only."""
+        """For each i of the ascending ix, the largest end at sorted indices <= i: only the ``near`` keys
+        within tol of cm[i] can hold it, read past the i before, whose top counts where they reach back."""
         floor = cm[ix] - tol
         reach = np.searchsorted(cm, floor)
         lo = np.searchsorted(near, np.maximum(reach, np.append(0, ix[:-1] + 1)))
