@@ -40,6 +40,7 @@ __all__ = [
     "prime_factors",
     "primes_up_to",
     "radical",
+    "radical_segment",
 ]
 
 
@@ -118,6 +119,31 @@ def phi_segment(lo: int, hi: int, step: int) -> np.ndarray:
             phi -= phi // p
             phi[-lo % p :: p] = multiples
     return phi
+
+
+def radical_segment(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rad(q), largest prime of q) for lo <= q < hi (1 <= lo <= hi); (1, 1) at q = 1.
+
+    Sieved like ``phi_segment`` from the primes p <= isqrt(hi - 1), in
+    ascending order: p multiplies rad and sets the largest prime at its
+    multiples, and ``smooth`` at those of each p**k < hi, k >= 2.  The
+    cofactor q // (smooth * rad) is 1 or one prime > isqrt(hi - 1).  Every
+    entry divides q: int32 below 2**31, int64 beyond.
+    """
+    dtype = np.int32 if hi <= 2**31 else np.int64
+    rad, top, smooth = (np.ones(hi - lo, dtype=dtype) for _ in range(3))
+    for p in primes_up_to(math.isqrt(hi - 1)).tolist():
+        rad[-lo % p :: p] *= p
+        top[-lo % p :: p] = p
+        pk = p * p
+        while pk < hi:
+            smooth[-lo % pk :: pk] *= p
+            pk *= p
+    smooth *= rad
+    cofactor = np.arange(lo, hi, dtype=dtype)
+    cofactor //= smooth
+    rad *= cofactor
+    return rad, np.maximum(top, cofactor, out=top)
 
 
 class PhiTable:

@@ -180,7 +180,15 @@ class MeasureEstimate:
 
     @classmethod
     def numeric(cls, value: float, error_bound: float) -> "MeasureEstimate":
-        return cls(value=float(value), provenance="numeric-exact", error_bound=float(error_bound))
+        """The generic constructor's estimate in three attribute stores; the other fields read their class default None."""
+        value = float(value)
+        if not -1e-12 <= value <= 1.0 + 1e-12:
+            raise ValueError(f"measure value {value} outside [0, 1]")
+        e = object.__new__(cls)
+        object.__setattr__(e, "value", min(1.0, max(0.0, value)))
+        object.__setattr__(e, "provenance", "numeric-exact")
+        object.__setattr__(e, "error_bound", float(error_bound))
+        return e
 
     @classmethod
     def monte_carlo(

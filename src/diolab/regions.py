@@ -55,11 +55,17 @@ Closed forms used here
   <= x and the terms are (0, phi**2/r**2, 2 phi L/r**2), with phi = phi(r)
   and L the sum of log(gap) over the phi cyclic gaps; the public n = 2
   entry below delta = 1/4 takes phi and L from ``_gap_log_sum`` and builds
-  no table.
+  no table.  r and the largest prime of q come from one cached block of
+  4096 q, sieved by ``radical_segment`` when the previous call's q lay in
+  that block, so consecutive q cost O(1) each; a lone call factors q by
+  trial division, and so does q > 2**30: a block past it would sieve with
+  more than the pi(2**15) = 3512 primes below 2**15, a few strided passes
+  each, close to one prime per q of the block.
 
 * The n-fold product law under the coprime marginal follows the recursion
   G_k(d) = int G_{k-1}(d/t) dF(t); n >= 3 uses adaptive Gauss-Legendre
-  refinement of it down to the n = 2 law above.
+  refinement of it down to the n = 2 law above, evaluated directly at the
+  nodes of n = 3.
 
 Exact truncated unions
 ----------------------
@@ -112,6 +118,7 @@ from .arith import (
     phi_values,
     prime_factors,
     radical,
+    radical_segment,
 )
 from .errors import ConvergenceError, ResourceBudgetError
 from .measure import MeasureEstimate
@@ -459,6 +466,10 @@ def _gap_stats(m: int) -> tuple[int, float, float, tuple[int, ...]]:
     )
 
 
+_RAD_BLOCK, _RAD_CAP = 4096, 1 << 30  # q per sieved block of radicals; no block is sieved past this q
+_previous, _sieved = None, (None, (), ())  # the previous call's block; the block sieved last, with its (r, p)
+
+
 def _gap_log_sum(q: int) -> tuple[int, int, float]:
     """(r, phi(r), L_r) for r = rad(q), L_r = sum of log(gap) over r's cyclic coprime gaps.
 
@@ -473,13 +484,20 @@ def _gap_log_sum(q: int) -> tuple[int, int, float]:
     r = 1 gives (1, 0) and a prime (p - 1, log 2).  L_r is
     within 5u relative: 3u from L_s and P_s, then one product and one sum.
     Serves the public n = 2 entry below delta = 1/4 (``_lifted_terms``),
-    which builds no ``PiecewiseCdf``.
+    which builds no ``PiecewiseCdf``.  r and p are read from q's sieved
+    block or found by trial division (module docstring); q = 1 reads p = 1.
     """
-    primes = prime_factors(q)
-    if not primes:
-        return 1, 1, 0.0
-    r = math.prod(primes)
-    p = primes[-1]
+    global _previous, _sieved
+    k, i = divmod(q - 1, _RAD_BLOCK)
+    previous, _previous = _previous, k
+    if previous == k != _sieved[0] and 0 < q <= _RAD_CAP:
+        _sieved = k, *map(memoryview, radical_segment(k * _RAD_BLOCK + 1, (k + 1) * _RAD_BLOCK + 1))  # read as ints
+    block, rads, tops = _sieved  # read once: a racing thread changes only the route
+    if block == k:
+        r, p = rads[i], tops[i]
+    else:
+        primes = prime_factors(q) or [1]
+        r, p = math.prod(primes), primes[-1]
     phi_s, log_s, merged_s, gaps_s = _gap_stats(r // p)
     if p > gaps_s[-1] or all(g % p for g in gaps_s):
         return r, (p - 1) * phi_s, (p - 2) * log_s + merged_s
@@ -524,8 +542,7 @@ def _product_law2(delta: float, below: float, above: float, above_log: float) ->
     return min(1.0, value), _U * (2.0 * below + x * slack + 3.0 * value) + _TINY
 
 
-_GL7 = np.polynomial.legendre.leggauss(7)
-_GL15 = np.polynomial.legendre.leggauss(15)
+_GL7, _GL15 = ((x.tolist(), w) for x, w in map(np.polynomial.legendre.leggauss, (7, 15)))  # nodes as floats
 
 
 def _gl_panel(fn, a: float, b: float, rule) -> float:
@@ -549,16 +566,19 @@ def _product_cdf_rec(
     child_tol = 0.5 * tol
     quad_tol = 0.5 * tol
     r = cdf.modulus
+    T2 = T**2
 
     def child(u: float) -> float:
-        return _product_cdf_rec(cdf, k - 1, u, child_tol)[0]
+        if k > 3:
+            return _product_cdf_rec(cdf, k - 1, u, child_tol)[0]
+        return 0.0 if u <= 0.0 else 1.0 if u >= T2 else _product_law2(u, *cdf.law2_terms(4.0 * u))[0]
 
     # density breakpoints; below cut the child CDF is exactly 1
     cut = delta / T ** (k - 1)
     pieces = sorted({0.0, T, min(cut, T)} | {g / 2.0 for g in cdf.gaps if g / 2.0 < T})
     total = 0.0
     err = 0.0
-    panels: list[tuple[float, float, float]] = []
+    work: list[tuple[float, float, float]] = []
     for t1, t2 in zip(pieces[:-1], pieces[1:]):
         if t2 <= t1:
             continue
@@ -570,8 +590,7 @@ def _product_cdf_rec(
         if t2 <= cut:
             total += c_f * (t2 - t1)
         else:
-            panels.append((t1, t2, c_f))
-    work = [(a, b, cf) for a, b, cf in panels]
+            work.append((t1, t2, c_f))
     used = 0
     while work:
         a, b, cf = work.pop()
@@ -601,16 +620,16 @@ def _product_cdf_rec(
 def product_region_measure_coprime(
     q: int, n: int, delta: float, tol: float = 1e-9
 ) -> MeasureEstimate:
-    """|{x in [0,1]^n : prod ||q x_i||' < delta}| to absolute tolerance tol.
+    """|{x in [0,1]^n : prod ||q x_i||' < delta}| with an error bound; tol applies to n >= 3 only.
 
     n = 1 is ``region_measure_1d``.  n = 2 is the gap-pair mixture of the
     module docstring at every delta, from the table of ``coprime_dist_cdf(q)``.  Below delta = 1/4 its terms
     need only phi(r) and L_r, the sum of log(gap) over the cyclic coprime
     gaps of r = rad(q); L_r is lifted from s = r/p, p the largest prime of
     r, when p divides no coprime gap of s, and taken from r's own gaps
-    otherwise: O(1) per q after factoring, no table of r.  n >= 3 uses
-    adaptive quadrature down to the n = 2 law.  The error bound is the
-    derived rounding bound for n = 2 and the quadrature bound for n >= 3.
+    otherwise: O(1) per q on sequential calls, no table of r.  The error
+    bound is the derived rounding bound for n = 2, which ignores tol, and
+    for n >= 3 that of adaptive quadrature to absolute tolerance tol.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

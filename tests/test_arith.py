@@ -29,6 +29,7 @@ from diolab.arith import (
     prime_factors,
     primes_up_to,
     radical,
+    radical_segment,
 )
 from phi_reference import PhiTable as ReferenceTable
 
@@ -228,6 +229,21 @@ class TestEulerPhi:
         qs = [step * j for j in range(lo, hi)]
         assert got.dtype == (np.int32 if step * max(hi - 1, 1) < 2**31 else np.int64)
         assert got.tolist() == oracle_phi(qs)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(spans())
+    @example((1, 1))
+    @example((1, 2))
+    @example((1, 4097))
+    @example((16411**2 - 1, 16411**2 + 2))  # a prime square at the sieve's cut
+    @example((2**30 - 4095, 2**30 + 1))
+    def test_radical_segment_is_trial_division(self, span):
+        lo, hi = span
+        rad, top = radical_segment(lo, hi)
+        qs = range(lo, hi) if hi - lo <= 3_000 else [*range(lo, lo + 1_500), *range(hi - 1_500, hi)]
+        want = [(math.prod(f), max(f, default=1)) for f in map(prime_factors, qs)]
+        assert rad.dtype == top.dtype == (np.int32 if hi <= 2**31 else np.int64) and rad.size == top.size == hi - lo
+        assert [(int(rad[q - lo]), int(top[q - lo])) for q in qs] == want
 
     def test_segment_rejects_a_bad_span(self):
         with pytest.raises(ValueError):

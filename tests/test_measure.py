@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +204,67 @@ class TestBinomialCiProperties:
     def test_rejects_confidence_outside_open_unit_interval(self, confidence):
         with pytest.raises(ValueError):
             binomial_ci(1, 2, confidence)
+
+
+def generic_numeric(value, error_bound) -> MeasureEstimate:
+    return MeasureEstimate(value=float(value), provenance="numeric-exact", error_bound=float(error_bound))
+
+
+class TestNumericEstimate:
+    """``MeasureEstimate.numeric`` skips the generic constructor and must not be told apart from it."""
+
+    @pytest.mark.parametrize(
+        "value, bound",
+        [(0.0, 0.0), (0.3, 1e-17), (1.0, 5e-324), (-1e-12, 1e-12), (1.0 + 1e-12, 0.0), (1, 0),
+         (np.float64(0.25), np.float64(2.0**-60)), (5e-324, 1e-300)],
+    )
+    def test_equals_the_generic_constructor(self, value, bound):
+        light, generic = MeasureEstimate.numeric(value, bound), generic_numeric(value, bound)
+        assert light == generic and hash(light) == hash(generic) and repr(light) == repr(generic)
+        assert dataclasses.asdict(light) == dataclasses.asdict(generic)
+        assert dataclasses.replace(light) == generic
+        assert dataclasses.replace(light, value=0.5, samples=3) == dataclasses.replace(generic, value=0.5, samples=3)
+        for name in ("value", "error_bound"):
+            assert type(getattr(light, name)) is float
+            assert getattr(light, name).hex() == getattr(generic, name).hex()
+
+    @pytest.mark.parametrize("value", [1.0 + 2e-12, -2e-12, math.nan, np.float64(math.nan)])
+    def test_rejects_what_the_generic_constructor_rejects(self, value):
+        with pytest.raises(ValueError) as light:
+            MeasureEstimate.numeric(value, 0.0)
+        with pytest.raises(ValueError) as generic:
+            generic_numeric(value, 0.0)
+        assert str(light.value) == str(generic.value)
+
+    def test_stays_frozen(self):
+        e = MeasureEstimate.numeric(0.5, 1e-16)
+        for name in ("value", "provenance", "error_bound", "samples", "generator"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(e, name)
+        assert e == generic_numeric(0.5, 1e-16)
+
+    def test_keeps_no_more_bytes_than_the_generic_constructor(self):
+        # each kind in a fresh process, as a long run of one kind is made, since CPython sizes an
+        # instance's attributes by the names its class's earlier instances stored
+        def kept(kind: str) -> int:
+            code = (
+                "import tracemalloc\n"
+                "from diolab.measure import MeasureEstimate as M\n"
+                "values = [i / 4096 for i in range(4096)]\n"
+                "make = {'numeric': M.numeric, 'generic': lambda v, b: M(value=v, provenance='numeric-exact', error_bound=b)}\n"
+                "tracemalloc.start()\n"
+                f"estimates = [make[{kind!r}](v, v) for v in values]\n"
+                "print(tracemalloc.get_traced_memory()[0] // len(estimates))\n"
+            )
+            src = str(Path(diolab.__file__).resolve().parent.parent)
+            proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout)
+
+        assert kept("numeric") <= kept("generic")
 
 
 def test_import_does_not_load_scipy_stats():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -7,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 import diolab.arith
@@ -19,8 +21,10 @@ from diolab.arith import (
     dist_nearest_coprime,
     euler_phi,
     gap_multiset,
+    is_prime,
     phi_values,
     prime_factors,
+    primes_up_to,
     radical,
 )
 from diolab.errors import ResourceBudgetError
@@ -505,6 +509,24 @@ N3_PIECEWISE_CHILD = [
 ]
 
 
+# float.hex of (value, error bound) of product_region_measure_coprime(q, n, delta, tol), recorded from the
+# recursive quadrature; delta None is exact-tail's psi(q) = 1/(q log(q + 1)**3)
+QUADRATURE_PINS = {
+    (1000, 3, None, 1e-9): ("0x1.4b8d7cdeac26cp-13", "0x1.12e11f2d7ce05p-31"),
+    (1001, 3, None, 1e-9): ("0x1.6cfbbec03c789p-11", "0x1.12e247439f485p-31"),
+    (1002, 3, None, 1e-9): ("0x1.94ae9ce6e2a83p-14", "0x1.12e0fb1df522dp-31"),
+    (1003, 3, None, 1e-9): ("0x1.5fc9573a2a88ep-10", "0x1.12e3a210a0495p-31"),
+    (1004, 3, None, 1e-9): ("0x1.279bbbcea3b11p-12", "0x1.12e16831e0f95p-31"),
+    (1005, 3, None, 1e-9): ("0x1.4588b582d5983p-12", "0x1.12e172875ed35p-31"),
+    (1006, 3, None, 1e-9): ("0x1.287b048f01477p-12", "0x1.12e168dfe8af1p-31"),
+    (1007, 3, None, 1e-9): ("0x1.625c16c43258fp-10", "0x1.12e3a79769c55p-31"),
+    (1008, 3, None, 1e-9): ("0x1.0e7943caffef4p-14", "0x1.12e0e71f43481p-31"),
+    (1009, 3, None, 1e-9): ("0x1.ab51b7377a666p-10", "0x1.12e428b719f55p-31"),
+    (6, 4, 0.01, 1e-8): ("0x1.f9683d8a2179bp-4", "0x1.58344f39d8c3ap-28"),
+    (97, 4, 0.01, 1e-8): ("0x1.bff37495272c6p-1", "0x1.5b1e60fa08c3ap-28"),
+}
+
+
 def squarefree_up_to(limit: int) -> list[int]:
     return [r for r in range(1, limit + 1) if math.prod(prime_factors(r)) == r]
 
@@ -680,6 +702,162 @@ class TestClosedFormN2:
         for q, delta, old in zip(qs.tolist(), deltas, N3_PIECEWISE_CHILD):
             got = product_region_measure_coprime(q, 3, delta, tol=1e-9)
             assert abs(got.value - old) <= got.error_bound
+
+    def test_quadrature_values_and_bounds_are_pinned_bit_for_bit(self):
+        # the quadrature evaluates the n = 2 law at the n = 3 nodes, on float nodes; the same
+        # sums in the same order as its recursion into k = 2 gave, when these were recorded
+        psi = power_log(1.0, 1.0, 3.0)
+        for (q, n, delta, tol), pin in QUADRATURE_PINS.items():
+            got = product_region_measure_coprime(q, n, psi(q) if delta is None else delta, tol=tol)
+            assert (got.value.hex(), got.error_bound.hex()) == pin, (q, n, delta)
+
+
+RAD_BLOCK = diolab.regions._RAD_BLOCK
+RAD_CAP = diolab.regions._RAD_CAP
+SMALL_PRIMES = primes_up_to(2**15).tolist()
+
+
+def prev_prime(n: int) -> int:
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def float_bits(values: tuple) -> list:
+    """Each entry with its type, floats by their bits."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+def trial_route(fn, q: int):
+    """fn(q) with rad(q) and its largest prime found by trial division: no q is under the cap."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diolab.regions, "_RAD_CAP", 0)
+        return fn(q)
+
+
+def fresh_radicals(mp: pytest.MonkeyPatch) -> list:
+    """No previous call and no sieved block; returns the list of radical_segment spans sieved from here on."""
+    mp.setattr(diolab.regions, "_previous", None)
+    mp.setattr(diolab.regions, "_sieved", (None, (), ()))
+    sieve = diolab.regions.radical_segment
+    spans = []
+    mp.setattr(diolab.regions, "radical_segment", lambda *span: spans.append(span) or sieve(*span))
+    return spans
+
+
+def block_route(fn, q: int):
+    """fn(q) read from q's sieved block: from a fresh state, a call in the same block comes first."""
+    with pytest.MonkeyPatch.context() as mp:
+        spans = fresh_radicals(mp)
+        _gap_log_sum(q + 1 if q % RAD_BLOCK == 1 else q - 1)
+        got = fn(q)
+    lo = (q - 1) // RAD_BLOCK * RAD_BLOCK + 1
+    assert spans == [(lo, lo + RAD_BLOCK)]
+    return got
+
+
+@st.composite
+def two_primes(draw) -> int:
+    """a P with P above isqrt of the top of its block, so the sieve's cofactor holds P."""
+    a = draw(st.sampled_from(SMALL_PRIMES))
+    P = prev_prime(draw(st.integers(a + 1, RAD_CAP // a)))
+    q = a * P
+    assume(P > math.isqrt((q - 1) // RAD_BLOCK * RAD_BLOCK + RAD_BLOCK))
+    return q
+
+
+def prime_powers(p: int, k: int) -> int:
+    while p**k > RAD_CAP:
+        k -= 1
+    return p**k
+
+
+radical_draws = (
+    st.builds(lambda k, d: k * RAD_BLOCK + d, st.integers(1, RAD_CAP // RAD_BLOCK), st.sampled_from([-1, 0, 1]))
+    | st.sampled_from([1, 2])
+    | st.sampled_from(SMALL_PRIMES)
+    | st.integers(2**15, RAD_CAP).map(prev_prime)
+    | st.builds(prime_powers, st.sampled_from(SMALL_PRIMES), st.integers(2, 30))
+    | two_primes()
+)
+
+
+class TestRadicalBlocks:
+    """The n = 2 law reads rad(q) and its largest prime from a sieved block on sequential calls."""
+
+    @pytest.fixture
+    def sieved(self, monkeypatch):
+        return fresh_radicals(monkeypatch)
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(radical_draws)
+    @example(1)
+    @example(2)
+    @example(RAD_BLOCK)
+    @example(RAD_BLOCK + 1)
+    @example(30030)
+    @example(RAD_CAP)  # the top of the last block that is sieved
+    @example(RAD_CAP - 35)  # the largest prime below the cap
+    @example(3323 * 323123)  # the first q of the last block, a P with P > 2**15
+    @example(32749**2)
+    def test_the_block_route_equals_trial_division(self, q):
+        for fn in (_gap_log_sum, _lifted_terms):
+            assert float_bits(block_route(fn, q)) == float_bits(trial_route(fn, q)), (fn.__name__, q)
+
+    def test_every_q_to_2e5_in_order(self, sieved):
+        qs = range(1, 200_001)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diolab.regions, "_RAD_CAP", 0)
+            want = [_gap_log_sum(q) for q in qs]
+        assert sieved == []
+        got = [_gap_log_sum(q) for q in qs]
+        assert len(sieved) == len(qs) // RAD_BLOCK + 1
+        assert [float_bits(t) for t in got] == [float_bits(t) for t in want]
+
+    def test_threads_scanning_the_same_blocks_read_the_right_radicals(self, sieved):
+        # eight threads take turns through the q of 16 blocks, each replacing the one cached block
+        # while the others read it: a call must take q's block and its lists from one read, or factor q
+        scans = [range(1 + t, 1 + 16 * RAD_BLOCK, 8) for t in range(8)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diolab.regions, "_RAD_CAP", 0)
+            want = [[_gap_log_sum(q) for q in scan] for scan in scans]
+        got = [None] * len(scans)
+
+        def run(t: int) -> None:
+            got[t] = [_gap_log_sum(q) for q in scans[t]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):  # a race shows in some rounds only
+                threads = [threading.Thread(target=run, args=(t,)) for t in range(len(scans))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sieved and got == want
+                got = [None] * len(scans)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_scan_over_three_blocks_sieves_three_times(self, sieved):
+        for q in range(1, 3 * RAD_BLOCK + 1):
+            _gap_log_sum(q)
+        assert sieved == [(k * RAD_BLOCK + 1, (k + 1) * RAD_BLOCK + 1) for k in range(3)]
+
+    def test_calls_a_block_apart_never_sieve(self, sieved):
+        for j in range(50):
+            _lifted_terms(5 + j * (RAD_BLOCK + 1))
+        assert sieved == []
+
+    def test_no_q_past_the_cap_sieves(self, sieved):
+        for q in [RAD_CAP + 1] * 3 + list(range(RAD_CAP + 2, RAD_CAP + 8)):
+            _gap_log_sum(q)
+        assert sieved == []
+        _gap_log_sum(RAD_CAP)
+        _gap_log_sum(RAD_CAP)
+        assert sieved == [(RAD_CAP - RAD_BLOCK + 1, RAD_CAP + 1)]
 
 
 class TestHyperbolicEquivalence:
