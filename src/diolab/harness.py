@@ -187,13 +187,13 @@ def exact_event_stats_1d(
 ) -> EventStats:
     """All-exact 1-D event system: singles and pairs from interval geometry.
 
-    ``intersection_matrix`` builds the pairs in one vectorised pass per row,
-    bit for bit those of ``intersection_measure``; an empty slice gives a
-    zero row and column.  psi comes from ``f.values``, the float psi, and
-    the pairs are float measures.  ``truncated_union_1d`` sweeps the same
-    psi exactly, as the rationals of those floats, for every family but a
-    ``TablePsi`` with int or Fraction entries, whose entries it reads as
-    written: there the bound's slices are those of the rounded entries.
+    ``intersection_matrix`` builds the pairs in one sweep over the intervals
+    of all slices, bit for bit those of ``intersection_measure``; an empty
+    slice gives a zero row and column.  psi comes from ``f.values``, the
+    float psi, and the pairs are float measures.  ``truncated_union_1d``
+    sweeps the same psi exactly, as the rationals of those floats, for every
+    family but a ``TablePsi`` with int or Fraction entries, whose entries it
+    reads as written: there the bound's slices are those of the rounded entries.
     """
     psis = f.values(np.arange(Q0, Q + 1, dtype=np.int64)).tolist()
     unions = [slice_union(q, d, coprime=coprime) for q, d in zip(range(Q0, Q + 1), psis)]

@@ -55,12 +55,12 @@ Closed forms used here
   <= x and the terms are (0, phi**2/r**2, 2 phi L/r**2), with phi = phi(r)
   and L the sum of log(gap) over the phi cyclic gaps; the public n = 2
   entry below delta = 1/4 takes phi and L from ``_gap_log_sum`` and builds
-  no table.  r and the largest prime of q come from one cached block of
-  4096 q, sieved by ``radical_segment`` when the previous call's q lay in
-  that block, so consecutive q cost O(1) each; a lone call factors q by
-  trial division, and so does q > 2**30: a block past it would sieve with
-  more than the pi(2**15) = 3512 primes below 2**15, a few strided passes
-  each, close to one prime per q of the block.
+  no table.  r and the largest prime of q come from a cached block of
+  4096 q, one per thread, sieved by ``radical_segment`` when the thread's
+  previous q lay in that block, so consecutive q cost O(1) each; a lone
+  call factors q by trial division, and so does q > 2**30: a block past
+  it would sieve with more than the pi(2**15) = 3512 primes below 2**15,
+  a few strided passes each, close to one prime per q of the block.
 
 * The n-fold product law under the coprime marginal follows the recursion
   G_k(d) = int G_{k-1}(d/t) dF(t); n >= 3 uses adaptive Gauss-Legendre
@@ -100,6 +100,7 @@ rounding each constant up by one u.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -141,6 +142,7 @@ __all__ = [
 
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = math.ulp(0.0)  # twice the largest rounding error of a subnormal result
+_PAIR_BLOCK = 1 << 12  # interval pairs per block of ``intersection_matrix``: small temporaries at any size
 
 
 @dataclass(frozen=True)
@@ -232,37 +234,53 @@ class IntervalUnion:
 def intersection_matrix(unions: list[IntervalUnion]) -> np.ndarray:
     """Pairwise intersection measures of unions, with their measures on the diagonal.
 
-    One vectorised pass per row i over the intervals of all unions j > i:
-    ``searchsorted`` finds the row-i intervals each one overlaps, and each
-    overlap is one component min(ends) - max(starts), an elementary segment
-    of ``intersection_measure``.  Each entry is ``np.sum`` of its components
-    in ascending order, so it equals ``intersection_measure`` bit for bit.
-    A row costs a fixed number of numpy calls, not one per pair, and
-    temporaries live for one row only.
+    One sweep over the intervals of all unions sorted by start lists each
+    strictly overlapping pair of intervals once: an interval meets exactly
+    the later ones that start before its end.  Their component min(ends) -
+    later start is an elementary segment of ``intersection_measure``, and a
+    pair of unions lists its components in ascending x, so a sort on (pair,
+    listing index) and a zero-headed ``np.add.reduceat`` give each entry as
+    ``intersection_measure`` does, bit for bit.  It holds an int64 key per
+    listed pair, and builds the rest _PAIR_BLOCK pairs at a time.
     """
     k = len(unions)
-    sizes = [len(u) for u in unions]
-    firsts = np.cumsum(sizes)  # union i + 1 starts at firsts[i]
     starts = np.concatenate([u.starts for u in unions] + [np.empty(0)])
-    ends = np.concatenate([u.ends for u in unions] + [np.empty(0)])
-    owner = np.repeat(np.arange(k), sizes)
+    order = np.argsort(starts)
+    starts = starts[order]
+    ends = np.concatenate([u.ends for u in unions] + [np.empty(0)])[order]
+    owner = np.repeat(np.arange(k), [len(u) for u in unions])[order]
+    del order
+    # interval a meets the later intervals that start before its end: its pairs are listed at last[a - 1]:last[a]
+    last = np.cumsum(np.searchsorted(starts, ends, side="left") - np.arange(1, starts.size + 1))
+    total = int(last[-1]) if last.size else 0
+    if k * k * total >= 1 << 63:
+        raise ResourceBudgetError(f"{total} overlapping interval pairs of {k} unions overflow an int64 key")
+
+    def listed(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # the earlier and the later interval
+        a = np.searchsorted(last, t, side="right")
+        return a, t - np.where(a > 0, last[a - 1], 0) + a + 1
+
+    keys = np.empty(total, dtype=np.int64)
+    for lo in range(0, total, _PAIR_BLOCK):
+        t = np.arange(lo, min(lo + _PAIR_BLOCK, total))
+        i, j = owner[np.array(listed(t))]
+        keys[lo : lo + t.size] = (np.minimum(i, j) * k + np.maximum(i, j)) * total + t
+    keys.sort()  # distinct keys: any sort leaves each pair's components in listing order
     out = np.zeros((k, k))
-    for i, a in enumerate(unions):
-        bs, be, bj = starts[firsts[i]:], ends[firsts[i]:], owner[firsts[i]:]
-        lo = np.searchsorted(a.ends, bs, side="right")
-        counts = np.searchsorted(a.starts, be, side="left") - lo
-        hit = np.flatnonzero(counts > 0)
-        lo, counts = lo[hit], counts[hit]
-        b = np.repeat(hit, counts)
-        ai = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(b.size)
+    cuts = [0, *np.searchsorted(keys, (keys[_PAIR_BLOCK - 1 :: _PAIR_BLOCK] // total + 1) * total), total]
+    for lo, hi in zip(cuts, cuts[1:]):  # each block ends with a whole pair
+        pair = keys[lo:hi] // total  # not np.divmod: its int64 loops read 0.6 MiB of code (numpy 2.4)
+        t = keys[lo:hi] - pair * total
+        a, b = listed(t)
         # the two intervals overlap strictly, so every component is > 0
-        comp = np.minimum(a.ends[ai], be[b]) - np.maximum(a.starts[ai], bs[b])
-        heads = np.flatnonzero(np.diff(bj[b], prepend=-1))
+        comp = np.minimum(ends[a], ends[b]) - starts[b]
+        heads = np.flatnonzero(np.diff(pair, prepend=-1))
         # np.sum(x) is 0 + pairwise(x) but reduceat is x[0] + pairwise(x[1:]): a
         # 0.0 at the head of each group makes reduceat equal np.sum bit for bit
         padded = np.insert(comp, heads, 0.0)
-        js = bj[b[heads]]
-        out[i, js] = out[js, i] = np.add.reduceat(padded, heads + np.arange(heads.size))
+        i = pair[heads] // k
+        j = pair[heads] - i * k
+        out[i, j] = out[j, i] = np.add.reduceat(padded, heads + np.arange(heads.size))
     np.fill_diagonal(out, [u.measure for u in unions])
     return out
 
@@ -467,7 +485,7 @@ def _gap_stats(m: int) -> tuple[int, float, float, tuple[int, ...]]:
 
 
 _RAD_BLOCK, _RAD_CAP = 4096, 1 << 30  # q per sieved block of radicals; no block is sieved past this q
-_previous, _sieved = None, (None, (), ())  # the previous call's block; the block sieved last, with its (r, p)
+_radicals = threading.local()  # per thread: "previous", the previous call's block; "sieved", the last with its (r, p)
 
 
 def _gap_log_sum(q: int) -> tuple[int, int, float]:
@@ -487,12 +505,13 @@ def _gap_log_sum(q: int) -> tuple[int, int, float]:
     which builds no ``PiecewiseCdf``.  r and p are read from q's sieved
     block or found by trial division (module docstring); q = 1 reads p = 1.
     """
-    global _previous, _sieved
     k, i = divmod(q - 1, _RAD_BLOCK)
-    previous, _previous = _previous, k
-    if previous == k != _sieved[0] and 0 < q <= _RAD_CAP:
-        _sieved = k, *map(memoryview, radical_segment(k * _RAD_BLOCK + 1, (k + 1) * _RAD_BLOCK + 1))  # read as ints
-    block, rads, tops = _sieved  # read once: a racing thread changes only the route
+    mine = _radicals.__dict__  # this thread's own: read as a dict, it costs about what a global does
+    previous, mine["previous"] = mine.get("previous"), k
+    block, rads, tops = mine.get("sieved", (None, (), ()))
+    if previous == k != block and 0 < q <= _RAD_CAP:
+        span = radical_segment(k * _RAD_BLOCK + 1, (k + 1) * _RAD_BLOCK + 1)
+        block, rads, tops = mine["sieved"] = k, *map(memoryview, span)  # read as ints
     if block == k:
         r, p = rads[i], tops[i]
     else:

@@ -189,6 +189,54 @@ class TestIntersectionMatrix:
             unions.append(IntervalUnion.from_intervals(pts[0::2], pts[1::2]))
         assert_matches_pairwise(unions)
 
+    def test_touching_runs(self):
+        # B's m-th interval overlaps A's m-th and touches A's (m + 1)-th at its end: a touching
+        # pair adds no component, and a 0.0 listed among the hundreds here moves the pairwise sum
+        rng = np.random.default_rng(15)
+        unions = []
+        for size in range(20, 400, 40):
+            pts = np.sort(rng.random(3 * size + 1) ** 3)
+            a = IntervalUnion(pts[0:-1:3], pts[2::3])
+            b = IntervalUnion(pts[1:-1:3], pts[3::3])
+            assert np.array_equal(b.ends[:-1], a.starts[1:])
+            unions += [a, b]
+        assert_matches_pairwise(unions)
+
+    @pytest.mark.parametrize(
+        "family, coprime",
+        [
+            (power_log(0.25, 1, 0), False),
+            (power_log(0.25, 1, 0), True),
+            (table_psi([Fraction(2 + q % 5, 13 * q) for q in range(1, 301)]), True),
+        ],
+        ids=["plain", "coprime", "fraction-table"],
+    )
+    def test_real_slices_equal_the_pairwise_oracle(self, family, coprime):
+        # the unions exact_event_stats_1d builds, thousands of intervals with many pairs overlapping
+        Q = 300
+        psis = family.values(np.arange(1, Q + 1, dtype=np.int64)).tolist()
+        unions = [slice_union(q, d, coprime=coprime) for q, d in zip(range(1, Q + 1), psis)]
+        want = np.diag([u.measure for u in unions])
+        for i, a in enumerate(unions):
+            for j in range(i + 1, Q):
+                want[i, j] = want[j, i] = a.intersection_measure(unions[j])
+        assert intersection_matrix(unions).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k, bound_mib", [(192, 1.5), (1_000, 28)])
+    def test_memory_stays_bounded(self, k, bound_mib):
+        # the coprime slices of exact-1d at k = 192 and of `bc-bound --Q 1000`, whose 595,988
+        # overlapping interval pairs the sweep holds as one int64 key each: measured peaks were 1.1
+        # and 21.8 MiB, and 1.9 and 62.4 MiB when every pair was built in one block
+        psis = power_log(0.25, 1, 0).values(np.arange(1, k + 1, dtype=np.int64)).tolist()
+        unions = [slice_union(q, d, coprime=True) for q, d in zip(range(1, k + 1), psis)]
+        tracemalloc.start()
+        try:
+            intersection_matrix(unions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
+
 
 class TestRegionMeasure1d:
     def test_examples(self):
@@ -737,8 +785,7 @@ def trial_route(fn, q: int):
 
 def fresh_radicals(mp: pytest.MonkeyPatch) -> list:
     """No previous call and no sieved block; returns the list of radical_segment spans sieved from here on."""
-    mp.setattr(diolab.regions, "_previous", None)
-    mp.setattr(diolab.regions, "_sieved", (None, (), ()))
+    mp.setattr(diolab.regions, "_radicals", type(diolab.regions._radicals)())
     sieve = diolab.regions.radical_segment
     spans = []
     mp.setattr(diolab.regions, "radical_segment", lambda *span: spans.append(span) or sieve(*span))
@@ -815,8 +862,8 @@ class TestRadicalBlocks:
         assert [float_bits(t) for t in got] == [float_bits(t) for t in want]
 
     def test_threads_scanning_the_same_blocks_read_the_right_radicals(self, sieved):
-        # eight threads take turns through the q of 16 blocks, each replacing the one cached block
-        # while the others read it: a call must take q's block and its lists from one read, or factor q
+        # eight threads take turns through the q of the same 16 blocks, each sieving its own blocks
+        # while the others run: every call must read the radicals of its own q
         scans = [range(1 + t, 1 + 16 * RAD_BLOCK, 8) for t in range(8)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(diolab.regions, "_RAD_CAP", 0)
@@ -840,6 +887,31 @@ class TestRadicalBlocks:
                 got = [None] * len(scans)
         finally:
             sys.setswitchinterval(interval)
+
+    def test_threads_taking_turns_on_their_own_blocks_sieve_each_once(self, sieved):
+        # four threads each scan two blocks of their own while the others run: the block rule
+        # is kept per thread, so no thread loses its block to another's call
+        scans = [range(1 + 2 * t * RAD_BLOCK, 1 + 2 * (t + 1) * RAD_BLOCK) for t in range(4)]
+        got = [None] * len(scans)
+
+        def run(t: int) -> None:
+            got[t] = [_gap_log_sum(q) for q in scans[t]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(len(scans))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(sieved) == [(k * RAD_BLOCK + 1, (k + 1) * RAD_BLOCK + 1) for k in range(8)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diolab.regions, "_RAD_CAP", 0)
+            assert got == [[_gap_log_sum(q) for q in scan] for scan in scans]
 
     def test_a_scan_over_three_blocks_sieves_three_times(self, sieved):
         for q in range(1, 3 * RAD_BLOCK + 1):
