@@ -48,11 +48,11 @@ print("  witness rectangle mass, rows vs columns:",
 
 # Exhaustive confidence at small size: every one of the 512 subsets of a
 # 3x3 space respects the equivalence, under lopsided weights too.
-from diolab.fibering import all_member_matrices
+import itertools
 
 weights = DiscreteSpace((0, 1, 2), (Fraction(5, 6), Fraction(1, 6), 0))
 bad = sum(
-    not cross_fibering_check(ProductSet(weights, DiscreteSpace.uniform(3), m)).equivalence_holds
-    for m in all_member_matrices(3, 3)
+    not cross_fibering_check(ProductSet(weights, DiscreteSpace.uniform(3), rows)).equivalence_holds
+    for rows in itertools.product(itertools.product((0, 1), repeat=3), repeat=3)
 )
 print("\n512 subsets with a zero-weight atom: equivalence failures =", bad)

@@ -9,6 +9,7 @@ numerator/denominator.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -20,12 +21,7 @@ import numpy as np
 
 from .arith import euler_phi
 from .errors import DiolabError
-from .fibering import (
-    DiscreteSpace,
-    ProductSet,
-    all_member_matrices,
-    cross_fibering_check,
-)
+from .fibering import DiscreteSpace, ProductSet, _fiber_report, cross_fibering_check
 from .harness import (
     Battery,
     run_bc_evidence,
@@ -160,10 +156,6 @@ def cmd_bc_bound(args) -> int:
     return 1 if rep.anomalies else 0
 
 
-def _parse_weights(text: str) -> list[Fraction]:
-    return [Fraction(tok) for tok in text.split(",") if tok != ""]
-
-
 def cmd_fiber_check(args) -> int:
     if args.exhaustive is not None:
         k = args.exhaustive
@@ -177,14 +169,11 @@ def cmd_fiber_check(args) -> int:
             weight_pairs.append(
                 (_random_space(k, rng, zero_atoms=True), _random_space(k, rng, zero_atoms=True))
             )
-        checked = 0
-        failures = 0
-        for member in all_member_matrices(k, k):
-            for X, Y in weight_pairs:
-                rep = cross_fibering_check(ProductSet(X, Y, member))
-                checked += 1
-                if not rep.equivalence_holds:
-                    failures += 1
+        # every k x k matrix as a tuple of row tuples, in the lexicographic order of its k*k flags
+        subsets = itertools.product(itertools.product((False, True), repeat=k), repeat=k)
+        failures = sum(
+            not _fiber_report(rows, X, Y).equivalence_holds for rows in subsets for X, Y in weight_pairs
+        )
         verdict = "all equivalences hold" if failures == 0 else f"{failures} FAILURES"
         print(f"{2**(k*k)} subsets x {len(weight_pairs)} weight pairs: {verdict}")
         return 0 if failures == 0 else 1
@@ -193,9 +182,7 @@ def cmd_fiber_check(args) -> int:
     except json.JSONDecodeError as exc:
         raise SystemExit(f"error: matrix file parse error at line {exc.lineno} col {exc.colno}")
     try:
-        wx = _parse_weights(",".join(str(w) for w in payload["weights_x"]))
-        wy = _parse_weights(",".join(str(w) for w in payload["weights_y"]))
-        member = payload["member"]
+        wx, wy, member = payload["weights_x"], payload["weights_y"], payload["member"]
     except KeyError as exc:
         raise SystemExit(f"error: matrix file missing field {exc}")
     try:

@@ -19,11 +19,13 @@ exhibit the non-reversibility witnesses.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import lru_cache
+from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +35,6 @@ __all__ = [
     "ProductDecomposition",
     "ProductSet",
     "Triviality",
-    "all_member_matrices",
     "cross_fibering_check",
     "decompose",
     "fiber_x",
@@ -43,9 +44,12 @@ __all__ = [
 
 
 def _as_fraction(v) -> Fraction:
-    if isinstance(v, float):
-        raise ValueError("weights must be exact rationals (int, Fraction, or 'a/b' string)")
-    return Fraction(v)
+    try:
+        if not isinstance(v, (bool, float)):
+            return Fraction(v)
+    except (TypeError, ZeroDivisionError):
+        pass
+    raise ValueError("weights must be exact rationals (int, Fraction, or 'a/b' string)")
 
 
 @dataclass(frozen=True)
@@ -101,22 +105,28 @@ class Triviality:
 
     @classmethod
     def of(cls, measure: Fraction) -> "Triviality":
-        if measure == 0:
-            return cls("Null", measure)
-        if measure == 1:
-            return cls("Full", measure)
-        return cls("Nontrivial", measure)
+        return _triviality(measure.numerator, measure.denominator)
 
     @property
     def trivial(self) -> bool:
         return self.kind != "Nontrivial"
 
 
+@lru_cache(maxsize=4096)
+def _triviality(numer: int, denom: int) -> Triviality:
+    """numer/denom classified on integers; a space has at most min(2**k, denom + 1) fiber masses."""
+    kind = "Null" if numer == 0 else "Full" if numer == denom else "Nontrivial"
+    return Triviality(kind, Fraction(numer, denom))
+
+
 class ProductSet:
-    """Subset of X x Y given by a boolean membership matrix."""
+    """Subset of X x Y given by a membership matrix of booleans or 0/1 integers."""
 
     def __init__(self, X: DiscreteSpace, Y: DiscreteSpace, member):
-        member = np.asarray(member, dtype=bool)
+        member = np.asarray(member)
+        if member.dtype != bool and (member.dtype.kind not in "iu" or not np.isin(member, (0, 1)).all()):
+            raise ValueError("membership entries must be booleans or the integers 0 and 1")
+        member = member.astype(bool, copy=False)
         if member.shape != (len(X), len(Y)):
             raise ValueError(
                 f"membership matrix shape {member.shape} does not match ({len(X)}, {len(Y)})"
@@ -147,28 +157,27 @@ def fiber_y(S: ProductSet, y) -> tuple:
     return tuple(a for a, m in zip(S.X.atoms, col) if m)
 
 
-def _fiber_measures(S: ProductSet) -> tuple[list[int], list[int], int]:
-    """Row and column fiber measures and (mu x nu)(S), as integer numerators.
+def _fiber_measures(rows, X: DiscreteSpace, Y: DiscreteSpace) -> tuple[list[int], list[int], int]:
+    """Row and column fiber measures and (mu x nu)(S) as integer numerators, from S's 0/1 rows.
 
     Rows are over nu's denominator, columns over mu's, and (mu x nu)(S)
     over their product.  Its two iteration orders must agree exactly.
     """
-    member = S.member.tolist()
-    wx, wy = S.X._numers, S.Y._numers
-    rows = [sum(w for w, m in zip(wy, row) if m) for row in member]
-    cols = [sum(w for w, m in zip(wx, col) if m) for col in zip(*member)]
-    by_rows = sum(w * nu for w, nu in zip(wx, rows))
-    by_cols = sum(w * mu for w, mu in zip(wy, cols))
+    wx, wy = X._numers, Y._numers
+    row_measures = [sum(compress(wy, row)) for row in rows]
+    col_measures = [sum(compress(wx, col)) for col in zip(*rows)]
+    by_rows = sum(map(operator.mul, wx, row_measures))
+    by_cols = sum(map(operator.mul, wy, col_measures))
     if by_rows != by_cols:
         raise AssertionError(
             "iterated integrals disagree; exact arithmetic invariant violated"
         )
-    return rows, cols, by_rows
+    return row_measures, col_measures, by_rows
 
 
 def product_measure(S: ProductSet) -> Fraction:
     """(mu x nu)(S), computed in both iteration orders; they must agree exactly."""
-    return Fraction(_fiber_measures(S)[2], S.X._denom * S.Y._denom)
+    return Fraction(_fiber_measures(S.member.tolist(), S.X, S.Y)[2], S.X._denom * S.Y._denom)
 
 
 @dataclass(frozen=True)
@@ -179,6 +188,20 @@ class FiberReport:
     equivalence_holds: bool
 
 
+def _fiber_report(rows, X: DiscreteSpace, Y: DiscreteSpace) -> FiberReport:
+    """``cross_fibering_check`` of the set with these 0/1 rows, which are not validated.
+
+    Null and full are decided on numerators; only returned values become Fractions.
+    """
+    row_measures, col_measures, measure = _fiber_measures(rows, X, Y)
+    dx, dy = X._denom, Y._denom
+    left = _triviality(measure, dx * dy)
+    trivial_x = sum(compress(X._numers, [m in (0, dy) for m in row_measures]))
+    trivial_y = sum(compress(Y._numers, [m in (0, dx) for m in col_measures]))
+    holds = left.trivial == (trivial_x == dx and trivial_y == dy)
+    return FiberReport(left, _triviality(trivial_x, dx).measure, _triviality(trivial_y, dy).measure, holds)
+
+
 def cross_fibering_check(S: ProductSet) -> FiberReport:
     """Both sides of the fibering biconditional, evaluated exactly.
 
@@ -187,13 +210,7 @@ def cross_fibering_check(S: ProductSet) -> FiberReport:
     must hold for every input; a False value signals a bug, not a valid
     mathematical outcome.
     """
-    rows, cols, measure = _fiber_measures(S)
-    dx, dy = S.X._denom, S.Y._denom
-    left = Triviality.of(Fraction(measure, dx * dy))
-    right_x = Fraction(sum(w for w, nu in zip(S.X._numers, rows) if nu == 0 or nu == dy), dx)
-    right_y = Fraction(sum(w for w, mu in zip(S.Y._numers, cols) if mu == 0 or mu == dx), dy)
-    holds = left.trivial == (right_x == 1 and right_y == 1)
-    return FiberReport(left, right_x, right_y, holds)
+    return _fiber_report(S.member.tolist(), S.X, S.Y)
 
 
 @dataclass(frozen=True)
@@ -217,7 +234,8 @@ class ProductDecomposition:
 
 
 def decompose(S: ProductSet) -> ProductDecomposition:
-    rows, cols, _ = _fiber_measures(S)
+    member = S.member.tolist()
+    rows, cols, _ = _fiber_measures(member, S.X, S.Y)
     dx, dy = S.X._denom, S.Y._denom
     x0 = [i for i, m in enumerate(rows) if m == 0]
     x1 = [i for i, m in enumerate(rows) if m == dy]
@@ -225,7 +243,6 @@ def decompose(S: ProductSet) -> ProductDecomposition:
     y0 = [j for j, m in enumerate(cols) if m == 0]
     y1 = [j for j, m in enumerate(cols) if m == dx]
     ynt = [j for j, m in enumerate(cols) if 0 < m < dx]
-    member = S.member.tolist()
     wx, wy = S.X._numers, S.Y._numers
     # integrate over columns of Y1: mu(S^y intersect X0)
     by_cols = sum(wy[j] * sum(wx[i] for i in x0 if member[i][j]) for j in y1)
@@ -244,9 +261,3 @@ def decompose(S: ProductSet) -> ProductDecomposition:
         witness_by_rows=Fraction(by_rows, dx * dy),
         witness_by_cols=Fraction(by_cols, dx * dy),
     )
-
-
-def all_member_matrices(nx: int, ny: int) -> Iterator[np.ndarray]:
-    """All 2**(nx*ny) boolean membership matrices, in a fixed order."""
-    for bits in itertools.product((False, True), repeat=nx * ny):
-        yield np.array(bits, dtype=bool).reshape(nx, ny)

@@ -190,6 +190,32 @@ class TestFiberCheck:
             main(["fiber-check", str(f)])
         assert "weights must sum to exactly 1" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("member", [[1, 0], [0, 2]]),
+            ("member", [[1, 0], [0, 0.5]]),
+            ("member", [[1, 0], [0, -1]]),
+            ("member", [[1, 0], [0, "x"]]),
+            ("weights_x", ["1/2,1/2"]),
+            ("weights_x", ["1/2", "", "1/2"]),
+            ("weights_x", [0.5, 0.5]),
+            ("weights_x", [True, False]),
+            ("weights_x", [None, 1]),
+            ("weights_x", ["1/0", 1]),
+        ],
+    )
+    def test_bad_entries_rejected(self, tmp_path, field, value):
+        # a matrix file holds 0/1 or boolean membership entries and one exact rational per weight entry
+        payload = {"weights_x": ["1/2", "1/2"], "weights_y": ["1/2", "1/2"], "member": [[1, 0], [0, 1]]}
+        payload[field] = value
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["fiber-check", str(f)])
+        # a string exit code exits with status 1
+        assert str(exc.value).startswith("error: validation failed: ")
+
     def test_size_cap(self, capsys):
         with pytest.raises(SystemExit):
             main(["fiber-check", "--exhaustive", "5"])

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diolab import cli
 from diolab.fibering import (
     DiscreteSpace,
     FiberReport,
     ProductDecomposition,
     ProductSet,
     Triviality,
-    all_member_matrices,
+    _fiber_report,
     cross_fibering_check,
     decompose,
     fiber_x,
@@ -20,6 +22,12 @@ from diolab.fibering import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def all_member_matrices(nx, ny):
+    """All 2**(nx*ny) boolean membership matrices, in the lexicographic order of their flags."""
+    for bits in itertools.product((False, True), repeat=nx * ny):
+        yield np.array(bits, dtype=bool).reshape(nx, ny)
 
 
 def uniform(k):
@@ -46,6 +54,9 @@ class TestDiscreteSpace:
             DiscreteSpace((0, 0), (HALF, HALF))  # duplicate atoms
         with pytest.raises(ValueError):
             DiscreteSpace((0, 1), (0.5, 0.5))  # floats are not exact
+        for weight in (True, None, "1/0", "1/2,1/2", "", [1]):
+            with pytest.raises(ValueError):
+                DiscreteSpace((0, 1), (weight, 0))  # True would read as weight 1
 
     def test_zero_weight_atoms_allowed(self):
         s = DiscreteSpace(("a", "b"), (1, 0))
@@ -212,6 +223,17 @@ def test_matrix_shape_validation():
         ProductSet(X, Y, np.ones((3, 2), dtype=bool))
 
 
+@pytest.mark.parametrize("entry", [2, -1, 0.5, 1.0, "x", "1", None, Fraction(1)])
+def test_membership_entries_are_booleans_or_0_1(entry):
+    X, Y = uniform(2), uniform(2)
+    with pytest.raises(ValueError, match="booleans or the integers 0 and 1"):
+        ProductSet(X, Y, [[1, 0], [0, entry]])
+    with pytest.raises(ValueError, match="booleans or the integers 0 and 1"):
+        ProductSet(X, Y, np.array([[1, 0], [0, entry]]))
+    for member in ([[True, 0], [False, 1]], np.array([[1, 0], [0, 1]], dtype=np.uint8)):
+        assert ProductSet(X, Y, member).member.tolist() == [[True, False], [False, True]]
+
+
 # ---------------------------------------------------------------------------
 # the integer paths against the Fraction formulas they replaced
 
@@ -309,6 +331,29 @@ class TestIntegerPaths:
             S = ProductSet(X, Y, member)
             assert cross_fibering_check(S) == ref_report(S)
             assert decompose(S) == ref_decompose(S)
+
+
+def test_exhaustive_cli_checks_every_subset_in_the_matrix_order(monkeypatch, capsys):
+    # fiber-check --exhaustive feeds row tuples to the integer core; record what it is fed
+    calls = []
+
+    def recording(rows, X, Y):
+        report = _fiber_report(rows, X, Y)
+        calls.append((rows, X, Y, report))
+        return report
+
+    monkeypatch.setattr(cli, "_fiber_report", recording)
+    assert cli.main(["fiber-check", "--exhaustive", "3", "--weight-samples", "2"]) == 0
+    assert capsys.readouterr().out == "512 subsets x 2 weight pairs: all equivalences hold\n"
+    pairs = [(X, Y) for _, X, Y, _ in calls[:2]]
+    assert pairs[0] == (uniform(3), uniform(3))
+    assert 0 in pairs[1][0].weights and 0 in pairs[1][1].weights
+    expected = [(member, X, Y) for member in all_member_matrices(3, 3) for X, Y in pairs]
+    assert len(calls) == len(expected) == 1024
+    for (rows, X, Y, report), (member, X_ref, Y_ref) in zip(calls, expected):
+        assert np.array_equal(np.array(rows, dtype=bool), member)
+        assert (X, Y) == (X_ref, Y_ref)
+        assert report == ref_report(ProductSet(X, Y, member))
 
 
 def ref_validation_error(atoms, weights) -> str | None:
