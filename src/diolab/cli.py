@@ -181,11 +181,15 @@ def cmd_fiber_check(args) -> int:
         payload = json.loads(Path(args.matrix_file).read_text())
     except json.JSONDecodeError as exc:
         raise SystemExit(f"error: matrix file parse error at line {exc.lineno} col {exc.colno}")
+    if not isinstance(payload, dict):
+        raise SystemExit("error: validation failed: a matrix file holds one JSON object")
     try:
         wx, wy, member = payload["weights_x"], payload["weights_y"], payload["member"]
     except KeyError as exc:
         raise SystemExit(f"error: matrix file missing field {exc}")
     try:
+        if not (isinstance(wx, list) and isinstance(wy, list)):
+            raise ValueError("weights_x and weights_y must be lists")
         X = DiscreteSpace(tuple(range(len(wx))), tuple(wx))
         Y = DiscreteSpace(tuple(range(len(wy))), tuple(wy))
         S = ProductSet(X, Y, member)

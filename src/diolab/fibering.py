@@ -133,7 +133,7 @@ class ProductSet:
             )
         self.X = X
         self.Y = Y
-        self.member = member
+        self.member = member.view()  # read-only, and the caller's array stays writable
         self.member.setflags(write=False)
 
     @classmethod

@@ -185,15 +185,16 @@ def run_dichotomy_scan(battery: Battery, workers: int = 1) -> DichotomyReport:
 def exact_event_stats_1d(
     f: ApproxFunction, Q0: int, Q: int, coprime: bool = True
 ) -> EventStats:
-    """All-exact 1-D event system: singles and pairs from interval geometry.
+    """1-D event system from interval geometry: float singles and pairs, no sampling.
 
     ``intersection_matrix`` builds the pairs in one sweep over the intervals
-    of all slices, bit for bit those of ``intersection_measure``; an empty
+    of all slices, bit for bit those of ``intersection_measure``: float sums
+    of their components from left to right, not exact values.  An empty
     slice gives a zero row and column.  psi comes from ``f.values``, the
-    float psi, and the pairs are float measures.  ``truncated_union_1d``
-    sweeps the same psi exactly, as the rationals of those floats, for every
-    family but a ``TablePsi`` with int or Fraction entries, whose entries it
-    reads as written: there the bound's slices are those of the rounded entries.
+    float psi.  ``truncated_union_1d`` sweeps the same psi exactly, as the
+    rationals of those floats, for every family but a ``TablePsi`` with int
+    or Fraction entries, whose entries it reads as written: there the
+    bound's slices are those of the rounded entries.
     """
     psis = f.values(np.arange(Q0, Q + 1, dtype=np.int64)).tolist()
     unions = [slice_union(q, d, coprime=coprime) for q, d in zip(range(Q0, Q + 1), psis)]
@@ -246,6 +247,10 @@ def run_bc_evidence(
             pair_source=pair_source,
             config_hash=cfg.config_hash(),
         )
+
+    def single(q: int, d: float) -> float:  # every branch of region_measure gives 0.0 at delta = 0
+        return region_measure(RegionSpec(q, cfg.n, d, cfg.mode, cfg.coprime)).value if d > 0.0 else 0.0
+
     if pair_source == "exact-1d":
         stats = exact_event_stats_1d(cfg.family, cfg.Q0, cfg.Q, cfg.coprime)
         union_curve = [
@@ -253,12 +258,7 @@ def run_bc_evidence(
             for qc in cfg.checkpoints
         ]
     else:
-        singles = np.array(
-            [
-                region_measure(RegionSpec(q, cfg.n, d, cfg.mode, cfg.coprime)).value
-                for q, d in zip(qs, psis)
-            ]
-        )
+        singles = np.array([single(q, d) for q, d in zip(qs, psis)])
         if pair_source == "independence":
             stats = EventStats(singles, "independence")
         else:
@@ -282,7 +282,7 @@ def run_bc_evidence(
     sumcon_table = []
     for qc in cfg.checkpoints:
         d = psis[qc - cfg.Q0]
-        m = region_measure(RegionSpec(qc, cfg.n, d, cfg.mode, cfg.coprime)).value
+        m = single(qc, d)
         phi_ratio = euler_phi(qc) / qc
         pred = (phi_ratio**cfg.n) * d * (np.log(qc) ** (cfg.n - 1))
         sumcon_table.append((qc, m, float(pred), m / pred if pred > 0 else float("nan")))

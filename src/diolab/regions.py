@@ -88,6 +88,12 @@ A component of one interval inside [bound, 1 - bound] adds 2a/(bq) by a
 count per slice; any other adds its rational end less its start, clipped
 to [0, 1].  The sum is one integer per denominator, rounded once.
 
+Interval measures
+-----------------
+``IntervalUnion.measure``, ``intersection_measure`` and
+``intersection_matrix`` sum their float components in one order, left to
+right in x, so the matrix equals the pairwise measures bit for bit.
+
 Rounding bounds
 ---------------
 The ``numeric-exact`` bounds of the n = 2 law are derived, not
@@ -177,6 +183,11 @@ def _sweep(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return order, starts[order], e, np.maximum.accumulate(e)
 
 
+def _left_sum(x: np.ndarray) -> float:
+    """Sum of x from left to right: the one summation order of every interval measure."""
+    return float(np.cumsum(x)[-1]) if x.size else 0.0
+
+
 def _components(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Components of a nonempty union of closed intervals: a start above the running max end opens one."""
     _, s, _, cm = _sweep(starts, ends)
@@ -210,7 +221,7 @@ class IntervalUnion:
 
     @property
     def measure(self) -> float:
-        return float(np.sum(self.ends - self.starts))
+        return _left_sum(self.ends - self.starts)
 
     def _inside(self, xs: np.ndarray) -> np.ndarray:
         # parity of endpoint crossings; valid because intervals are disjoint
@@ -228,7 +239,7 @@ class IntervalUnion:
         # classify each elementary segment by its left cut: a midpoint of two
         # cuts a few ulps apart can round onto the right cut and read outside
         both = self._inside(cuts[:-1]) & other._inside(cuts[:-1])
-        return float(np.sum((cuts[1:] - cuts[:-1])[both]))
+        return _left_sum((cuts[1:] - cuts[:-1])[both])
 
 
 def intersection_matrix(unions: list[IntervalUnion]) -> np.ndarray:
@@ -237,11 +248,10 @@ def intersection_matrix(unions: list[IntervalUnion]) -> np.ndarray:
     One sweep over the intervals of all unions sorted by start lists each
     strictly overlapping pair of intervals once: an interval meets exactly
     the later ones that start before its end.  Their component min(ends) -
-    later start is an elementary segment of ``intersection_measure``, and a
-    pair of unions lists its components in ascending x, so a sort on (pair,
-    listing index) and a zero-headed ``np.add.reduceat`` give each entry as
-    ``intersection_measure`` does, bit for bit.  It holds an int64 key per
-    listed pair, and builds the rest _PAIR_BLOCK pairs at a time.
+    later start is an elementary segment of ``intersection_measure``.  A
+    pair of unions lists its components in ascending x, so ``np.add.at``
+    into the entry (min owner, max owner) and its mirror sums them from left
+    to right, _PAIR_BLOCK pairs at a time.
     """
     k = len(unions)
     starts = np.concatenate([u.starts for u in unions] + [np.empty(0)])
@@ -253,34 +263,16 @@ def intersection_matrix(unions: list[IntervalUnion]) -> np.ndarray:
     # interval a meets the later intervals that start before its end: its pairs are listed at last[a - 1]:last[a]
     last = np.cumsum(np.searchsorted(starts, ends, side="left") - np.arange(1, starts.size + 1))
     total = int(last[-1]) if last.size else 0
-    if k * k * total >= 1 << 63:
-        raise ResourceBudgetError(f"{total} overlapping interval pairs of {k} unions overflow an int64 key")
-
-    def listed(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # the earlier and the later interval
-        a = np.searchsorted(last, t, side="right")
-        return a, t - np.where(a > 0, last[a - 1], 0) + a + 1
-
-    keys = np.empty(total, dtype=np.int64)
+    out = np.zeros((k, k))
     for lo in range(0, total, _PAIR_BLOCK):
         t = np.arange(lo, min(lo + _PAIR_BLOCK, total))
-        i, j = owner[np.array(listed(t))]
-        keys[lo : lo + t.size] = (np.minimum(i, j) * k + np.maximum(i, j)) * total + t
-    keys.sort()  # distinct keys: any sort leaves each pair's components in listing order
-    out = np.zeros((k, k))
-    cuts = [0, *np.searchsorted(keys, (keys[_PAIR_BLOCK - 1 :: _PAIR_BLOCK] // total + 1) * total), total]
-    for lo, hi in zip(cuts, cuts[1:]):  # each block ends with a whole pair
-        pair = keys[lo:hi] // total  # not np.divmod: its int64 loops read 0.6 MiB of code (numpy 2.4)
-        t = keys[lo:hi] - pair * total
-        a, b = listed(t)
+        a = np.searchsorted(last, t, side="right")  # the earlier interval, and b the later one
+        b = t - np.where(a > 0, last[a - 1], 0) + a + 1
+        i, j = np.minimum(owner[a], owner[b]), np.maximum(owner[a], owner[b])
         # the two intervals overlap strictly, so every component is > 0
         comp = np.minimum(ends[a], ends[b]) - starts[b]
-        heads = np.flatnonzero(np.diff(pair, prepend=-1))
-        # np.sum(x) is 0 + pairwise(x) but reduceat is x[0] + pairwise(x[1:]): a
-        # 0.0 at the head of each group makes reduceat equal np.sum bit for bit
-        padded = np.insert(comp, heads, 0.0)
-        i = pair[heads] // k
-        j = pair[heads] - i * k
-        out[i, j] = out[j, i] = np.add.reduceat(padded, heads + np.arange(heads.size))
+        # a flat index takes np.add.at's one-dimensional loop; reshape of the fresh matrix is a view
+        np.add.at(out.reshape(-1), np.concatenate((i * k + j, j * k + i)), np.concatenate((comp, comp)))
     np.fill_diagonal(out, [u.measure for u in unions])
     return out
 

@@ -203,12 +203,15 @@ class TestFiberCheck:
             ("weights_x", [True, False]),
             ("weights_x", [None, 1]),
             ("weights_x", ["1/0", 1]),
+            ("weights_x", 5),
+            (None, [1, 2]),
         ],
     )
     def test_bad_entries_rejected(self, tmp_path, field, value):
-        # a matrix file holds 0/1 or boolean membership entries and one exact rational per weight entry
+        # a matrix file holds one object: 0/1 or boolean membership entries and a list of one exact
+        # rational per weight entry (field None replaces the whole file)
         payload = {"weights_x": ["1/2", "1/2"], "weights_y": ["1/2", "1/2"], "member": [[1, 0], [0, 1]]}
-        payload[field] = value
+        payload = value if field is None else {**payload, field: value}
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(payload))
         with pytest.raises(SystemExit) as exc:

@@ -76,6 +76,14 @@ class TestFibers:
         assert fiber_x(S, 0) == (0,)
         assert fiber_y(S, 1) == (1,)
 
+    def test_caller_array_stays_writable(self):
+        X, Y = uniform(2), uniform(2)
+        member = np.zeros((2, 2), dtype=bool)
+        S = ProductSet(X, Y, member)
+        member[0, 1] = True  # the caller may reuse its buffer
+        with pytest.raises(ValueError, match="read-only"):
+            S.member[0, 0] = True
+
     def test_unknown_atom_rejected(self):
         X, Y = uniform(2), uniform(2)
         S = ProductSet.full(X, Y)

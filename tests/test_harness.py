@@ -3,7 +3,8 @@ import pytest
 
 from diolab.arith import euler_phi
 
-from diolab.borel_cantelli import EventStats, bc_lower_bound
+from diolab import harness
+from diolab.borel_cantelli import EventStats, bc_lower_bound, bc_scan
 from diolab.harness import (
     Battery,
     BatteryEntry,
@@ -14,8 +15,8 @@ from diolab.harness import (
     run_padic,
     theorem2_demo_battery,
 )
-from diolab.psi import SumCriterion, WeightFn, power_log, table_psi
-from diolab.regions import slice_union, truncated_union_1d
+from diolab.psi import SumCriterion, WeightFn, indicator_support, power_log, table_psi
+from diolab.regions import RegionSpec, region_measure, slice_union, truncated_union_1d
 from diolab.sampler import ExperimentConfig, estimate_union_measure, sample_points, solution_counts
 
 
@@ -236,6 +237,25 @@ class TestBcEvidence:
         cfg = ExperimentConfig(family=power_log(0, 0, 0), n=2, Q=16, samples=50, seed=5)
         with pytest.raises(ValueError, match="requires n = 1"):
             run_bc_evidence(cfg, pair_source="exact-1d")
+
+    def test_sparse_family_measures_no_zero_slice(self, monkeypatch):
+        # region_measure gives 0.0 at delta = 0, so only slices with psi > 0 are measured: at n = 2
+        # coprime each call would first build q's coprime law
+        f = indicator_support(power_log(0.25, 1, 0), "multiples_of", 10)
+        cfg = ExperimentConfig(family=f, n=2, coprime=True, Q=200, samples=200, seed=6, q_grid=(50, 128, 200))
+        deltas = []
+
+        def spy(spec, *args):
+            deltas.append(spec.delta)
+            return region_measure(spec, *args)
+
+        monkeypatch.setattr(harness, "region_measure", spy)
+        rep = run_bc_evidence(cfg, pair_source="independence")
+        assert len(deltas) == 22 and min(deltas) > 0.0  # 20 singles, and sumcon rows at Q = 50 and 200
+        singles = [region_measure(RegionSpec(q, 2, f(q), coprime=True)).value for q in range(1, 201)]
+        want, _ = bc_scan(EventStats(np.array(singles), "independence"), cfg.checkpoints)
+        assert rep.bound_curve == want
+        assert [row[1] for row in rep.sumcon_table] == [singles[qc - 1] for qc in cfg.checkpoints]
 
     def test_sumcon_table_shape(self):
         cfg = ExperimentConfig(

@@ -179,8 +179,8 @@ class TestIntersectionMatrix:
         assert_matches_pairwise(unions)
 
     def test_long_component_runs(self):
-        # pairs with hundreds of components: np.add.reduceat alone is not
-        # np.sum past 8 terms, so this pins the zero-headed grouping
+        # pairs with hundreds of components: a pairwise or blocked sum differs from a sum left to
+        # right from 8 terms on, so this pins the matrix's summation order to the oracle's
         rng = np.random.default_rng(14)
         unions = [IntervalUnion.from_intervals([0.0], [1.0])]
         for size in range(5, 400, 15):
@@ -191,7 +191,8 @@ class TestIntersectionMatrix:
 
     def test_touching_runs(self):
         # B's m-th interval overlaps A's m-th and touches A's (m + 1)-th at its end: a touching
-        # pair adds no component, and a 0.0 listed among the hundreds here moves the pairwise sum
+        # pair adds no component. Unions of different sizes overlap with either one's interval first,
+        # so an entry indexed by (owner of the earlier, owner of the later) would split their sum in two
         rng = np.random.default_rng(15)
         unions = []
         for size in range(20, 400, 40):
@@ -225,8 +226,8 @@ class TestIntersectionMatrix:
     @pytest.mark.parametrize("k, bound_mib", [(192, 1.5), (1_000, 28)])
     def test_memory_stays_bounded(self, k, bound_mib):
         # the coprime slices of exact-1d at k = 192 and of `bc-bound --Q 1000`, whose 595,988
-        # overlapping interval pairs the sweep holds as one int64 key each: measured peaks were 1.1
-        # and 21.8 MiB, and 1.9 and 62.4 MiB when every pair was built in one block
+        # overlapping interval pairs the sweep adds into the matrix a block at a time: measured
+        # peaks were 1.0 and 17.3 MiB, and 1.9 and 62.4 MiB when every pair was built in one block
         psis = power_log(0.25, 1, 0).values(np.arange(1, k + 1, dtype=np.int64)).tolist()
         unions = [slice_union(q, d, coprime=True) for q, d in zip(range(1, k + 1), psis)]
         tracemalloc.start()
