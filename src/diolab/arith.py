@@ -61,6 +61,11 @@ SIEVE_CHUNK = 1 << 18  # entries per phi_segment call of a streamed pass: four s
 _STRIDED = 1 << 14  # prime powers up to this take one strided pass each; larger ones are gathered
 
 
+def range_array(qs: range) -> np.ndarray:
+    """The q of a range as one int64 array; every q must fit int64."""
+    return np.arange(qs.start, qs.stop, qs.step, dtype=np.int64)
+
+
 @functools.cache
 def _wheel() -> tuple[np.ndarray, np.ndarray]:
     """Over one period of q mod 2310, the products of p - 1 and of p over the primes p <= 11 dividing q."""

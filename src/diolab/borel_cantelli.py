@@ -45,7 +45,7 @@ class EventStats:
     """Per-event measures plus a pair-measure source.
 
     ``pairs`` is the string "independence" or a full (Q, Q) matrix of
-    intersection measures.
+    intersection measures.  It may hold no events, as an empty support does.
     """
 
     singles: np.ndarray
@@ -54,9 +54,9 @@ class EventStats:
     def __post_init__(self):
         singles = np.asarray(self.singles, dtype=np.float64)
         object.__setattr__(self, "singles", singles)
-        if singles.ndim != 1 or singles.size == 0:
-            raise ValueError("singles must be a nonempty 1-D array")
-        if singles.min() < 0.0 or singles.max() > 1.0 + 1e-12:
+        if singles.ndim != 1:
+            raise ValueError("singles must be a 1-D array")
+        if singles.size and (singles.min() < 0.0 or singles.max() > 1.0 + 1e-12):
             raise ValueError("event measures must lie in [0, 1]")
         if isinstance(self.pairs, np.ndarray):
             if self.pairs.shape != (singles.size, singles.size):

@@ -126,14 +126,13 @@ class ProductSet:
         member = np.asarray(member)
         if member.dtype != bool and (member.dtype.kind not in "iu" or not np.isin(member, (0, 1)).all()):
             raise ValueError("membership entries must be booleans or the integers 0 and 1")
-        member = member.astype(bool, copy=False)
         if member.shape != (len(X), len(Y)):
             raise ValueError(
                 f"membership matrix shape {member.shape} does not match ({len(X)}, {len(Y)})"
             )
         self.X = X
         self.Y = Y
-        self.member = member.view()  # read-only, and the caller's array stays writable
+        self.member = np.array(member, dtype=bool)  # a read-only copy: later writes to the caller's array miss it
         self.member.setflags(write=False)
 
     @classmethod

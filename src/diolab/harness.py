@@ -13,13 +13,15 @@ a full-measure statement.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .arith import euler_phi
-from .borel_cantelli import EventStats, bc_scan
+from .arith import euler_phi, range_array
+from .borel_cantelli import EventStats, bc_lower_bound
 from .psi import (
     CONVERGENT,
     DIVERGENT,
@@ -29,7 +31,7 @@ from .psi import (
     partial_sum_scan,
     power_log,
 )
-from .regions import RegionSpec, intersection_matrix, region_measure, slice_union, truncated_union_1d
+from .regions import RegionSpec, _key_bound, intersection_matrix, region_measure, slice_union, truncated_union_1d
 from .sampler import (
     GENERATOR_ID,
     ExperimentConfig,
@@ -187,6 +189,7 @@ def exact_event_stats_1d(
 ) -> EventStats:
     """1-D event system from interval geometry: float singles and pairs, no sampling.
 
+    Events are the slices of the family's ``support_range(Q0, Q)``, in q order.
     ``intersection_matrix`` builds the pairs in one sweep over the intervals
     of all slices, bit for bit those of ``intersection_measure``: float sums
     of their components from left to right, not exact values.  An empty
@@ -196,10 +199,32 @@ def exact_event_stats_1d(
     or Fraction entries, whose entries it reads as written: there the
     bound's slices are those of the rounded entries.
     """
-    psis = f.values(np.arange(Q0, Q + 1, dtype=np.int64)).tolist()
-    unions = [slice_union(q, d, coprime=coprime) for q, d in zip(range(Q0, Q + 1), psis)]
+    qs = f.support_range(Q0, Q)
+    psis = f.values(range_array(qs)).tolist()
+    unions = [slice_union(q, d, coprime=coprime) for q, d in zip(qs, psis)]
     pairs = intersection_matrix(unions)
     return EventStats(pairs.diagonal().copy(), pairs)
+
+
+def _exceeds_exact_union(stats: EventStats, k: int, qs: range, psis: list, union: float) -> bool:
+    """Whether the bound of the exact measures of the first k events of ``exact_event_stats_1d`` exceeds union.
+
+    union is rounded once, so its rational is at most union / (1 - u).  Each float key of slice q lies
+    within kb = ``_key_bound`` of its rational, slice q has at most 3q + 1 intervals, and a measure of
+    unions or of their intersections moves by at most the moves of its endpoints: the exact sums of the
+    float components lie within E1 = 2 kb sum(3q + 1) of S1 (singles) and within 2k E1 of S2 (pairs).
+    Each component passes through at most n = 6 q_k + k**2 + 3 roundings (its subtraction, its entry's
+    left sum, the sum of the entries), so each float sum of these non-negative terms lies within a
+    factor 1 -+ g of the exact one, g = n u / (1 - n u).  The exact bound is then at least
+    (S1 / (1 + g) - E1)**2 / (S2 / (1 - g) + 2k E1).
+    """
+    u = Fraction(1, 2**53)
+    n = 6 * qs[k - 1] + k * k + 3
+    g = n * u / (1 - n * u)
+    e1 = 2 * Fraction(_key_bound(max(d / q for q, d in zip(qs[:k], psis)))) * (3 * sum(qs[:k]) + k)
+    s1 = max(Fraction(float(np.sum(stats.singles[:k]))) / (1 + g) - e1, 0)
+    s2 = Fraction(stats.pair_sum(k)) / (1 - g) + 2 * k * e1
+    return s1 * s1 / s2 > Fraction(union) / (1 - u)
 
 
 @dataclass
@@ -226,27 +251,17 @@ def run_bc_evidence(
     "independence" (analytic model), "exact-1d" (interval geometry, n = 1
     only), or "monte-carlo" (one ``pair_hit_table`` over cfg.samples
     points, as many as the union curve takes, exact singles on the
-    diagonal).  The bound must stay below the union measure at every
-    checkpoint; violations beyond 3 CI widths are flagged as anomalies,
-    never silently dropped.
+    diagonal).  Events are the q of the family's ``support_range(Q0, Q)``.
+    The bound must stay below the union measure at every checkpoint;
+    violations beyond 3 CI widths, or for exact-1d beyond the rounding of
+    the float bound, are flagged as anomalies, never silently dropped.
     """
     if pair_source not in ("independence", "exact-1d", "monte-carlo"):
         raise ValueError(f"unknown pair source {pair_source!r}")
     if pair_source == "exact-1d" and cfg.n != 1:
         raise ValueError("exact-1d pair source requires n = 1")
-    qs = list(range(cfg.Q0, cfg.Q + 1))
-    psis = cfg.family.values(np.arange(cfg.Q0, cfg.Q + 1, dtype=np.int64)).tolist()
-    if not any(p > 0.0 for p in psis):
-        # no slice has positive threshold: nothing to bound, vacuous pass
-        return BcEvidenceReport(
-            checkpoints=list(cfg.checkpoints),
-            bound_curve=[],
-            union_curve=[],
-            sumcon_table=[],
-            anomalies=[],
-            pair_source=pair_source,
-            config_hash=cfg.config_hash(),
-        )
+    qs = cfg.family.support_range(cfg.Q0, cfg.Q)
+    psis = cfg.family.values(range_array(qs)).tolist()
 
     def single(q: int, d: float) -> float:  # every branch of region_measure gives 0.0 at delta = 0
         return region_measure(RegionSpec(q, cfg.n, d, cfg.mode, cfg.coprime)).value if d > 0.0 else 0.0
@@ -269,19 +284,20 @@ def run_bc_evidence(
             np.fill_diagonal(pairs, singles)
             stats = EventStats(singles, pairs)
         union_curve = estimate_union_measure(cfg, workers=workers)
-    positions = [qc - cfg.Q0 + 1 for qc in cfg.checkpoints]
-    bound_points, _ = bc_scan(stats, positions)
-    bound_curve = [(qc, b) for qc, (_, b) in zip(cfg.checkpoints, bound_points)]
+    # the events at or below each checkpoint; with none of positive measure the union is empty, and 0 bounds it
+    counts = [bisect_right(qs, qc) for qc in cfg.checkpoints]
+    bounds = [bc_lower_bound(stats, k) if stats.singles[:k].any() else 0.0 for k in counts]
+    bound_curve = list(zip(cfg.checkpoints, bounds))
     anomalies = []
-    for (qc, bound), (_, union) in zip(bound_curve, union_curve):
-        slack = 3.0 * union.ci_width
-        if bound > union.value + slack:
-            anomalies.append(
-                f"Q={qc}: bound {bound:.6g} exceeds union estimate {union.value:.6g} + 3ci"
-            )
+    for (qc, bound), (_, union), k in zip(bound_curve, union_curve, counts):
+        if pair_source == "exact-1d":  # the float bound against the exact union: flagged beyond its rounding
+            flagged = bound > 0.0 and _exceeds_exact_union(stats, k, qs, psis, union.value)
+        else:
+            flagged = bound > union.value + 3.0 * union.ci_width
+        if flagged:
+            anomalies.append(f"Q={qc}: bound {bound:.6g} exceeds union estimate {union.value:.6g} + 3ci")
     sumcon_table = []
-    for qc in cfg.checkpoints:
-        d = psis[qc - cfg.Q0]
+    for qc, d in zip(cfg.checkpoints, cfg.family.values(np.asarray(cfg.checkpoints, dtype=np.int64)).tolist()):
         m = single(qc, d)
         phi_ratio = euler_phi(qc) / qc
         pred = (phi_ratio**cfg.n) * d * (np.log(qc) ** (cfg.n - 1))

@@ -20,6 +20,7 @@ Family conventions
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import PhiTable as default_phi_table  # not called here: bench/tracing.py times table builds by this name
-from .arith import SCAN_BLOCK, SIEVE_CHUNK, is_prime, phi_segment, phi_values
+from .arith import SCAN_BLOCK, SIEVE_CHUNK, is_prime, phi_segment, phi_values, range_array
 from .errors import UndefinedRatioError
 
 __all__ = [
@@ -102,11 +103,22 @@ class ApproxFunction:
     +0.0, for every input, at each q >= 1 that is not a multiple of step or
     lies past last.  A family derives it from its own definition, and
     declares one only where that holds whatever its parameters; the default
-    (1, None) promises nothing.  The divergence scans visit only the q it
-    leaves, which changes no sum: each skipped term is +0.0.
+    (1, None) promises nothing.  ``support_range`` is its one reader: the
+    divergence scans, ``truncated_union_1d``, ``estimate_union_measure``,
+    ``solution_counts``, ``exact_event_stats_1d`` and ``run_bc_evidence``
+    read only the q it returns.  That changes no sum and no strict
+    membership: each skipped psi is +0.0.
     """
 
     nonzero_support: tuple = (1, None)
+
+    def support_range(self, Q0: int, Q: int) -> range:
+        """The q of [Q0, Q] that ``nonzero_support`` leaves, the multiples of step up to last; ValueError past int64."""
+        step, last = self.nonzero_support
+        qs = range(-(-Q0 // step) * step, (Q if last is None else min(Q, last)) + 1, step)
+        if qs and qs[-1] > np.iinfo(np.int64).max:
+            raise ValueError(f"the support would read q = {qs[-1]}, past int64")
+        return qs
 
     def __call__(self, q: int) -> float:
         if q < 1:
@@ -427,12 +439,12 @@ def _log_weighted(f: ApproxFunction, e: int, qs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _scan(grid: list[int], support: tuple, reads_phi: bool, streams: int, terms) -> list[np.ndarray]:
-    """Running sums of each term stream at the grid checkpoints, over the q a family's support leaves.
+def _scan(grid: list[int], qs: range, reads_phi: bool, streams: int, terms) -> list[np.ndarray]:
+    """Running sums of each term stream at the grid checkpoints, over the support q of 1..grid[-1].
 
-    With support (step, last), q runs over step, 2*step, ... up to
-    min(Q, last), SCAN_BLOCK of them per block.  ``terms(qs, phis)`` gives
-    one block's ``streams`` term arrays; phis is phi over the block when
+    qs is a family's ``support_range(1, grid[-1])``: q = step*j for j = 1,
+    2, ..., read SCAN_BLOCK at a time.  ``terms(qs, phis)`` gives one
+    block's ``streams`` term arrays; phis is phi over the block when
     ``reads_phi``, else None.  Each block adds the carried total into its
     first term and then takes ``np.cumsum``, which adds in the same order
     as one cumsum over 1..Q; every q skipped has a +0.0 term, and s + 0.0
@@ -440,23 +452,18 @@ def _scan(grid: list[int], support: tuple, reads_phi: bool, streams: int, terms)
     total at the last support q at or before it: 0.0 before the first, the
     carried total past the last.  phi(step*j) comes from ``phi_segment``
     SIEVE_CHUNK indices j at a time, sliced into the blocks.  So time
-    follows the support, not the range, at O(min(Q, last) / step), memory
-    is O(isqrt(count) + SIEVE_CHUNK), and a last q past int64 raises.
+    follows the support, not the range, at O(len(qs)), and memory is
+    O(isqrt(len(qs)) + SIEVE_CHUNK).
     """
-    step, last = support
-    count = (grid[-1] if last is None else min(grid[-1], last)) // step
-    if step * count > np.iinfo(np.int64).max:
-        raise ValueError(f"the scan would read q = {step * count}, past int64")
-    reads = np.array([min(g // step, count) for g in grid], dtype=np.int64)  # support q at or before each checkpoint
+    reads = np.array([bisect_right(qs, g) for g in grid], dtype=np.int64)  # support q at or before each checkpoint
     carried, picked = [0.0] * streams, [[np.zeros(np.count_nonzero(reads == 0))] for _ in range(streams)]
-    for lo in range(1, count + 1, SCAN_BLOCK):
-        hi = min(lo + SCAN_BLOCK, count + 1)
-        qs = np.arange(lo * step, hi * step, step, dtype=np.int64)
-        at = reads[(reads >= lo) & (reads < hi)] - lo
-        if reads_phi and (lo - 1) % SIEVE_CHUNK == 0:
-            chunk = phi_segment(lo, min(lo + SIEVE_CHUNK, count + 1), step)
-        phis = chunk[(lo - 1) % SIEVE_CHUNK :][: qs.size] if reads_phi else None
-        for j, t in enumerate(terms(qs, phis)):
+    for lo in range(0, len(qs), SCAN_BLOCK):
+        block = range_array(qs[lo : lo + SCAN_BLOCK])
+        at = reads[(reads > lo) & (reads <= lo + block.size)] - lo - 1
+        if reads_phi and lo % SIEVE_CHUNK == 0:
+            chunk = phi_segment(lo + 1, min(lo + SIEVE_CHUNK, len(qs)) + 1, qs.step)
+        phis = chunk[lo % SIEVE_CHUNK :][: block.size] if reads_phi else None
+        for j, t in enumerate(terms(block, phis)):
             t = np.array(t, dtype=np.float64)  # our own copy: the carry goes into its first term
             t[0] += carried[j]
             np.cumsum(t, out=t)
@@ -475,7 +482,7 @@ def partial_sum_scan(
 ) -> list[tuple[int, float]]:
     """Partial sums at each grid checkpoint, streamed over q in blocks of SCAN_BLOCK.
 
-    Only the q of the family's ``nonzero_support`` are read (see ``_scan``),
+    Only the q of the family's ``support_range`` are read (see ``_scan``),
     so cost follows the support, not the range.  Memory is O(SCAN_BLOCK)
     when nothing reads phi, and O(isqrt(Q / step) + SIEVE_CHUNK) when the
     criterion or the family does.
@@ -487,7 +494,7 @@ def partial_sum_scan(
         out = _log_weighted(f, e, qs)
         return [out * (phis / qs) ** n if criterion.uses_phi else out]
 
-    (sums,) = _scan(grid, f.nonzero_support, criterion.uses_phi, 1, terms)
+    (sums,) = _scan(grid, f.support_range(1, grid[-1]), criterion.uses_phi, 1, terms)
     return [(g, float(s)) for g, s in zip(grid, sums)]
 
 
@@ -513,7 +520,7 @@ def cond1_scan(f: ApproxFunction, n: int, grid: Sequence[int]) -> tuple[list[tup
         den = _log_weighted(f, n - 1, qs)
         return [den * (phis / qs) ** n, den]
 
-    num, den = _scan(grid, f.nonzero_support, True, 2, terms)
+    num, den = _scan(grid, f.support_range(1, grid[-1]), True, 2, terms)
     points = [(g, float(a / b)) for g, a, b in zip(grid, num, den) if b > 0.0]
     if not points:
         raise UndefinedRatioError("log-weighted partial sum is zero on the whole grid")

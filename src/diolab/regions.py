@@ -73,7 +73,7 @@ Exact truncated unions
 Q0 <= q <= Q, rounded once, for psi as the family gives it: psi(q) is the
 rational a/b of a ``TablePsi`` entry as written (int, Fraction or float)
 and of any other family's float value.  That is its ``exact`` label: no
-decision is float-rounded.  It reads only the family's ``nonzero_support``
+decision is float-rounded.  It reads only the family's ``support_range``
 and caps delta at q, where a slice covers [0, 1] already.  The centres c
 of slice q, -delta < c < q + delta, are chosen in integers, and each float
 key (c -+ float(delta))/q is within bound = 4u (1 + 2 max delta/q) + _TINY
@@ -126,6 +126,7 @@ from .arith import (
     prime_factors,
     radical,
     radical_segment,
+    range_array,
 )
 from .errors import ConvergenceError, ResourceBudgetError
 from .measure import MeasureEstimate
@@ -685,6 +686,11 @@ def region_measure(spec: RegionSpec, tol: float = 1e-9) -> MeasureEstimate:
 INTERVAL_BUDGET = 5_000_000
 
 
+def _key_bound(ratio: float) -> float:
+    """Distance from each float key (c -+ float(delta))/q of a slice to its rational, ratio the largest delta/q."""
+    return 4 * _U * (1 + 2 * ratio) + _TINY
+
+
 def _exact_union(slices: list[tuple[int, object]], coprime: bool) -> float:
     """Measure of the union of the 1-D slices (q, delta), 0 < delta <= q: the certified sweep of the module docstring."""
     parts = [_slice_raw_intervals(q, d, coprime) for q, d in slices]
@@ -693,7 +699,7 @@ def _exact_union(slices: list[tuple[int, object]], coprime: bool) -> float:
     del parts
     order, s, e, cm = _sweep(starts, ends)
     del starts, ends
-    bound = 4 * _U * (1 + 2 * max(float(d) / q for q, d in slices)) + _TINY  # of each key
+    bound = _key_bound(max(float(d) / q for q, d in slices))
     tol = 2 * bound
     ratios = [(q, *d.as_integer_ratio()) for q, d in slices]
 
@@ -768,23 +774,21 @@ def truncated_union_1d(
     """Exact measure of the union of 1-D slices for Q0 <= q <= Q, at the rational psi(q) of the family.
 
     That is a ``TablePsi``'s entry as written, any other family's float value
-    (module docstring).  The q of the family's ``nonzero_support`` are read in
+    (module docstring).  The q of the family's ``support_range`` are read in
     blocks of SCAN_BLOCK, each checked for an infinite psi, then counted, then
     turned into slices: a sweep whose interval count would exceed ``budget``
     raises ResourceBudgetError before it is built, the first failure in q order.
     """
     if not 1 <= Q0 <= Q:
         raise ValueError("need 1 <= Q0 <= Q")
-    step, last = f.nonzero_support
-    count = (Q if last is None else min(Q, last)) // step
-    if step * count > np.iinfo(np.int64).max:
-        raise ValueError(f"the sweep would read q = {step * count}, past int64")
+    support = f.support_range(Q0, Q)
     table = f.entries if isinstance(f, TablePsi) else None
     slices = []
     total = 0
-    for lo in range(-(-Q0 // step), count + 1, SCAN_BLOCK):
-        qs = np.arange(lo, min(lo + SCAN_BLOCK, count + 1), dtype=np.int64) * step
-        psis = f.values(qs) if table is None else np.array([table[q - 1] for q in qs.tolist()], dtype=object)
+    for lo in range(0, len(support), SCAN_BLOCK):
+        block = support[lo : lo + SCAN_BLOCK]
+        qs = range_array(block)
+        psis = f.values(qs) if table is None else np.array([table[q - 1] for q in block], dtype=object)
         if not np.all(psis < math.inf):  # +inf or nan
             raise ValueError("family evaluates to +inf inside the truncation range")
         keep = psis > 0

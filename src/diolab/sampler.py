@@ -33,13 +33,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .arith import dist_nearest, dist_nearest_coprime, nearest_coprime_distance
+from .arith import dist_nearest, dist_nearest_coprime, nearest_coprime_distance, range_array
 from .errors import ResourceBudgetError
 from .measure import MeasureEstimate
 from .psi import ApproxFunction, family_from_spec
@@ -401,19 +402,16 @@ def estimate_union_measure(
 ) -> list[tuple[int, MeasureEstimate]]:
     """Union-measure estimates at each checkpoint of cfg.
 
-    Each sample records the smallest q in [Q0, Q] whose slice contains it;
-    checkpoint estimates are hit fractions with 95% confidence intervals.
-    With psi identically zero on the range the union is empty by the strict
-    inequality, reported as exact zeros.
+    Each sample records the smallest q of the family's ``support_range(Q0, Q)``
+    whose slice contains it; checkpoint estimates are hit fractions with 95%
+    confidence intervals.  A checkpoint below every q with positive psi has
+    an empty union by the strict inequality, reported as an exact zero.
     """
-    if workers < 1:  # checked here too: the all-zero shortcut below dispatches nothing
-        raise ValueError("workers must be >= 1")
-    qs = np.arange(cfg.Q0, cfg.Q + 1, dtype=np.int64)
+    qs = range_array(cfg.family.support_range(cfg.Q0, cfg.Q))
     psis = cfg.family.values(qs)
     if not np.all(np.isfinite(psis)):
         raise ValueError("family must evaluate finite on [Q0, Q]")
-    if not np.any(psis > 0.0):
-        return [(qc, MeasureEstimate.exact(0.0)) for qc in cfg.checkpoints]
+    first = int(qs[np.argmax(psis > 0.0)]) if np.any(psis > 0.0) else cfg.Q + 1  # the first q with psi > 0
 
     def run(start: int, stop: int) -> np.ndarray:
         return _scan_chunk(cfg.seed, start, stop, cfg.n, qs, psis, cfg.mode, cfg.coprime)
@@ -422,7 +420,8 @@ def estimate_union_measure(
     out = []
     for qc in cfg.checkpoints:
         hits = int(np.count_nonzero((first_hit > 0) & (first_hit <= qc)))
-        out.append((qc, MeasureEstimate.monte_carlo(hits, cfg.samples, cfg.seed, GENERATOR_ID)))
+        est = MeasureEstimate.monte_carlo(hits, cfg.samples, cfg.seed, GENERATOR_ID)
+        out.append((qc, MeasureEstimate.exact(0.0) if qc < first else est))
     return out
 
 
@@ -502,13 +501,15 @@ def solution_counts(
         raise ValueError("grid checkpoints must be >= 1")
     Q = grid[-1]
     xv = np.asarray(x, dtype=np.float64)
-    qs = np.arange(1, Q + 1, dtype=np.int64)
+    # psi = 0 admits a distance of exactly 0 to a non-strict inequality: only a strict count skips q off the support
+    support = f.support_range(1, Q) if strict else range(1, Q + 1)
+    qs = range_array(support)
     psis = f.values(qs)
     if not np.all(np.isfinite(psis)):
         raise ValueError("family must evaluate finite on [1, Q]")
     member = _member_rows(xv[:, None], qs, psis, mode, coprime, strict)
-    cum = np.cumsum(member[:, 0])
-    return [(g, int(cum[g - 1])) for g in grid]
+    cum = np.concatenate(([0], np.cumsum(member[:, 0])))
+    return [(g, int(cum[bisect_right(support, g)])) for g in grid]
 
 
 def linear_forms_count(

@@ -379,6 +379,12 @@ class TestPadicCommand:
         assert len(lines) > 2
 
 
+MULTIPLES_OF_100 = json.dumps(
+    {"family": "indicator_support", "base": {"family": "power_log", "c": 0.25, "a": 1.0, "b": 0.0},
+     "support": {"kind": "multiples_of", "param": 100}}
+)
+
+
 class TestBcBound:
     def test_exact_pairs(self, capsys):
         code, out, _ = run_cli(
@@ -438,6 +444,36 @@ class TestBcBound:
         for line in lines[1:]:
             bound, union, _, high = (float(v) for v in line.split(",")[1:])
             assert 0.0 < bound <= high
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--c", "0.01", "--a", "2", "--Q", "500", "--coprime"),
+            ("--c", "0.001", "--a", "2", "--Q", "500", "--coprime"),
+            ("--c", "0.001", "--a", "2", "--Q", "500", "--plain"),
+            ("--family-json", MULTIPLES_OF_100, "--Q0", "100", "--Q", "6000", "--coprime"),
+        ],
+        ids=["c0.01", "c0.001-coprime", "c0.001-plain", "multiples-of-100"],
+    )
+    def test_exact_pairs_within_rounding_of_the_union_pass(self, capsys, argv):
+        # barely overlapping slices put the float bound a few ulps above the exact union: no anomaly
+        code, out, err = run_cli(capsys, "bc-bound", "--pairs", "exact-1d", *argv)
+        assert code == 0 and err == "" and len(out.splitlines()) > 1
+
+    @pytest.mark.parametrize("pairs", ["independence", "exact-1d", "monte-carlo"])
+    def test_sparse_family_prints_every_checkpoint(self, capsys, pairs):
+        # no event below q = 100 has positive measure: those rows read union 0 (exact) and bound 0
+        n = "1" if pairs == "exact-1d" else "2"
+        code, out, _ = run_cli(
+            capsys, "bc-bound", "--family-json", MULTIPLES_OF_100, "--n", n, "--Q", "2000",
+            "--samples", "500", "--coprime", "--pairs", pairs,
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2000]
+        assert all(r[1:] == ["0", "0", "", ""] for r in rows[:7])
+        assert all(float(r[1]) > 0.0 for r in rows[7:])
 
 
 INFINITE_FAMILY = json.dumps(

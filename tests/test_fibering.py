@@ -84,6 +84,16 @@ class TestFibers:
         with pytest.raises(ValueError, match="read-only"):
             S.member[0, 0] = True
 
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_later_writes_to_the_caller_array_leave_the_set(self, dtype):
+        X, Y = uniform(2), uniform(2)
+        member = np.array([[1, 0], [0, 0]], dtype=dtype)
+        S = ProductSet(X, Y, member)
+        report = cross_fibering_check(S)
+        member[:] = 1  # the caller reuses its buffer for the next set
+        assert S.member.tolist() == [[True, False], [False, False]]
+        assert cross_fibering_check(S) == report
+
     def test_unknown_atom_rejected(self):
         X, Y = uniform(2), uniform(2)
         S = ProductSet.full(X, Y)

@@ -187,11 +187,12 @@ class TestBcEvidence:
         ]
 
     def test_exact_pairs_with_empty_slices(self):
+        # the events are the table's support q = 1..6: psi is 0 at q = 2 and 4, and q = 7..9 lie past the table
         f = table_psi([0.2, 0.0, 0.05, 0.0, 0.01, 0.03])
         stats = exact_event_stats_1d(f, 1, 9, coprime=True)
-        assert stats.pairs.tobytes() == self.pairwise_reference(f, 1, 9).tobytes()
-        empty = [q - 1 for q in range(1, 10) if f(q) == 0.0]
-        assert empty == [1, 3, 6, 7, 8]
+        assert stats.pairs.tobytes() == self.pairwise_reference(f, 1, 6).tobytes()
+        empty = [q - 1 for q in range(1, 7) if f(q) == 0.0]
+        assert empty == [1, 3]
         assert not stats.pairs[empty].any() and not stats.pairs[:, empty].any()
         assert stats.pairs[0, 4] > 0.0  # [0, 0.2] meets q = 5 around 1/5
 
@@ -222,10 +223,21 @@ class TestBcEvidence:
         exact = truncated_union_1d(cfg.family, 1, 8, coprime=True).value
         assert 0.0 < bound <= exact + 0.05  # MC pair noise allowance
 
+    def test_exact_1d_flags_a_halved_pair_matrix(self, monkeypatch):
+        # halving every pair measure doubles the bound, far past any rounding of its float sums
+        exact = harness.exact_event_stats_1d
+        monkeypatch.setattr(harness, "exact_event_stats_1d", lambda *a: EventStats(exact(*a).singles, exact(*a).pairs / 2))
+        cfg = ExperimentConfig(family=power_log(0.25, 1, 0), n=1, coprime=True, Q=64, samples=100, seed=1)
+        rep = run_bc_evidence(cfg, pair_source="exact-1d")
+        assert len(rep.anomalies) == len(cfg.checkpoints)
+        assert all(bound > union.value for (_, bound), (_, union) in zip(rep.bound_curve, rep.union_curve))
+
     def test_zero_family_vacuous_pass(self):
         cfg = ExperimentConfig(family=power_log(0, 0, 0), n=1, Q=16, samples=50, seed=5)
         rep = run_bc_evidence(cfg, pair_source="exact-1d")
-        assert rep.bound_curve == [] and rep.union_curve == []
+        assert rep.bound_curve == [(qc, 0.0) for qc in cfg.checkpoints]
+        assert [qc for qc, _ in rep.union_curve] == list(cfg.checkpoints)
+        assert all(u.provenance == "exact" and u.value == 0.0 for _, u in rep.union_curve)
         assert rep.anomalies == []
 
     def test_zero_family_still_rejects_unknown_pair_source(self):
@@ -253,8 +265,13 @@ class TestBcEvidence:
         rep = run_bc_evidence(cfg, pair_source="independence")
         assert len(deltas) == 22 and min(deltas) > 0.0  # 20 singles, and sumcon rows at Q = 50 and 200
         singles = [region_measure(RegionSpec(q, 2, f(q), coprime=True)).value for q in range(1, 201)]
-        want, _ = bc_scan(EventStats(np.array(singles), "independence"), cfg.checkpoints)
-        assert rep.bound_curve == want
+        # the events are the support q = 10, 20, ..., 200, 5, 12 and 20 of them at the checkpoints
+        want, _ = bc_scan(EventStats(np.array(singles[9::10]), "independence"), [5, 12, 20])
+        assert rep.bound_curve == [(qc, b) for qc, (_, b) in zip(cfg.checkpoints, want)]
+        # numpy's pairwise sums place the dense singles' zeros elsewhere in the order: each of the bound's
+        # sums lies within 200 u of the exact one, so the bound within 8 * 200 u
+        dense, _ = bc_scan(EventStats(np.array(singles), "independence"), cfg.checkpoints)
+        assert rep.bound_curve == [(qc, pytest.approx(b, rel=8 * 200 * 2.0**-53)) for qc, b in dense]
         assert [row[1] for row in rep.sumcon_table] == [singles[qc - 1] for qc in cfg.checkpoints]
 
     def test_sumcon_table_shape(self):
