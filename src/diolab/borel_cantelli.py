@@ -10,12 +10,12 @@ union measures.  The limsup over Q is reported as a running maximum over a
 geometric checkpoint grid (ratio 2 by default); the grid is a computable
 stand-in, configurable by the caller.
 
-Pair measures are either a full (Q, Q) matrix, filled by the caller from
-exact interval geometry (1-D) or from a Monte Carlo pair-hit table, or the
-analytic independence model mu(E_s) * mu(E_t).  The independence model uses
-the accumulator identity  sum_{s,t} = S1 + S1**2 - S2  (S1 = sum mu,
-S2 = sum mu**2) instead of the literal double loop; the two are
-cross-checked by the test suite.
+Pair measures are a full (Q, Q) matrix from interval geometry (1-D), pair
+sums per truncation from Monte Carlo per-sample depths (the integral of
+N_Q(x)**2, N_Q(x) = #{s <= Q : x in E_s}), or the independence model
+mu(E_s) * mu(E_t).  The independence model uses the accumulator identity
+sum_{s,t} = S1 + S1**2 - S2  (S1 = sum mu, S2 = sum mu**2) instead of the
+literal double loop; the two are cross-checked by the test suite.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ INDEPENDENT = "independence"
 class EventStats:
     """Per-event measures plus a pair-measure source.
 
-    ``pairs`` is the string "independence" or a full (Q, Q) matrix of
-    intersection measures.  It may hold no events, as an empty support does.
+    ``pairs`` is "independence", a (Q, Q) matrix of intersection measures, or a
+    (Q,) array of pair sums P[Q - 1] = sum_{s,t <= Q} mu(E_s intersect E_t).
+    It may hold no events, as an empty support does.
     """
 
     singles: np.ndarray
@@ -59,10 +60,10 @@ class EventStats:
         if singles.size and (singles.min() < 0.0 or singles.max() > 1.0 + 1e-12):
             raise ValueError("event measures must lie in [0, 1]")
         if isinstance(self.pairs, np.ndarray):
-            if self.pairs.shape != (singles.size, singles.size):
-                raise ValueError("pair matrix shape must match singles")
+            if self.pairs.shape not in ((singles.size,), (singles.size, singles.size)):
+                raise ValueError("pair sums or pair matrix shape must match singles")
         elif self.pairs != INDEPENDENT:
-            raise ValueError("pairs must be 'independence' or a matrix")
+            raise ValueError("pairs must be 'independence' or a matrix or pair sums")
 
     @property
     def q_max(self) -> int:
@@ -73,7 +74,7 @@ class EventStats:
         if not 1 <= Q <= self.q_max:
             raise ValueError(f"Q={Q} outside [1, {self.q_max}]")
         if isinstance(self.pairs, np.ndarray):
-            return float(np.sum(self.pairs[:Q, :Q]))
+            return float(self.pairs[Q - 1] if self.pairs.ndim == 1 else np.sum(self.pairs[:Q, :Q]))
         mu = self.singles[:Q]
         s1 = float(np.sum(mu))
         s2 = float(np.sum(mu * mu))

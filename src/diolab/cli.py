@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", choices=["independence", "exact-1d", "monte-carlo"],
                    default="independence")
     p.add_argument("--samples", type=int, default=20_000,
-                   help="samples of the union curve and of the Monte Carlo pair table")
+                   help="samples of the union curve and of the Monte Carlo per-sample depths")
     p.add_argument("--seed", type=int, default=0)
     _add_coprime_flags(p)
     p.set_defaults(func=cmd_bc_bound)

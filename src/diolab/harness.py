@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -35,8 +36,8 @@ from .regions import RegionSpec, _key_bound, intersection_matrix, region_measure
 from .sampler import (
     GENERATOR_ID,
     ExperimentConfig,
+    depth_counts,
     estimate_union_measure,
-    pair_hit_table,
     sample_points,
     solution_counts,
 )
@@ -249,9 +250,9 @@ def run_bc_evidence(
 
     pair_source selects where intersection measures come from:
     "independence" (analytic model), "exact-1d" (interval geometry, n = 1
-    only), or "monte-carlo" (one ``pair_hit_table`` over cfg.samples
-    points, as many as the union curve takes, exact singles on the
-    diagonal).  Events are the q of the family's ``support_range(Q0, Q)``.
+    only), or "monte-carlo" (exact singles plus the pairs of per-sample
+    depths, ``depth_counts`` over the union curve's cfg.samples points).
+    Events are the q of the family's ``support_range(Q0, Q)``.
     The bound must stay below the union measure at every checkpoint;
     violations beyond 3 CI widths, or for exact-1d beyond the rounding of
     the float bound, are flagged as anomalies, never silently dropped.
@@ -277,12 +278,8 @@ def run_bc_evidence(
         if pair_source == "independence":
             stats = EventStats(singles, "independence")
         else:
-            hits = pair_hit_table(
-                qs, cfg.family, cfg.n, cfg.mode, cfg.coprime, cfg.samples, cfg.seed, workers
-            )
-            pairs = hits / cfg.samples
-            np.fill_diagonal(pairs, singles)
-            stats = EventStats(singles, pairs)
+            _, new = depth_counts(qs, cfg.family, cfg.n, cfg.mode, cfg.coprime, cfg.samples, cfg.seed, workers)
+            stats = EventStats(singles, np.cumsum(singles) + [p / cfg.samples for p in accumulate(new)])
         union_curve = estimate_union_measure(cfg, workers=workers)
     # the events at or below each checkpoint; with none of positive measure the union is empty, and 0 bounds it
     counts = [bisect_right(qs, qc) for qc in cfg.checkpoints]

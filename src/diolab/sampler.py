@@ -25,7 +25,8 @@ arithmetic).  A pass takes only plain distances, |z - rint(z)| for z = q*x,
 which filter coprime membership (``||qx||' >= ||qx||`` coordinatewise); its
 candidate (q, sample) pairs wait in a window that ``_resolve`` decides in
 one vector call (see ``_scan_chunk``).  Every pair goes through the same
-float operations whatever its block or window.
+float operations whatever its block or window.  Pair sums come from
+per-sample depths (see ``depth_counts``), in O(samples) memory.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ from .psi import ApproxFunction, family_from_spec
 __all__ = [
     "ExperimentConfig",
     "GENERATOR_ID",
+    "depth_counts",
     "estimate_pairwise_intersection",
     "estimate_union_measure",
     "linear_forms_count",
     "membership",
     "mix64",
-    "pair_hit_table",
     "sample_points",
     "solution_count",
     "solution_counts",
@@ -63,7 +64,6 @@ GENERATOR_ID = "splitmix64-v1"
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-_PAIR_ROWS = 2**24  # pair_hit_table's rows per block: float32 sums of as many 0/1 entries are exact
 
 
 def mix64(z: int) -> int:
@@ -425,36 +425,35 @@ def estimate_union_measure(
     return out
 
 
-def pair_hit_table(
+def depth_counts(
     qs: Sequence[int], f: ApproxFunction, n: int, mode: str, coprime: bool,
     samples: int, seed: int, workers: int,
-) -> np.ndarray:
-    """hits[i, j] = #{samples in both the qs[i]- and qs[j]-slices}, as int64.
+) -> tuple[list[int], list[int]]:
+    """Hits h_k and new ordered pairs 2 sum_{x in E_k} N_{k-1}(x) of each slice k of qs, N the depth before it.
 
-    One membership pass per slice fills a row of the float32 0/1 matrix M of
-    each block of at most ``_PAIR_ROWS`` samples, every pass in the block's
-    one set of work buffers, and M @ M.T counts every pair at once: float32
-    sums of 0/1 entries are exact integers up to 2**24, and integer block
-    sums do not depend on the worker count.
-    """
+    Their prefix sums are the trace and the off-diagonal sum of each leading block of the pair hit table,
+    sum_x N_k and sum_x N_k (N_k - 1).  A chunk walks the slices in q order on one set of work buffers and
+    one int64 depth per sample; Python-int sums over chunks are the same for any worker count."""
     psis = f.values(np.asarray(qs, dtype=np.int64)).tolist()
     if not all(math.isfinite(p) for p in psis):
         raise ValueError("psi must be finite at every q")
-    hits = np.zeros((len(psis),) * 2, dtype=np.int64)
 
-    def counts(a: int, b: int) -> np.ndarray:
-        xt = sample_points(seed, a, b, n).T
-        member = np.empty((len(psis), b - a), dtype=np.float32)
-        work = _Work(b - a, n)  # one set of buffers serves every slice of the block
-        for i, (q, psi_q) in enumerate(zip(qs, psis)):
-            member[i] = _member_rows(xt, np.array([q]), np.array([psi_q]), mode, coprime, True, work)[0]
-        del work, xt  # freed before the product, which holds the peak
-        return (member @ member.T).astype(np.int64)
+    def run(start: int, stop: int) -> tuple[list[int], list[int]]:
+        xt = sample_points(seed, start, stop, n).T
+        work = _Work(stop - start, n)  # one set of buffers serves every slice of the chunk
+        depth = np.zeros(stop - start, dtype=np.int64)
+        hits, new = [], []
+        for q, psi_q in zip(qs, psis):
+            idx = np.flatnonzero(_member_rows(xt, np.array([q]), np.array([psi_q]), mode, coprime, True, work)[0])
+            hits.append(idx.size)
+            new.append(2 * int(depth[idx].sum()))
+            depth[idx] += 1
+        return hits, new
 
-    def run(start: int, stop: int) -> np.ndarray:
-        return sum((counts(a, min(stop, a + _PAIR_ROWS)) for a in range(start, stop, _PAIR_ROWS)), hits)
-
-    return sum(_map_chunks(run, samples, workers), hits)
+    hits, new = [0] * len(psis), [0] * len(psis)
+    for h, p in _map_chunks(run, samples, workers):
+        hits, new = [a + b for a, b in zip(hits, h)], [a + b for a, b in zip(new, p)]
+    return hits, new
 
 
 def estimate_pairwise_intersection(
@@ -468,9 +467,11 @@ def estimate_pairwise_intersection(
     seed: int = 0,
     workers: int = 1,
 ) -> MeasureEstimate:
-    """Monte Carlo measure of the intersection of the q- and r-slices."""
-    hits = pair_hit_table([q, r] if r != q else [q], f, n, mode, coprime, samples, seed, workers)
-    return MeasureEstimate.monte_carlo(int(hits[0, -1]), samples, seed, GENERATOR_ID)
+    """Monte Carlo measure of the intersection of the q- and r-slices: q's hits, or half of r's new pairs after q."""
+    if min(q, r) < 1:
+        raise ValueError(f"{'q' if q < 1 else 'r'} must be >= 1")
+    hits, new = depth_counts([q] if r == q else [q, r], f, n, mode, coprime, samples, seed, workers)
+    return MeasureEstimate.monte_carlo(hits[0] if r == q else new[1] // 2, samples, seed, GENERATOR_ID)
 
 
 def solution_count(

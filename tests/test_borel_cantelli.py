@@ -63,6 +63,29 @@ class TestBcLowerBound:
             assert bound <= 1.0 + 1e-12
             assert bound <= union + 1e-12
 
+    def test_pair_sums_match_the_matrix(self):
+        # P[k - 1] adds slice k's diagonal entry and twice its row left of it, as the per-sample
+        # depths do: both denominators sum the same k**2 non-negative terms, each order within
+        # (k**2 - 1) u of the exact sum, so the bounds agree within 2 k**2 u
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            atoms, k = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+            w = rng.dirichlet(np.ones(atoms))
+            sets = rng.random((k, atoms)) < 0.5
+            sets[0, 0] = True
+            singles = sets @ w
+            pairs = (sets[:, None, :] & sets[None, :, :]) @ w
+            prefix = np.cumsum([pairs[j, j] + 2 * np.sum(pairs[j, :j]) for j in range(k)])
+            matrix, sums = EventStats(singles, pairs), EventStats(singles, prefix)
+            for q in range(1, k + 1):
+                want = bc_lower_bound(matrix, q)
+                assert bc_lower_bound(sums, q) == pytest.approx(want, rel=2 * k * k * 2.0**-53, abs=0)
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (2, 3), (2, 2, 2)])
+    def test_rejects_pairs_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="shape must match singles"):
+            EventStats(np.array([0.5, 0.5]), np.full(shape, 0.25))
+
     def test_rejects_other_pair_sources(self):
         with pytest.raises(ValueError, match="'independence' or a matrix"):
             EventStats(np.array([0.5, 0.5]), lambda s, t: 0.25)

@@ -418,7 +418,7 @@ class TestBcBound:
                 code, out, _ = run_cli(capsys, *base, "--pairs", pairs, "--samples", count)
                 assert code == 0
                 bounds[pairs, count] = [line.split(",")[1] for line in out.splitlines()[1:]]
-        # the analytic bound ignores the count; the Monte Carlo pair table follows it
+        # the analytic bound ignores the count; the Monte Carlo per-sample depths follow it
         assert bounds["independence", "2000"] == bounds["independence", "3000"]
         assert bounds["monte-carlo", "2000"] != bounds["monte-carlo", "3000"]
 
@@ -433,7 +433,7 @@ class TestBcBound:
         assert "samples must be >= 1" in err
 
     def test_monte_carlo_pairs_need_no_budget(self, capsys):
-        # 26 slices give 325 pairs, all counted from one membership pass
+        # 26 slices give 325 pairs, counted from one depth per sample and one membership pass per slice
         code, out, _ = run_cli(
             capsys, "bc-bound", "--c", "0.25", "--Q", "26", "--coprime",
             "--pairs", "monte-carlo", "--samples", "4000",

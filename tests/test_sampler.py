@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from diolab.arith import dist_nearest, dist_nearest_coprime, nearest_coprime_distance
 from diolab.errors import ResourceBudgetError
+from diolab.measure import MeasureEstimate
 from diolab.psi import power_log, table_psi
-from diolab import sampler
 from diolab.regions import RegionSpec, region_measure_1d
 from diolab.sampler import (
     GENERATOR_ID,
@@ -18,12 +19,12 @@ from diolab.sampler import (
     _member_rows,
     _plain_distances,
     _scan_chunk,
+    depth_counts,
     estimate_pairwise_intersection,
     estimate_union_measure,
     linear_forms_count,
     membership,
     mix64,
-    pair_hit_table,
     sample_points,
     solution_count,
     solution_counts,
@@ -382,7 +383,7 @@ class TestCoprimeDistances:
 
 
 def pairwise_hits(qs, f, n, mode, coprime, samples, seed):
-    """Oracle for pair_hit_table: one membership pass per slice, one count per pair."""
+    """Oracle for depth_counts: the pair hit table, one membership pass per slice, one count per pair."""
     xs = sample_points(seed, 0, samples, n)
     psis = f.values(np.asarray(qs)).tolist()
     member = [_member_rows(xs.T, np.array([q]), np.array([d]), mode, coprime, True)[0] for q, d in zip(qs, psis)]
@@ -394,6 +395,8 @@ def pairwise_hits(qs, f, n, mode, coprime, samples, seed):
 
 
 class TestPairHitTable:
+    """depth_counts gives the pair hit table's leading-block sums without the table."""
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**64 - 1),
@@ -409,45 +412,70 @@ class TestPairHitTable:
     @example(seed=5, samples=500, workers=3, n=2, mode="max", coprime=True, q0=2290, levels=[1.0] * 25)
     def test_matches_pairwise_loop(self, seed, samples, workers, n, mode, coprime, q0, levels):
         f, qs = table_window(q0, levels)
-        got = pair_hit_table(qs.tolist(), f, n, mode, coprime, samples, seed, workers)
+        hits, new = depth_counts(qs.tolist(), f, n, mode, coprime, samples, seed, workers)
         want = pairwise_hits(qs.tolist(), f, n, mode, coprime, samples, seed)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_row_blocks_sum_to_the_table(self, monkeypatch, workers):
-        # float32 counts are exact only per block of _PAIR_ROWS samples; a small
-        # block makes every chunk split, with a short block at its end
-        f, qs = table_window(2290, [0.3, 0.05, 1e-3, 1.0, 0.01] * 3)
-        args = (qs.tolist(), f, 2, "product", True, 401, 9)
-        monkeypatch.setattr(sampler, "_PAIR_ROWS", 37)
-        got = pair_hit_table(*args, workers)
-        assert np.array_equal(got, pairwise_hits(*args))
-        assert got[3, 3] == 401
+        assert all(type(c) is int for c in hits + new)
+        for k in range(1, qs.size + 1):
+            block = want[:k, :k]
+            assert sum(hits[:k]) == np.trace(block)
+            assert sum(new[:k]) == block.sum() - np.trace(block)
 
     @pytest.mark.parametrize("mode, n, coprime", [("product", 1, True), ("product", 2, False), ("max", 2, True)])
     def test_off_diagonal_sum_counts_ordered_pairs_per_sample(self, mode, n, coprime):
-        # sum_{i != j} hits_ij = sum_x N(x)(N(x) - 1), N(x) = #slices holding x;
+        # sum_{s != t} hits = sum_x N(x)(N(x) - 1), N(x) = #slices holding x;
         # N comes from solution_counts, a separate membership path
         f = power_log(0.5, 1, 0)
         Q0, Q, samples, seed = 5, 40, 400, 21
-        hits = pair_hit_table(list(range(Q0, Q + 1)), f, n, mode, coprime, samples, seed, 1)
+        hits, new = depth_counts(list(range(Q0, Q + 1)), f, n, mode, coprime, samples, seed, 1)
         counts = [
             dict(solution_counts(x, f, [Q0 - 1, Q], mode, coprime))
             for x in sample_points(seed, 0, samples, n)
         ]
         depth = np.array([c[Q] - c[Q0 - 1] for c in counts], dtype=np.int64)
-        assert np.trace(hits) == depth.sum()
-        assert hits.sum() - np.trace(hits) == int(np.sum(depth * (depth - 1)))
+        assert sum(hits) == depth.sum()
+        assert sum(new) == int(np.sum(depth * (depth - 1)))
         assert np.sum(depth >= 2) > 10
 
     def test_rejects_non_finite_psi(self):
         f = table_psi([0.1, math.inf, 0.2])
         with pytest.raises(ValueError, match="psi must be finite"):
-            pair_hit_table([1, 2, 3], f, 1, "product", False, 100, 0, 1)
+            depth_counts([1, 2, 3], f, 1, "product", False, 100, 0, 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_qs(self, workers):
+        assert depth_counts([], power_log(0.25, 1, 0), 2, "product", True, 100, 0, workers) == ([], [])
+
+    def test_memory_stays_bounded(self):
+        # 1,000 slices x 4,000 samples: a float32 hit table of these is 16 MB, and its int64 product 8 MB;
+        # tracemalloc measured 0.4 MiB here, and 34.4 MiB for the table and its product
+        f = power_log(0.25, 1, 0)
+        tracemalloc.start()
+        try:
+            depth_counts(list(range(1, 1001)), f, 1, "product", True, 4000, 0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 * 2**20
 
 
 class TestPairwise:
+    @pytest.mark.parametrize("q, r", [(-1, 2), (0, 5), (3, -5)])
+    def test_rejects_q_below_one(self, q, r):
+        with pytest.raises(ValueError, match=r"^[qr] must be >= 1$"):
+            estimate_pairwise_intersection(q, r, table_psi([0.3, 0.2, 0.1]), 1, samples=1000)
+        with pytest.raises(ValueError, match=r"^[qr] must be >= 1$"):
+            estimate_pairwise_intersection(q, r, power_log(0.25, 1, 0), 2, samples=1000)
+
+    @pytest.mark.parametrize("q, r, n, mode, coprime", [
+        (4, 9, 1, "product", False), (9, 4, 2, "max", True), (6, 10, 2, "product", True), (7, 7, 1, "product", True),
+    ])
+    def test_counts_the_samples_in_both_slices(self, q, r, n, mode, coprime):
+        f = power_log(0.5, 0.5, 0)
+        est = estimate_pairwise_intersection(q, r, f, n, mode, coprime, samples=3000, seed=4, workers=2)
+        want = pairwise_hits([q, r], f, n, mode, coprime, 3000, 4)[0, 1]
+        assert want > 0
+        assert est == MeasureEstimate.monte_carlo(int(want), 3000, 4, GENERATOR_ID)
+
     def test_zero_family(self):
         est = estimate_pairwise_intersection(3, 5, power_log(0, 0, 0), 1, samples=500, seed=0)
         assert est.value == 0.0
