@@ -147,7 +147,9 @@ class PowerLog(ApproxFunction):
 
     def values(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=np.float64)
-        return self.c * qs ** (-self.a) * np.log(qs + 1.0) ** (-self.b)
+        out = self.c * qs ** (-self.a)
+        # x ** -+0.0 is 1.0 for every x, and a product with 1.0 is the other factor
+        return out * np.log(qs + 1.0) ** (-self.b) if self.b else out
 
     def divergence(self, criterion: SumCriterion) -> str:
         # The summand is ~ c * q**(-a) * log(q)**(e) with e = n-1-b for the
@@ -435,7 +437,8 @@ def _log_weighted(f: ApproxFunction, e: int, qs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise ValueError("family evaluates to +inf inside the summation range")
     if e > 0:
-        vals = vals * np.log(qs.astype(np.float64)) ** e
+        logs = np.log(qs.astype(np.float64))
+        vals = vals * (logs if e == 1 else logs**e)  # x ** 1 is x
     return vals
 
 

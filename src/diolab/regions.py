@@ -64,8 +64,14 @@ Closed forms used here
 
 * The n-fold product law under the coprime marginal follows the recursion
   G_k(d) = int G_{k-1}(d/t) dF(t); n >= 3 uses adaptive Gauss-Legendre
-  refinement of it down to the n = 2 law above, evaluated directly at the
-  nodes of n = 3.
+  refinement of it down to the n = 2 law above (``_product_cdf_rec``).
+  Refinement runs one level at a time: every panel of a level is
+  evaluated at its 7 + 15 nodes in one numpy pass, at n = 3 the n = 2 law
+  by one ``searchsorted`` and a libm log per node.  The accepted panels
+  are added in the order a depth-first stack of panels pops them, so
+  every value, bound and ``ConvergenceError`` is that of panel-by-panel
+  refinement, bit for bit.  The rules are numpy's ``leggauss`` as
+  ``float.hex`` literals.
 
 Exact truncated unions
 ----------------------
@@ -411,6 +417,12 @@ class PiecewiseCdf:
         logs = [k * math.log(P) for P, k in zip(products, ks)]
         return products, below, above, [math.fsum(logs[i:]) / r2 for i in range(len(logs) + 1)]
 
+    @cached_property
+    def _law2_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_law2`` as arrays for ``_law_values``: the products, exact as floats, and the rows below, above, above_log."""
+        products, *terms = self._law2
+        return np.array(products, dtype=np.float64), np.array(terms)
+
     def law2_terms(self, x: float) -> tuple[float, float, float]:
         """(below, above, above_log) at i = #{P <= x}, for ``_product_law2`` at delta = x/4."""
         products, below, above, above_log = self._law2
@@ -458,23 +470,31 @@ def coprime_dist_cdf(q: int) -> PiecewiseCdf:
     return _radical_cdf(radical(q))
 
 
+def _log_count_sum(values: np.ndarray) -> tuple[float, np.ndarray]:
+    """(sum of fl(log v) over the integers v >= 1, the distinct v ascending): the exact sum by count, rounded once.
+
+    Every fl(log v) is 0 or at least fl(log 2) > 1/2, so a multiple of
+    2**-53, and the sum is one integer over 2**53: int / int rounds it
+    correctly, as ``math.fsum`` of the terms one by one would.
+    """
+    counts = np.bincount(values)
+    distinct = np.flatnonzero(counts)
+    num = sum(c * int(math.ldexp(math.log(v), 53)) for v, c in zip(distinct.tolist(), counts[distinct].tolist()))
+    return num / 2**53, distinct
+
+
 @cache
 def _gap_stats(m: int) -> tuple[int, float, float, tuple[int, ...]]:
     """(phi, L, P, G) of the cyclic coprime gaps g_i of m; cached per m.
 
     L = sum log g_i, P = sum log(g_{i-1} + g_i) and G the distinct g_i,
-    ascending.  Both sums are ``math.fsum`` of libm logs of integers >= 1,
-    so each is within 3u relative: 2u from the logs, all >= 0, and u from
-    the rounded sum.
+    ascending.  Both sums take each distinct value's libm log times its
+    count, exactly, and round once (``_log_count_sum``), so each is within
+    3u relative: 2u from the logs, all >= 0, and u from the rounding.
     """
     gaps = _cyclic_gaps(m)[1]
-    merged = gaps + np.roll(gaps, 1)
-    return (
-        gaps.size,
-        math.fsum(map(math.log, gaps.tolist())),
-        math.fsum(map(math.log, merged.tolist())),
-        tuple(sorted(set(gaps.tolist()))),
-    )
+    log_sum, distinct = _log_count_sum(gaps)
+    return gaps.size, log_sum, _log_count_sum(gaps + np.roll(gaps, 1))[0], tuple(distinct.tolist())
 
 
 _RAD_BLOCK, _RAD_CAP = 4096, 1 << 30  # q per sieved block of radicals; no block is sieved past this q
@@ -554,20 +574,109 @@ def _product_law2(delta: float, below: float, above: float, above_log: float) ->
     return min(1.0, value), _U * (2.0 * below + x * slack + 3.0 * value) + _TINY
 
 
-_GL7, _GL15 = ((x.tolist(), w) for x, w in map(np.polynomial.legendre.leggauss, (7, 15)))  # nodes as floats
+def _gl_rule(half: tuple[tuple[str, str], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of a Gauss-Legendre rule on [-1, 1], odd order, from its (node, weight) pairs at nodes >= 0."""
+    x, w = (np.array([float.fromhex(v) for v in col]) for col in zip(*half))
+    return np.concatenate((-x[:0:-1], x)), np.concatenate((w[:0:-1], w))
 
 
-def _gl_panel(fn, a: float, b: float, rule) -> float:
-    nodes, weights = rule
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * float(np.sum(weights * np.array([fn(mid + half * x) for x in nodes])))
+# numpy's leggauss(7) and leggauss(15), ascending from the middle node; the negative half mirrors them exactly
+_GL7 = _gl_rule((
+    ("0x0.0p+0", "0x1.abfd7e03c2fa4p-2"),
+    ("0x1.9f95df119fd62p-2", "0x1.86fe74ee32b39p-2"),
+    ("0x1.7ba9f9be3a1d6p-1", "0x1.1e6b1713d8648p-2"),
+    ("0x1.e5f178e7c622ap-1", "0x1.092f69f826d58p-3"),
+))
+_GL15 = _gl_rule((
+    ("0x0.0p+0", "0x1.9ee1575f9c980p-3"),
+    ("0x1.9c0ba62ef04b5p-3", "0x1.96633f1fd02cfp-3"),
+    ("0x1.939c69257d6b6p-2", "0x1.7d41fa76dc267p-3"),
+    ("0x1.245676f08f3a4p-1", "0x1.5484f30a86ed3p-3"),
+    ("0x1.72e6e181ab3c4p-1", "0x1.1dd73b4963165p-3"),
+    ("0x1.b248221fffd63p-1", "0x1.b6ec9635f1120p-4"),
+    ("0x1.dfe24c4f8b447p-1", "0x1.2038260b5d03ap-4"),
+    ("0x1.f9da27c32e6d0p-1", "0x1.f7dc7227a2908p-6"),
+))
+_GL_NODES = np.concatenate((_GL7[0], _GL15[0]))  # a panel's 7 coarse nodes, then its 15 fine ones
+
+
+def _gl_sum(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row's weighted sum, added in ``np.sum``'s order for its length.
+
+    ``np.sum`` adds fewer than 8 floats left to right, and 8 to 15 as a
+    tree of pairs over the first eight with the rest added in turn.
+    """
+    p = values * weights
+    if p.shape[1] >= 8:
+        pairs = p[:, 0:8:2] + p[:, 1:8:2]
+        p[:, 7] = (pairs[:, 0] + pairs[:, 1]) + (pairs[:, 2] + pairs[:, 3])
+        p = p[:, 7:]
+    return p.cumsum(axis=1)[:, -1]
+
+
+def _law_values(cdf: PiecewiseCdf, k: int, u: np.ndarray, tol: float) -> tuple[np.ndarray, tuple | None]:
+    """(the k-fold law at each u, None or (flat index, ConvergenceError) of the first failure), k >= 2.
+
+    k = 2 is ``_product_law2``'s value in one pass: the terms by one
+    ``searchsorted`` and a libm log per node (``np.log`` may differ from
+    ``math.log`` by an ulp), and 0 at u <= 0 and 1 at u >= T**2, each
+    without a log.  k >= 3 calls the driver at each u in turn, row by row,
+    and stops at the first failure, leaving nan from there on.
+    """
+    if k > 2:
+        out = np.full(u.shape, math.nan)
+        for i, v in enumerate(u.ravel().tolist()):
+            try:
+                out.flat[i] = _product_cdf_rec(cdf, k, v, tol)[0]
+            except ConvergenceError as exc:
+                return out, (i, exc)
+        return out, None
+    products, terms = cdf._law2_arrays
+    T2 = cdf.max_distance**2
+    inside = (u > 0.0) & (u < T2)
+    everywhere = inside.all()
+    x = 4.0 * (u if everywhere else np.where(inside, u, 0.25))  # x = 1 stands in outside: no log of 0 or inf
+    below, above, above_log = terms[:, np.searchsorted(products, x, "right")]
+    log_x = np.fromiter(map(math.log, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+    out = np.minimum(1.0, below + x * ((1.0 - log_x) * above + above_log))
+    return (out if everywhere else np.where(inside, out, u >= T2)), None
+
+
+def _places(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each panel's place in the order a stack of panels pops them.
+
+    The first panels are pushed in ascending order and a split pushes its
+    left half, then its right one, so panels pop by descending right end,
+    and a panel before its right half, which shares that end.  A split
+    panel is at least 1e-14 wide, over 2 ulps at any t < 45, so no half
+    is empty and the panels of one level are disjoint.
+    """
+    order = np.lexsort((a, -b))
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    return place
 
 
 def _product_cdf_rec(
     cdf: PiecewiseCdf, k: int, delta: float, tol: float, max_panels: int = 4000
 ) -> tuple[float, float]:
-    """(value, error bound) of the k-fold product CDF at delta, k >= 2."""
+    """(value, error bound) of the k-fold product CDF at delta, k >= 2.
+
+    k = 2 is ``_product_law2``.  Above it, G_k(delta) = int G_{k-1}(delta/t)
+    dF(t) over the density of one coprime distance, exactly 1 below
+    t = delta / T**(k-1), with panels between the density's breakpoints
+    refined until a 7- and a 15-point Gauss-Legendre rule agree within
+    tol/2 (b - a)/T, or b - a < 1e-14; the children take the other tol/2.
+    Refinement runs one level at a time, its panels in descending order:
+    all 22 nodes of all panels of a level are evaluated in one pass
+    (``_law_values``), then each panel is accepted or halved.  total and
+    err add the accepted panels in the order a stack of panels pops them
+    (``_places``), and the error raised is the one such a stack meets
+    first: ConvergenceError at its (max_panels + 1)-th pop, with the
+    bracket it holds then, or a child's failure where it evaluates that
+    child.  Past max_panels panels, or past a failure, a level halves only
+    the panels popped before it.
+    """
     T = cdf.max_distance
     if delta <= 0.0:
         return 0.0, 0.0
@@ -578,18 +687,11 @@ def _product_cdf_rec(
     child_tol = 0.5 * tol
     quad_tol = 0.5 * tol
     r = cdf.modulus
-    T2 = T**2
-
-    def child(u: float) -> float:
-        if k > 3:
-            return _product_cdf_rec(cdf, k - 1, u, child_tol)[0]
-        return 0.0 if u <= 0.0 else 1.0 if u >= T2 else _product_law2(u, *cdf.law2_terms(4.0 * u))[0]
 
     # density breakpoints; below cut the child CDF is exactly 1
     cut = delta / T ** (k - 1)
     pieces = sorted({0.0, T, min(cut, T)} | {g / 2.0 for g in cdf.gaps if g / 2.0 < T})
     total = 0.0
-    err = 0.0
     work: list[tuple[float, float, float]] = []
     for t1, t2 in zip(pieces[:-1], pieces[1:]):
         if t2 <= t1:
@@ -603,30 +705,63 @@ def _product_cdf_rec(
             total += c_f * (t2 - t1)
         else:
             work.append((t1, t2, c_f))
-    used = 0
-    while work:
-        a, b, cf = work.pop()
-        used += 1
-        if used > max_panels:
-            best = total + sum(
-                cf2 * _gl_panel(lambda t: child(delta / t), a2, b2, _GL15)
-                for a2, b2, cf2 in work + [(a, b, cf)]
-            )
-            raise ConvergenceError(
-                f"adaptive refinement exceeded {max_panels} panels", best, err + quad_tol
-            )
-        fn = lambda t: child(delta / t)
-        coarse = cf * _gl_panel(fn, a, b, _GL7)
-        fine = cf * _gl_panel(fn, a, b, _GL15)
-        panel_err = abs(fine - coarse)
-        if panel_err <= quad_tol * (b - a) / T or (b - a) < 1e-14:
-            total += fine
-            err += panel_err
-        else:
-            mid = 0.5 * (a + b)
-            work.append((a, mid, cf))
-            work.append((mid, b, cf))
-    return min(1.0, total), err + child_tol
+    if not work:
+        return min(1.0, total), child_tol
+    panels = np.array(work[::-1]).T  # rows a, b, cf
+    levels = []  # (a, b, cf, fine, panel_err, accepted, split) of each level
+    failed = {}  # panel -> the ConvergenceError of its first failing node
+    count = 0
+    while panels.shape[1]:
+        a, b, cf = panels
+        width = b - a
+        half = 0.5 * width
+        mid = 0.5 * (a + b)
+        values, failure = _law_values(cdf, k - 1, delta / (mid[:, None] + half[:, None] * _GL_NODES), child_tol)
+        coarse = cf * (half * _gl_sum(values[:, :7], _GL7[1]))
+        fine = cf * (half * _gl_sum(values[:, 7:], _GL15[1]))
+        panel_err = np.abs(fine - coarse)
+        accepted = (panel_err <= quad_tol * width / T) | (width < 1e-14)
+        split = ~accepted
+        if failure:  # the panels from the failing one on are not evaluated
+            p = failure[0] // _GL_NODES.size
+            accepted[p:] = split[p:] = False
+            failed[count + p] = failure[1]
+        levels.append((a, b, cf, fine, panel_err, accepted, split))
+        count += a.size
+        if count > max_panels or failed:  # halve only the panels a stack pops before it stops
+            place = _places(*(np.concatenate([level[i] for level in levels]) for i in (0, 1)))  # a and b so far
+            split &= place[count - a.size :] < min([max_panels] + [place[p] for p in failed])
+        panels = np.repeat(panels[:, split], 2, axis=1)  # right half, then left half
+        panels[0, 0::2] = panels[1, 1::2] = mid[split]
+    a, b, cf, fine, panel_err, accepted, split = (np.concatenate(x) for x in zip(*levels))
+    place = _places(a, b)
+    if failed:
+        p = min(failed, key=place.__getitem__)
+        if place[p] < max_panels:
+            raise failed[p]
+    popped = accepted & (place < max_panels)
+    order = np.argsort(place[popped])
+    total = float(np.cumsum(np.append(total, fine[popped][order]))[-1])
+    err = float(np.cumsum(np.append(0.0, panel_err[popped][order]))[-1])
+    if count <= max_panels:
+        return min(1.0, total), err + child_tol
+    # the stack at the (max_panels + 1)-th pop, bottom to top, then the panel popped: the bracket is the sum
+    # of their 15-point rules, each evaluated here if its level did not reach it, and a failure raised
+    starts = np.cumsum([0] + [level[0].size for level in levels]).tolist()
+    above = np.concatenate([np.full(levels[0][0].size, -1)] + [  # each level halves the split panels of the one before
+        place[np.repeat(start + np.flatnonzero(level[-1]), 2)] for start, level in zip(starts, levels[:-1])
+    ])
+    stack = np.flatnonzero((place > max_panels) & (above < max_panels))
+    stack = stack[np.argsort(-place[stack])].tolist() + np.flatnonzero(place == max_panels).tolist()
+    for p in stack:
+        if math.isnan(fine[p]):
+            half, mid = 0.5 * (b[p] - a[p]), 0.5 * (a[p] + b[p])
+            values, failure = _law_values(cdf, k - 1, delta / (mid + half * _GL15[0][None, :]), child_tol)
+            if failure:
+                raise failure[1]
+            fine[p] = cf[p] * (half * _gl_sum(values, _GL15[1])[0])
+    best = total + sum(fine[stack].tolist())
+    raise ConvergenceError(f"adaptive refinement exceeded {max_panels} panels", best, err + quad_tol)
 
 
 def product_region_measure_coprime(

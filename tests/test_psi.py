@@ -36,7 +36,7 @@ from diolab.psi import (
     power_log,
     table_psi,
 )
-from diolab.psi import _padic_abs_array
+from diolab.psi import _log_weighted, _padic_abs_array
 
 FAMILY_CLASSES = (PowerLog, TablePsi, IndicatorSupport, ConditionalPsi, PadicWeightedPsi)
 
@@ -119,6 +119,22 @@ class TestEval:
     def test_power_log_examples(self):
         assert power_log(1, 1, 0)(4) == 0.25
         assert power_log(2, 0.5, 0)(4) == 1.0
+
+    @pytest.mark.parametrize("b", [0.0, -0.0, 3.0])
+    def test_power_log_values_equal_the_full_formula(self, b):
+        # b = +-0 skips log(q + 1) ** -b, which is 1.0 for every q, and the product with it
+        qs = np.concatenate((np.arange(1, 5000), [2**31, 2**53 + 2, 10**17]))
+        f = power_log(0.7, 1.3, b)
+        x = qs.astype(np.float64)
+        assert f.values(qs).tobytes() == (0.7 * x ** -1.3 * np.log(x + 1.0) ** -b).tobytes()
+
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_log_weights_equal_the_power(self, e):
+        # e = 1 skips log(q) ** 1, which is log(q) itself
+        qs = np.arange(1, 5000)
+        f = power_log(1.0, 1.0, 2.0)
+        want = f.values(qs) * np.log(qs.astype(np.float64)) ** e
+        assert _log_weighted(f, e, qs).tobytes() == want.tobytes()
 
     def test_table_lookup(self):
         f = table_psi([0.5, 0, 0.1])

@@ -27,7 +27,7 @@ from diolab.arith import (
     primes_up_to,
     radical,
 )
-from diolab.errors import ResourceBudgetError
+from diolab.errors import ConvergenceError, ResourceBudgetError
 from diolab.psi import TablePsi, indicator_support, power_log, table_psi
 from diolab.regions import (
     IntervalUnion,
@@ -43,8 +43,11 @@ from diolab.regions import (
     uniform_product_cdf,
 )
 from diolab.regions import (
+    _GL7,
+    _GL15,
     _gap_log_sum,
     _gap_stats,
+    _gl_sum,
     _lifted_terms,
     _product_cdf_rec,
     _product_law2,
@@ -535,15 +538,16 @@ class TestProductCoprime:
         assert vals[0] == 0.0
         assert vals[-1] == 1.0
 
-    def test_convergence_failure_carries_bracket(self):
-        from diolab.errors import ConvergenceError
-        from diolab.regions import _product_cdf_rec, coprime_dist_cdf
-
-        cdf = coprime_dist_cdf(12)
-        with pytest.raises(ConvergenceError) as exc:
-            _product_cdf_rec(cdf, 3, 1e-3, tol=1e-14, max_panels=3)
-        assert 0.0 <= exc.value.best_value <= 1.0
-        assert exc.value.error_bound > 0.0
+    @pytest.mark.parametrize("max_panels, best, bound", [
+        (3, "0x1.7bb03f3b50c30p-7", "0x1.68b2b86a12b9bp-48"),
+        (50, "0x1.8b3e58f90d9c3p-7", "0x1.6b8dc86a12b9bp-48"),
+    ])
+    def test_convergence_failure_carries_bracket(self, max_panels, best, bound):
+        # the bracket a stack of panels holds at its (max_panels + 1)-th pop, as the depth-first
+        # quadrature recorded it
+        with pytest.raises(ConvergenceError, match=f"exceeded {max_panels} panels") as exc:
+            _product_cdf_rec(coprime_dist_cdf(12), 3, 1e-3, tol=1e-14, max_panels=max_panels)
+        assert (exc.value.best_value.hex(), exc.value.error_bound.hex()) == (best, bound)
 
 
 U = 2.0**-53
@@ -759,6 +763,182 @@ class TestClosedFormN2:
         for (q, n, delta, tol), pin in QUADRATURE_PINS.items():
             got = product_region_measure_coprime(q, n, psi(q) if delta is None else delta, tol=tol)
             assert (got.value.hex(), got.error_bound.hex()) == pin, (q, n, delta)
+
+
+# The depth-first quadrature that the level driver replaced, as it was: the oracle of
+# TestLevelQuadrature.  Panels pop from a stack, right half first; each evaluates its k - 1 child
+# at the nodes of numpy's Gauss-Legendre rules one by one.
+LEGGAUSS7, LEGGAUSS15 = ((x.tolist(), w) for x, w in map(np.polynomial.legendre.leggauss, (7, 15)))
+
+
+def _gl_panel(fn, a, b, rule):
+    nodes, weights = rule
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return half * float(np.sum(weights * np.array([fn(mid + half * x) for x in nodes])))
+
+
+def depth_first_quadrature(cdf, k, delta, tol, max_panels=4000):
+    T = cdf.max_distance
+    if delta <= 0.0:
+        return 0.0, 0.0
+    if delta >= T**k:
+        return 1.0, 0.0
+    if k == 2:
+        return _product_law2(delta, *cdf.law2_terms(4.0 * delta))
+    child_tol = 0.5 * tol
+    quad_tol = 0.5 * tol
+    r = cdf.modulus
+    T2 = T**2
+
+    def child(u):
+        if k > 3:
+            return depth_first_quadrature(cdf, k - 1, u, child_tol)[0]
+        return 0.0 if u <= 0.0 else 1.0 if u >= T2 else _product_law2(u, *cdf.law2_terms(4.0 * u))[0]
+
+    cut = delta / T ** (k - 1)
+    pieces = sorted({0.0, T, min(cut, T)} | {g / 2.0 for g in cdf.gaps if g / 2.0 < T})
+    total = 0.0
+    err = 0.0
+    work = []
+    for t1, t2 in zip(pieces[:-1], pieces[1:]):
+        if t2 <= t1:
+            continue
+        tm = 0.5 * (t1 + t2)
+        n_density, _ = cdf._split(2.0 * tm)
+        if n_density == 0:
+            continue
+        c_f = 2.0 * n_density / r
+        if t2 <= cut:
+            total += c_f * (t2 - t1)
+        else:
+            work.append((t1, t2, c_f))
+    used = 0
+    while work:
+        a, b, cf = work.pop()
+        used += 1
+        if used > max_panels:
+            best = total + sum(
+                cf2 * _gl_panel(lambda t: child(delta / t), a2, b2, LEGGAUSS15) for a2, b2, cf2 in work + [(a, b, cf)]
+            )
+            raise ConvergenceError(f"adaptive refinement exceeded {max_panels} panels", best, err + quad_tol)
+        fn = lambda t: child(delta / t)
+        coarse = cf * _gl_panel(fn, a, b, LEGGAUSS7)
+        fine = cf * _gl_panel(fn, a, b, LEGGAUSS15)
+        panel_err = abs(fine - coarse)
+        if panel_err <= quad_tol * (b - a) / T or (b - a) < 1e-14:
+            total += fine
+            err += panel_err
+        else:
+            mid = 0.5 * (a + b)
+            work.append((a, mid, cf))
+            work.append((mid, b, cf))
+    return min(1.0, total), err + child_tol
+
+
+def quadrature_outcome(fn, cdf, k, delta, tol, max_panels):
+    """fn's (value, bound) or its ConvergenceError, floats by their bits."""
+    try:
+        value, bound = fn(cdf, k, delta, tol, max_panels=max_panels)
+    except ConvergenceError as exc:
+        return "error", str(exc), exc.best_value.hex(), exc.error_bound.hex()
+    return "value", type(value), value.hex(), bound.hex()
+
+
+class TestLevelQuadrature:
+    def test_rules_are_numpy_leggauss(self):
+        for (nodes, weights), (x, w) in zip((_GL7, _GL15), (LEGGAUSS7, LEGGAUSS15)):
+            for got, want in zip(nodes.tolist() + weights.tolist(), x + w.tolist()):
+                assert abs(got - want) <= 4 * math.ulp(want), (got, want)
+            assert nodes.tolist() == sorted(nodes.tolist()) and nodes.tolist() == [-v for v in reversed(nodes.tolist())]
+
+    def test_import_needs_no_numpy_polynomial(self):
+        import os
+        import subprocess
+        from pathlib import Path
+
+        env = {**os.environ, "PYTHONPATH": str(Path(diolab.regions.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", "import diolab"], capture_output=True, text=True, check=True, env=env
+        )
+        assert "diolab.regions" in out.stderr and "numpy.polynomial" not in out.stderr
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_gl_sums_add_in_np_sum_order(self, rows, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.random((rows, 22)) * 10.0 ** rng.integers(-30, 1, (rows, 22))
+        for got, (_, weights), cols in ((_gl_sum(values[:, :7], _GL7[1]), LEGGAUSS7, values[:, :7]),
+                                        (_gl_sum(values[:, 7:], _GL15[1]), LEGGAUSS15, values[:, 7:])):
+            assert got.tolist() == [float(np.sum(weights * row)) for row in cols]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        r=st.integers(1, 3000).map(radical),
+        frac=st.floats(5e-324, 1.0) | st.floats(-744.0, 0.0).map(math.exp),  # and spread evenly in log
+        tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+        max_panels=st.sampled_from([4000, 4000, 1, 7, 60]),
+    )
+    @example(r=30030, frac=1e-3, tol=1e-9, max_panels=4000)
+    @example(r=2310, frac=5e-324, tol=1e-12, max_panels=4000)
+    @example(r=12, frac=1.0, tol=1e-6, max_panels=4000)
+    def test_n3_equals_the_depth_first_quadrature(self, r, frac, tol, max_panels):
+        cdf = coprime_dist_cdf(r)
+        delta = frac * cdf.max_distance**3
+        want = quadrature_outcome(depth_first_quadrature, cdf, 3, delta, tol, max_panels)
+        assert quadrature_outcome(_product_cdf_rec, cdf, 3, delta, tol, max_panels) == want
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        r=st.sampled_from([1, 2, 3, 5, 6, 7, 10, 30]),
+        frac=st.floats(1e-12, 1.0),
+        tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+        max_panels=st.integers(1, 8),
+    )
+    @example(r=6, frac=0.3, tol=1e-9, max_panels=4000)
+    def test_n4_equals_the_depth_first_quadrature(self, r, frac, tol, max_panels):
+        # every node's child is a k = 3 driver call; a small max_panels keeps each draw to a few
+        # hundred of them, and the pinned n = 4 values cover whole runs
+        cdf = coprime_dist_cdf(r)
+        delta = frac * cdf.max_distance**4
+        want = quadrature_outcome(depth_first_quadrature, cdf, 4, delta, tol, max_panels)
+        assert quadrature_outcome(_product_cdf_rec, cdf, 4, delta, tol, max_panels) == want
+
+    @pytest.mark.parametrize("q, delta, tol, max_panels, child_panels, stopped_at", [
+        # the first child evaluated fails
+        (12, 1e-3, 1e-16, 4000, 4000, 4000),
+        # a level pass meets a failing child in a panel that the stack has not reached at its 7th pop
+        (12, 0.01, 1e-15, 6, 200, 6),
+        # the 3rd pop stops the stack; the panel at its bottom failed at a 15-point node in its level
+        # pass, and the bracket, which evaluates that rule again, raises that child's failure
+        (6, 0.05, 1e-15, 2, 200, 200),
+    ])
+    def test_n4_raises_the_failure_a_stack_meets_first(self, monkeypatch, q, delta, tol, max_panels, child_panels,
+                                                       stopped_at):
+        # the k = 3 children stop at child_panels, in the driver and in the oracle
+        for fn in (_product_cdf_rec, depth_first_quadrature):
+            monkeypatch.setattr(fn, "__defaults__", (child_panels,))
+        cdf = coprime_dist_cdf(q)
+        want = quadrature_outcome(depth_first_quadrature, cdf, 4, delta, tol, max_panels)
+        assert want[:2] == ("error", f"adaptive refinement exceeded {stopped_at} panels")
+        assert quadrature_outcome(_product_cdf_rec, cdf, 4, delta, tol, max_panels) == want
+
+
+class TestGapStats:
+    @pytest.mark.parametrize("ms", [range(1, 3001), [30030, 510510, 9699690]], ids=["m<=3000", "primorials"])
+    def test_sums_by_count_equal_fsum(self, ms):
+        for m in ms:
+            gaps = _cyclic_gaps(m)[1]
+            merged = gaps + np.roll(gaps, 1)
+            want = (
+                gaps.size,
+                math.fsum(map(math.log, gaps.tolist())).hex(),
+                math.fsum(map(math.log, merged.tolist())).hex(),
+                tuple(sorted(set(gaps.tolist()))),
+            )
+            phi, log_sum, merged_sum, distinct = _gap_stats(m)
+            assert (phi, log_sum.hex(), merged_sum.hex(), distinct) == want, m
+            assert type(phi) is int and all(type(g) is int for g in distinct)
 
 
 RAD_BLOCK = diolab.regions._RAD_BLOCK
