@@ -538,11 +538,17 @@ class TestProductCoprime:
         assert vals[0] == 0.0
         assert vals[-1] == 1.0
 
+    def test_convergence_failure_carries_bracket(self):
+        with pytest.raises(ConvergenceError) as exc:
+            _product_cdf_rec(coprime_dist_cdf(12), 3, 1e-3, tol=1e-14, max_panels=3)
+        assert 0.0 <= exc.value.best_value <= 1.0
+        assert exc.value.error_bound > 0.0
+
     @pytest.mark.parametrize("max_panels, best, bound", [
         (3, "0x1.7bb03f3b50c30p-7", "0x1.68b2b86a12b9bp-48"),
         (50, "0x1.8b3e58f90d9c3p-7", "0x1.6b8dc86a12b9bp-48"),
     ])
-    def test_convergence_failure_carries_bracket(self, max_panels, best, bound):
+    def test_convergence_failure_bracket_pinned(self, max_panels, best, bound):
         # the bracket a stack of panels holds at its (max_panels + 1)-th pop, as the depth-first
         # quadrature recorded it
         with pytest.raises(ConvergenceError, match=f"exceeded {max_panels} panels") as exc:
