@@ -65,13 +65,13 @@ Closed forms used here
 * The n-fold product law under the coprime marginal follows the recursion
   G_k(d) = int G_{k-1}(d/t) dF(t); n >= 3 uses adaptive Gauss-Legendre
   refinement of it down to the n = 2 law above (``_product_cdf_rec``).
-  Refinement runs one level at a time: every panel of a level is
-  evaluated at its 7 + 15 nodes in one numpy pass, at n = 3 the n = 2 law
-  by one ``searchsorted`` and a libm log per node.  The accepted panels
-  are added in the order a depth-first stack of panels pops them, so
-  every value, bound and ``ConvergenceError`` is that of panel-by-panel
-  refinement, bit for bit.  The rules are numpy's ``leggauss`` as
-  ``float.hex`` literals.
+  Level passes fill a cache of panel rules: every panel of a refinement
+  level is evaluated at its 7 + 15 nodes in one numpy pass, at n = 3 the
+  n = 2 law by one ``searchsorted`` and a libm log per node.  A
+  depth-first stack of panels then decides, sums and brackets, reading
+  each panel from the cache, so every value, bound and
+  ``ConvergenceError`` is that of panel-by-panel refinement, bit for
+  bit.  The rules are numpy's ``leggauss`` as ``float.hex`` literals.
 
 Exact truncated unions
 ----------------------
@@ -379,11 +379,12 @@ class PiecewiseCdf:
     radical of q (the law only sees the squarefree kernel).  Evaluation is
     float by default; ``eval_fraction`` is exact on rational inputs.
 
-    It also holds the n = 2 product law's table, built on the first
-    ``law2_terms`` call: the sorted distinct gap
-    products P = g h with the running sums ``below``, ``above`` and
-    ``above_log`` of the module docstring, so ``law2_terms`` serves any
-    delta with one bisection.  ``below`` and ``above`` are integer ratios,
+    It also holds the n = 2 product law's table ``_law2``, built on first
+    use: the m sorted distinct gap products P = g h as float64, exact as
+    each is an integer far below 2**53, and the 3 x (m + 1) array of the
+    running sums ``below``, ``above`` and ``above_log`` of the module
+    docstring, so ``law2_terms`` and ``_law_values`` serve any delta with
+    one ``searchsorted``.  ``below`` and ``above`` are integer ratios,
     each rounded once (Python's int / int is correctly rounded), so within
     u.  ``above_log`` is ``math.fsum`` of K_P log P, divided by r**2,
     within 7u: 2u from the log, u each from K_P and r**2 as floats, and u
@@ -404,7 +405,7 @@ class PiecewiseCdf:
         self._cgsum = cgsum
 
     @cached_property
-    def _law2(self) -> tuple[list, list, list, list]:
+    def _law2(self) -> tuple[np.ndarray, np.ndarray]:
         weights = Counter()  # K_P
         for g, c in zip(self.gaps, self.counts):
             for h, e in zip(self.gaps, self.counts):
@@ -415,19 +416,13 @@ class PiecewiseCdf:
         below = [n / r2 for n in accumulate((P * k for P, k in zip(products, ks)), initial=0)]
         above = [(self.phi**2 - k) / r2 for k in accumulate(ks, initial=0)]
         logs = [k * math.log(P) for P, k in zip(products, ks)]
-        return products, below, above, [math.fsum(logs[i:]) / r2 for i in range(len(logs) + 1)]
+        above_log = [math.fsum(logs[i:]) / r2 for i in range(len(logs) + 1)]
+        return np.array(products, dtype=np.float64), np.array([below, above, above_log])
 
-    @cached_property
-    def _law2_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_law2`` as arrays for ``_law_values``: the products, exact as floats, and the rows below, above, above_log."""
-        products, *terms = self._law2
-        return np.array(products, dtype=np.float64), np.array(terms)
-
-    def law2_terms(self, x: float) -> tuple[float, float, float]:
-        """(below, above, above_log) at i = #{P <= x}, for ``_product_law2`` at delta = x/4."""
-        products, below, above, above_log = self._law2
-        i = bisect_right(products, x)
-        return below[i], above[i], above_log[i]
+    def law2_terms(self, x: float) -> list[float]:
+        """[below, above, above_log] at i = #{P <= x}, for ``_product_law2`` at delta = x/4."""
+        products, terms = self._law2
+        return terms[:, np.searchsorted(products, x, "right")].tolist()
 
     @property
     def max_distance(self) -> float:
@@ -614,24 +609,19 @@ def _gl_sum(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return p.cumsum(axis=1)[:, -1]
 
 
-def _law_values(cdf: PiecewiseCdf, k: int, u: np.ndarray, tol: float) -> tuple[np.ndarray, tuple | None]:
-    """(the k-fold law at each u, None or (flat index, ConvergenceError) of the first failure), k >= 2.
+def _law_values(cdf: PiecewiseCdf, k: int, u: np.ndarray, tol: float) -> np.ndarray:
+    """The k-fold law at each u, k >= 2, row by row: a row's values do not depend on the other rows.
 
     k = 2 is ``_product_law2``'s value in one pass: the terms by one
     ``searchsorted`` and a libm log per node (``np.log`` may differ from
     ``math.log`` by an ulp), and 0 at u <= 0 and 1 at u >= T**2, each
-    without a log.  k >= 3 calls the driver at each u in turn, row by row,
-    and stops at the first failure, leaving nan from there on.
+    without a log.  k >= 3 calls the driver at each u in turn, and a
+    child's ``ConvergenceError`` propagates.
     """
     if k > 2:
-        out = np.full(u.shape, math.nan)
-        for i, v in enumerate(u.ravel().tolist()):
-            try:
-                out.flat[i] = _product_cdf_rec(cdf, k, v, tol)[0]
-            except ConvergenceError as exc:
-                return out, (i, exc)
-        return out, None
-    products, terms = cdf._law2_arrays
+        values = (_product_cdf_rec(cdf, k, v, tol)[0] for v in u.ravel().tolist())
+        return np.fromiter(values, np.float64, u.size).reshape(u.shape)
+    products, terms = cdf._law2
     T2 = cdf.max_distance**2
     inside = (u > 0.0) & (u < T2)
     everywhere = inside.all()
@@ -639,22 +629,7 @@ def _law_values(cdf: PiecewiseCdf, k: int, u: np.ndarray, tol: float) -> tuple[n
     below, above, above_log = terms[:, np.searchsorted(products, x, "right")]
     log_x = np.fromiter(map(math.log, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
     out = np.minimum(1.0, below + x * ((1.0 - log_x) * above + above_log))
-    return (out if everywhere else np.where(inside, out, u >= T2)), None
-
-
-def _places(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each panel's place in the order a stack of panels pops them.
-
-    The first panels are pushed in ascending order and a split pushes its
-    left half, then its right one, so panels pop by descending right end,
-    and a panel before its right half, which shares that end.  A split
-    panel is at least 1e-14 wide, over 2 ulps at any t < 45, so no half
-    is empty and the panels of one level are disjoint.
-    """
-    order = np.lexsort((a, -b))
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size)
-    return place
+    return out if everywhere else np.where(inside, out, u >= T2)
 
 
 def _product_cdf_rec(
@@ -667,15 +642,17 @@ def _product_cdf_rec(
     t = delta / T**(k-1), with panels between the density's breakpoints
     refined until a 7- and a 15-point Gauss-Legendre rule agree within
     tol/2 (b - a)/T, or b - a < 1e-14; the children take the other tol/2.
-    Refinement runs one level at a time, its panels in descending order:
-    all 22 nodes of all panels of a level are evaluated in one pass
-    (``_law_values``), then each panel is accepted or halved.  total and
-    err add the accepted panels in the order a stack of panels pops them
-    (``_places``), and the error raised is the one such a stack meets
-    first: ConvergenceError at its (max_panels + 1)-th pop, with the
-    bracket it holds then, or a child's failure where it evaluates that
-    child.  Past max_panels panels, or past a failure, a level halves only
-    the panels popped before it.
+    Level passes fill a cache first: each evaluates all 22 nodes of every
+    panel of a refinement level in one ``_law_values`` pass, stores its
+    (15-point rule, rule difference) under (a, b) and halves every panel
+    that fails the test, until a child fails or more than max_panels panels
+    are built.  A depth-first stack of panels then decides, sums and
+    brackets, reading each panel from the cache and evaluating one that no
+    pass reached as a one-row pass (a row's values do not depend on the
+    other rows), so every float addition is the stack's own and no order
+    is emulated.  Its (max_panels + 1)-th pop raises ConvergenceError with
+    the sum of the 15-point rules of the panels it holds; a child's
+    failure is raised where the stack evaluates that child.
     """
     T = cdf.max_distance
     if delta <= 0.0:
@@ -688,10 +665,19 @@ def _product_cdf_rec(
     quad_tol = 0.5 * tol
     r = cdf.modulus
 
+    def rules(a: np.ndarray, b: np.ndarray, cf: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, ...]:
+        """cf times the Gauss-Legendre rules of each panel (a, b) in one ``_law_values`` pass: at _GL_NODES
+        the 7-point and the 15-point rule, at _GL15[0] the 15-point rule alone."""
+        half = 0.5 * (b - a)
+        values = _law_values(cdf, k - 1, delta / ((0.5 * (a + b))[:, None] + half[:, None] * nodes), child_tol)
+        fine = cf * (half * _gl_sum(values[:, -15:], _GL15[1]))
+        return (cf * (half * _gl_sum(values[:, :7], _GL7[1])), fine) if nodes.size > 15 else (fine,)
+
     # density breakpoints; below cut the child CDF is exactly 1
     cut = delta / T ** (k - 1)
     pieces = sorted({0.0, T, min(cut, T)} | {g / 2.0 for g in cdf.gaps if g / 2.0 < T})
     total = 0.0
+    err = 0.0
     work: list[tuple[float, float, float]] = []
     for t1, t2 in zip(pieces[:-1], pieces[1:]):
         if t2 <= t1:
@@ -705,63 +691,41 @@ def _product_cdf_rec(
             total += c_f * (t2 - t1)
         else:
             work.append((t1, t2, c_f))
-    if not work:
-        return min(1.0, total), child_tol
-    panels = np.array(work[::-1]).T  # rows a, b, cf
-    levels = []  # (a, b, cf, fine, panel_err, accepted, split) of each level
-    failed = {}  # panel -> the ConvergenceError of its first failing node
-    count = 0
-    while panels.shape[1]:
-        a, b, cf = panels
-        width = b - a
-        half = 0.5 * width
-        mid = 0.5 * (a + b)
-        values, failure = _law_values(cdf, k - 1, delta / (mid[:, None] + half[:, None] * _GL_NODES), child_tol)
-        coarse = cf * (half * _gl_sum(values[:, :7], _GL7[1]))
-        fine = cf * (half * _gl_sum(values[:, 7:], _GL15[1]))
+    cache = {}  # (a, b) -> (15-point rule, |15-point - 7-point|) of the panel
+    a, b, cf = np.array(work).reshape(-1, 3).T
+    while a.size and len(cache) <= max_panels:
+        try:
+            coarse, fine = rules(a, b, cf, _GL_NODES)
+        except ConvergenceError:
+            break
         panel_err = np.abs(fine - coarse)
-        accepted = (panel_err <= quad_tol * width / T) | (width < 1e-14)
-        split = ~accepted
-        if failure:  # the panels from the failing one on are not evaluated
-            p = failure[0] // _GL_NODES.size
-            accepted[p:] = split[p:] = False
-            failed[count + p] = failure[1]
-        levels.append((a, b, cf, fine, panel_err, accepted, split))
-        count += a.size
-        if count > max_panels or failed:  # halve only the panels a stack pops before it stops
-            place = _places(*(np.concatenate([level[i] for level in levels]) for i in (0, 1)))  # a and b so far
-            split &= place[count - a.size :] < min([max_panels] + [place[p] for p in failed])
-        panels = np.repeat(panels[:, split], 2, axis=1)  # right half, then left half
-        panels[0, 0::2] = panels[1, 1::2] = mid[split]
-    a, b, cf, fine, panel_err, accepted, split = (np.concatenate(x) for x in zip(*levels))
-    place = _places(a, b)
-    if failed:
-        p = min(failed, key=place.__getitem__)
-        if place[p] < max_panels:
-            raise failed[p]
-    popped = accepted & (place < max_panels)
-    order = np.argsort(place[popped])
-    total = float(np.cumsum(np.append(total, fine[popped][order]))[-1])
-    err = float(np.cumsum(np.append(0.0, panel_err[popped][order]))[-1])
-    if count <= max_panels:
-        return min(1.0, total), err + child_tol
-    # the stack at the (max_panels + 1)-th pop, bottom to top, then the panel popped: the bracket is the sum
-    # of their 15-point rules, each evaluated here if its level did not reach it, and a failure raised
-    starts = np.cumsum([0] + [level[0].size for level in levels]).tolist()
-    above = np.concatenate([np.full(levels[0][0].size, -1)] + [  # each level halves the split panels of the one before
-        place[np.repeat(start + np.flatnonzero(level[-1]), 2)] for start, level in zip(starts, levels[:-1])
-    ])
-    stack = np.flatnonzero((place > max_panels) & (above < max_panels))
-    stack = stack[np.argsort(-place[stack])].tolist() + np.flatnonzero(place == max_panels).tolist()
-    for p in stack:
-        if math.isnan(fine[p]):
-            half, mid = 0.5 * (b[p] - a[p]), 0.5 * (a[p] + b[p])
-            values, failure = _law_values(cdf, k - 1, delta / (mid + half * _GL15[0][None, :]), child_tol)
-            if failure:
-                raise failure[1]
-            fine[p] = cf[p] * (half * _gl_sum(values, _GL15[1])[0])
-    best = total + sum(fine[stack].tolist())
-    raise ConvergenceError(f"adaptive refinement exceeded {max_panels} panels", best, err + quad_tol)
+        cache.update(zip(zip(a.tolist(), b.tolist()), zip(fine.tolist(), panel_err.tolist())))
+        split = ~((panel_err <= quad_tol * (b - a) / T) | (b - a < 1e-14))
+        a, b, cf = a[split], b[split], cf[split]
+        mid = 0.5 * (a + b)
+        a, b, cf = np.concatenate((a, mid)), np.concatenate((mid, b)), np.concatenate((cf, cf))
+    used = 0
+    while work:
+        a, b, cf = work.pop()
+        used += 1
+        if used > max_panels:
+            best = total + sum(  # a panel no pass reached at its 15 nodes alone: a child at a 7-point node never runs
+                cache[p[:2]][0] if p[:2] in cache else float(rules(*np.array([p]).T, _GL15[0])[0][0])
+                for p in work + [(a, b, cf)]
+            )
+            raise ConvergenceError(f"adaptive refinement exceeded {max_panels} panels", best, err + quad_tol)
+        if (a, b) not in cache:  # a one-row pass, past the budget or a child's failure
+            coarse, fine = (float(x[0]) for x in rules(*np.array([(a, b, cf)]).T, _GL_NODES))
+            cache[a, b] = fine, abs(fine - coarse)
+        fine, panel_err = cache[a, b]
+        if panel_err <= quad_tol * (b - a) / T or (b - a) < 1e-14:
+            total += fine
+            err += panel_err
+        else:
+            mid = 0.5 * (a + b)
+            work.append((a, mid, cf))
+            work.append((mid, b, cf))
+    return min(1.0, total), err + child_tol
 
 
 def product_region_measure_coprime(
@@ -780,8 +744,8 @@ def product_region_measure_coprime(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if not delta >= 0:
         raise ValueError("delta must be >= 0")
     if n == 1:

@@ -49,6 +49,14 @@ class TestMeasure:
         assert out == ""
         assert err.startswith("error:") and "delta" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_rejects_a_tol_that_is_not_positive_and_finite(self, capsys, tol):
+        code, out, err = run_cli(capsys, "measure", "--q", "1000", "--n", "3", "--delta", "1e-4", "--coprime",
+                                 f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "tol must be positive and finite" in err
+
     def test_infinite_delta_is_full_measure(self, capsys):
         code, out, _ = run_cli(capsys, "measure", "--q", "12", "--delta", "inf", "--coprime")
         assert code == 0

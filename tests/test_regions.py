@@ -544,6 +544,14 @@ class TestProductCoprime:
         assert 0.0 <= exc.value.best_value <= 1.0
         assert exc.value.error_bound > 0.0
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_tol_that_is_not_positive_and_finite(self, tol):
+        # nan refined to the panel budget and raised a nan bound; inf returned a bound of inf
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            product_region_measure_coprime(1000, 3, 1e-4, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            region_measure(RegionSpec(1000, 3, 1e-4, coprime=True), tol=tol)
+
     @pytest.mark.parametrize("max_panels, best, bound", [
         (3, "0x1.7bb03f3b50c30p-7", "0x1.68b2b86a12b9bp-48"),
         (50, "0x1.8b3e58f90d9c3p-7", "0x1.6b8dc86a12b9bp-48"),
@@ -928,6 +936,40 @@ class TestLevelQuadrature:
         want = quadrature_outcome(depth_first_quadrature, cdf, 4, delta, tol, max_panels)
         assert want[:2] == ("error", f"adaptive refinement exceeded {stopped_at} panels")
         assert quadrature_outcome(_product_cdf_rec, cdf, 4, delta, tol, max_panels) == want
+
+    def test_n4_bracket_evaluates_an_unreached_panel_at_its_15_nodes(self, monkeypatch):
+        # the level passes stop after the first level (2 panels, past the budget of 1); the stack splits its
+        # first panel and stops at its 2nd pop, holding both halves, which no pass reached.  The bracket
+        # evaluates their 15-point nodes alone and raises the right half's failing child, as the depth-first
+        # quadrature did, where a 7-point node of the left half would fail first
+        for fn in (_product_cdf_rec, depth_first_quadrature):
+            monkeypatch.setattr(fn, "__defaults__", (50,))
+        cdf = coprime_dist_cdf(6)
+        delta = 0.3 * cdf.max_distance**4
+        want = quadrature_outcome(depth_first_quadrature, cdf, 4, delta, 1e-15, 1)
+        assert want[:2] == ("error", "adaptive refinement exceeded 50 panels")
+        assert quadrature_outcome(_product_cdf_rec, cdf, 4, delta, 1e-15, 1) == want
+
+    def test_level_passes_evaluate_each_popped_panel_once(self, monkeypatch):
+        # exact-tail's n = 3 inputs: each _law_values call is one whole refinement level of the panels the
+        # depth-first quadrature pops, and within the budget no panel is evaluated again, one row at a time
+        gl_panel, law_values = _gl_panel, diolab.regions._law_values
+        popped, rows = [], []
+        monkeypatch.setitem(globals(), "_gl_panel", lambda fn, a, b, rule: (
+            rule is LEGGAUSS7 and popped.append((a, b))) or gl_panel(fn, a, b, rule))
+        monkeypatch.setattr(diolab.regions, "_law_values", lambda cdf, k, u, tol: (
+            rows.append(u.shape[0])) or law_values(cdf, k, u, tol))
+        psi = power_log(1.0, 1.0, 3.0)
+        for q in range(1000, 1010):
+            cdf = coprime_dist_cdf(q)
+            popped.clear()
+            rows.clear()
+            want = quadrature_outcome(depth_first_quadrature, cdf, 3, psi(q), 1e-9, 4000)
+            assert quadrature_outcome(_product_cdf_rec, cdf, 3, psi(q), 1e-9, 4000) == want
+            # a panel's halvings are the popped panels that contain it: its ancestors, each split
+            depths = [sum(a2 <= a and b <= b2 for a2, b2 in popped) - 1 for a, b in popped]
+            assert rows == np.bincount(depths).tolist(), q
+            assert len(rows) == max(depths) + 1 and sum(rows) == len(popped), q
 
 
 class TestGapStats:
