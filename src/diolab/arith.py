@@ -283,8 +283,6 @@ def coprime_residues(q: int) -> np.ndarray:
     """Sorted residues r in [0, q) with gcd(r, q) = 1."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    if q == 1:
-        return np.zeros(1, dtype=np.int64)
     mask = np.ones(q, dtype=bool)
     for p in prime_factors(q):
         mask[::p] = False

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import UndefinedBoundError, UndefinedRatioError
 from .measure import MeasureEstimate
-from .psi import ApproxFunction
+from .psi import ApproxFunction, _checkpoints
 
 __all__ = [
     "EventStats",
@@ -92,10 +92,7 @@ def bc_lower_bound(stats: EventStats, Q: int) -> float:
 
 def bc_scan(stats: EventStats, grid: Sequence[int]) -> tuple[list[tuple[int, float]], float]:
     """Bound at each checkpoint plus the running maximum (limsup proxy)."""
-    grid = sorted(set(int(g) for g in grid))
-    if not grid:
-        raise ValueError("empty checkpoint grid")
-    points = [(Q, bc_lower_bound(stats, Q)) for Q in grid]
+    points = [(Q, bc_lower_bound(stats, Q)) for Q in _checkpoints(grid)]
     return points, max(b for _, b in points)
 
 

@@ -66,7 +66,7 @@ def _family_from_args(args) -> object:
     if getattr(args, "family_json", None):
         try:
             return family_from_spec(json.loads(args.family_json))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
             raise SystemExit(f"error: bad --family-json: {exc}")
     name = getattr(args, "family", "power_log")
     if name == "power_log":
@@ -166,9 +166,7 @@ def cmd_fiber_check(args) -> int:
         rng = np.random.default_rng(args.seed)
         weight_pairs = [(DiscreteSpace.uniform(k), DiscreteSpace.uniform(k))]
         for _ in range(args.weight_samples - 1):
-            weight_pairs.append(
-                (_random_space(k, rng, zero_atoms=True), _random_space(k, rng, zero_atoms=True))
-            )
+            weight_pairs.append((_random_space(k, rng), _random_space(k, rng)))
         # every k x k matrix as a tuple of row tuples, in the lexicographic order of its k*k flags
         subsets = itertools.product(itertools.product((False, True), repeat=k), repeat=k)
         failures = sum(
@@ -203,10 +201,10 @@ def cmd_fiber_check(args) -> int:
     return 0 if rep.equivalence_holds else 1
 
 
-def _random_space(k: int, rng, zero_atoms: bool = False) -> DiscreteSpace:
-    # random exact-rational weights; optionally force a zero-weight atom
-    numers = [int(rng.integers(0 if zero_atoms else 1, 8)) for _ in range(k)]
-    if zero_atoms and all(numers):
+def _random_space(k: int, rng) -> DiscreteSpace:
+    # random exact-rational weights with at least one zero-weight atom
+    numers = [int(rng.integers(0, 8)) for _ in range(k)]
+    if all(numers):
         numers[int(rng.integers(0, k))] = 0
     if not any(numers):
         numers[int(rng.integers(0, k))] = 1

@@ -60,7 +60,8 @@ DISCLAIMER = (
     "finite-truncation estimates are evidence only; no full-measure claim is implied"
 )
 
-EXPECTATIONS = ("expect-full", "expect-null", "exploratory")
+# a tagged expectation: the divergence its criterion must be known to have, and the classification it predicts
+EXPECTED = {"expect-full": (DIVERGENT, "full-trending"), "expect-null": (CONVERGENT, "null-trending")}
 
 
 @dataclass(frozen=True)
@@ -73,18 +74,12 @@ class BatteryEntry:
     justification: SumCriterion | None = None
 
     def __post_init__(self):
-        if self.expect not in EXPECTATIONS:
+        if self.expect not in (*EXPECTED, "exploratory"):
             raise ValueError(f"unknown expectation {self.expect!r}")
-        if self.expect == "expect-full":
-            if self.justification is None or self.config.family.divergence(self.justification) != DIVERGENT:
-                raise ValueError(
-                    f"entry {self.name!r}: expect-full must cite a known-divergent criterion"
-                )
-        if self.expect == "expect-null":
-            if self.justification is None or self.config.family.divergence(self.justification) != CONVERGENT:
-                raise ValueError(
-                    f"entry {self.name!r}: expect-null must cite a known-convergent criterion"
-                )
+        if self.expect in EXPECTED:
+            divergence = EXPECTED[self.expect][0]
+            if self.justification is None or self.config.family.divergence(self.justification) != divergence:
+                raise ValueError(f"entry {self.name!r}: {self.expect} must cite a {divergence} criterion")
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "expect": self.expect}
@@ -95,6 +90,8 @@ class BatteryEntry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BatteryEntry":
+        if not isinstance(d, dict):
+            raise ValueError(f"an experiment must be an object, not {type(d).__name__}")
         just = d.get("justification")
         return cls(
             name=d["name"],
@@ -126,6 +123,8 @@ class Battery:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Battery":
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be an object, not {type(d).__name__}")
         if d.get("schema_version") != 1:
             raise ValueError("config field 'schema_version' missing or unsupported")
         return cls(
@@ -174,10 +173,8 @@ def run_dichotomy_scan(battery: Battery, workers: int = 1) -> DichotomyReport:
         final = points[-1][1].value
         cls = _classify_estimate(final, battery.threshold_lo, battery.threshold_hi)
         results.append(EntryResult(entry.name, points, cls, entry.config.config_hash()))
-        if entry.expect == "expect-full" and cls != "full-trending":
-            anomalies.append(f"{entry.name}: expected full-trending, got {cls} ({final:.6g})")
-        if entry.expect == "expect-null" and cls != "null-trending":
-            anomalies.append(f"{entry.name}: expected null-trending, got {cls} ({final:.6g})")
+        if entry.expect in EXPECTED and cls != (want := EXPECTED[entry.expect][1]):
+            anomalies.append(f"{entry.name}: expected {want}, got {cls} ({final:.6g})")
     return DichotomyReport(battery.name, results, anomalies)
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import PhiTable as default_phi_table  # not called here: bench/tracing.py times table builds by this name
-from .arith import SCAN_BLOCK, SIEVE_CHUNK, is_prime, phi_segment, phi_values, range_array
+from .arith import SCAN_BLOCK, SIEVE_CHUNK, is_prime, phi_segment, phi_values, primes_up_to, range_array
 from .errors import UndefinedRatioError
 
 __all__ = [
@@ -200,16 +200,6 @@ class TablePsi(ApproxFunction):
         return {"family": "table", "values": vals}
 
 
-def _first_primes(k: int) -> list[int]:
-    out = []
-    p = 2
-    while len(out) < k:
-        if is_prime(p):
-            out.append(p)
-        p += 1
-    return out
-
-
 @dataclass(frozen=True)
 class SupportPredicate:
     """Named support predicate for indicator families."""
@@ -227,11 +217,11 @@ class SupportPredicate:
     def modulus(self) -> int:
         if self.kind == "multiples_of":
             return int(self.param)
-        if self.kind == "primorial_multiples":
-            m = 1
-            for p in _first_primes(int(self.param)):
-                m *= p
-            return m
+        if self.kind == "primorial_multiples":  # the first k primes, multiplied as Python ints
+            k, limit = int(self.param), 16
+            while (primes := primes_up_to(limit)).size < k:
+                limit *= 2
+            return math.prod(primes[:k].tolist())
         raise ValueError("predicate has no modulus")
 
     def mask(self, qs: np.ndarray) -> np.ndarray:
@@ -536,6 +526,8 @@ def cond1_scan(f: ApproxFunction, n: int, grid: Sequence[int]) -> tuple[list[tup
 
 def family_from_spec(d: dict) -> ApproxFunction:
     """Rebuild a family from its spec dict (the experiment-config format)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a family spec must be an object, not {type(d).__name__}")
     kind = d.get("family")
     if kind == "power_log":
         return power_log(d["c"], d["a"], d["b"])

@@ -241,8 +241,6 @@ class IntervalUnion:
         if len(self) == 0 or len(other) == 0:
             return 0.0
         cuts = np.unique(np.concatenate([self.starts, self.ends, other.starts, other.ends]))
-        if cuts.size < 2:
-            return 0.0
         # classify each elementary segment by its left cut: a midpoint of two
         # cuts a few ulps apart can round onto the right cut and read outside
         both = self._inside(cuts[:-1]) & other._inside(cuts[:-1])
@@ -680,8 +678,6 @@ def _product_cdf_rec(
     err = 0.0
     work: list[tuple[float, float, float]] = []
     for t1, t2 in zip(pieces[:-1], pieces[1:]):
-        if t2 <= t1:
-            continue
         tm = 0.5 * (t1 + t2)
         n_density, _ = cdf._split(2.0 * tm)
         if n_density == 0:

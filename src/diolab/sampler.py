@@ -32,6 +32,7 @@ per-sample depths (see ``depth_counts``), in O(samples) memory.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from bisect import bisect_right
@@ -41,10 +42,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .arith import dist_nearest, dist_nearest_coprime, nearest_coprime_distance, range_array
+from .arith import dist_nearest, dist_nearest_coprime, range_array
+from .arith import nearest_coprime_distance  # not called here: bench/tracing.py counts coprime fallbacks by this name
 from .errors import ResourceBudgetError
 from .measure import MeasureEstimate
-from .psi import ApproxFunction, family_from_spec
+from .psi import ApproxFunction, _checkpoints, family_from_spec
 
 __all__ = [
     "ExperimentConfig",
@@ -61,6 +63,7 @@ __all__ = [
 ]
 
 GENERATOR_ID = "splitmix64-v1"
+_LF_BLOCK = 1 << 14  # integer vectors per block of linear_forms_count
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -497,9 +500,7 @@ def solution_counts(
     strict: bool = True,
 ) -> list[tuple[int, int]]:
     """solution_count at each checkpoint of grid, from one membership pass."""
-    grid = sorted(set(int(g) for g in grid))
-    if not grid or grid[0] < 1:
-        raise ValueError("grid checkpoints must be >= 1")
+    grid = _checkpoints(grid)
     Q = grid[-1]
     xv = np.asarray(x, dtype=np.float64)
     # psi = 0 admits a distance of exactly 0 to a non-strict inequality: only a strict count skips q off the support
@@ -527,10 +528,11 @@ def linear_forms_count(
     to minimize |(qX)_i + p_i|.  With ``coprime`` the p_i are constrained to
     gcd(p_i, g) = 1 where g is the gcd of the components of q.  When Psi is
     an ApproxFunction it is applied to the sup norm of q, read from one
-    ``values`` table over 1..Qbound.
+    ``values`` table over 1..Qbound; a callable is called once per vector.
+    Blocks of _LF_BLOCK vectors, in ``itertools.product`` order and O(block)
+    memory at any budget, go through the sampler's membership kernels; y = qX
+    is formed per vector, as a batched product can differ in the last bit.
     """
-    import itertools
-
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be an m x n matrix")
@@ -540,28 +542,18 @@ def linear_forms_count(
         raise ResourceBudgetError(
             f"enumeration of {total} vectors exceeds budget={budget}; raise it explicitly"
         )
-    if isinstance(Psi, ApproxFunction):
-        table = Psi.values(np.arange(1, Qbound + 1, dtype=np.int64)).tolist()
-        psi_of = lambda qv: table[int(np.max(np.abs(qv))) - 1]
-    else:
-        psi_of = lambda qv: float(Psi(tuple(int(c) for c in qv)))
+    table = Psi.values(np.arange(1, Qbound + 1, dtype=np.int64)) if isinstance(Psi, ApproxFunction) else None
+    vectors = itertools.product(range(-Qbound, Qbound + 1), repeat=m)
     count = 0
-    for q_tuple in itertools.product(range(-Qbound, Qbound + 1), repeat=m):
-        if not any(q_tuple):
-            continue
-        qv = np.array(q_tuple, dtype=np.float64)
-        y = qv @ X
-        if coprime:
-            g = 0
-            for c in q_tuple:
-                g = math.gcd(g, abs(c))
-            prod = 1.0
-            for yi in y:
-                prod *= nearest_coprime_distance(float(yi), g)
-        else:
-            prod = 1.0
-            for yi in y:
-                prod *= abs(yi - round(yi))
-        if prod < psi_of(qv):
-            count += 1
+    while block := list(itertools.islice(vectors, _LF_BLOCK)):
+        qb = np.array(block, dtype=np.int64)
+        qb = qb[qb.any(axis=1)]
+        y = np.array([qv @ X for qv in qb.astype(np.float64)]).reshape(-1, n)
+        d = _plain_distances(y)
+        if coprime:  # a rounding sharing a factor with g = gcd(q) takes the outward coprime search
+            g = np.gcd.reduce(qb, axis=1)[:, None]
+            r, c = np.nonzero(np.gcd(np.rint(y).astype(np.int64), g) != 1)
+            d[r, c] = _coprime_distances(y[r, c], g[r, 0])
+        psis = [float(Psi(tuple(v))) for v in qb.tolist()] if table is None else table[np.abs(qb).max(1) - 1]
+        count += int(np.count_nonzero(_aggregate(d.T, "product") < psis))
     return count

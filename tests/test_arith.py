@@ -447,6 +447,11 @@ def test_coprime_residues_match_gcd():
         assert res == expected
 
 
+def test_coprime_residues_of_one():
+    res = coprime_residues(1)
+    assert res.tolist() == [0] and res.dtype == np.int64
+
+
 def test_prime_factors():
     assert prime_factors(1) == []
     assert prime_factors(12) == [2, 3]

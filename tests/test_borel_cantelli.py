@@ -105,6 +105,11 @@ class TestBcLowerBound:
         assert vals == sorted(vals)
         assert running == vals[-1]
 
+    @pytest.mark.parametrize("grid", [[], [0, 4], [-1]], ids=["empty", "zero", "negative"])
+    def test_scan_rejects_a_grid_without_checkpoints_of_at_least_one(self, grid):
+        with pytest.raises(ValueError, match="grid checkpoints must be >= 1"):
+            bc_scan(EventStats(np.full(4, 0.25), "independence"), grid)
+
     def test_harmonic_independent_events_approach_one(self):
         mu = 1.0 / np.arange(1, 10_001)
         stats = EventStats(mu, "independence")

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -7,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import diolab
 import diolab.arith
 import diolab.cli
 import diolab.psi
 from diolab.arith import phi_segment
 from diolab.cli import CSV_HEADER, main
+from diolab.harness import theorem2_demo_battery
 from diolab.psi import TablePsi, power_log
 
 
@@ -108,6 +113,53 @@ class TestUnion:
         assert sieved == [(1, 201, 1)]
 
 
+    def test_grid_rows_equal_single_checkpoint_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "union", "--c", "0.25", "--Q0", "3", "--Q", "100", "--grid", "--coprime")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == [3, 6, 12, 24, 48, 96, 100]
+        for row in rows:
+            code, single, _ = run_cli(
+                capsys, "union", "--c", "0.25", "--Q0", "3", "--Q", row.split(",")[0], "--coprime"
+            )
+            assert code == 0 and single.splitlines() == [CSV_HEADER, row]
+
+
+MALFORMED_FAMILIES = [
+    "[1, 2]",
+    '"power_log"',
+    '{"family": "table", "values": 5}',
+    '{"family": "power_log", "c": null, "a": 1, "b": 0}',
+    '{"family": "indicator_support", "base": 3, "support": {"kind": "multiples_of", "param": 2}}',
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("spec", MALFORMED_FAMILIES)
+    def test_family_json_is_a_clean_error(self, spec):
+        with pytest.raises(SystemExit) as exc:
+            main(["union", "--Q", "10", "--family-json", spec])
+        assert str(exc.value.code).startswith("error: bad --family-json: ")
+
+    @pytest.mark.parametrize("payload", [[1], {"schema_version": 1, "experiments": [5]}])
+    def test_config_is_a_clean_error(self, tmp_path, payload):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", str(cfg), "--out", str(tmp_path / "out")])
+        assert str(exc.value.code).startswith("error: bad config: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_the_process_exits_1_without_a_traceback(self):
+        src = str(Path(diolab.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "diolab.cli", "union", "--family-json", "[1, 2]", "--Q", "10"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: bad --family-json: a family spec must be an object, not list\n"
+
+
 class TestSums:
     def test_partial_sums(self, capsys):
         code, out, _ = run_cli(
@@ -153,6 +205,17 @@ class TestSums:
         )
         code, out, err = run_cli(capsys, "sums", "--family-json", family, "--Q", str(2 * 10**19), *mode)
         assert code == 2 and out == "" and "past int64" in err
+
+
+    def test_adversarial_flags_equal_the_family_json(self, capsys):
+        spec = {
+            "family": "indicator_support",
+            "base": {"family": "power_log", "c": 1.0, "a": 1.0, "b": 0.0},
+            "support": {"kind": "primorial_multiples", "param": 3},
+        }
+        code, flags, _ = run_cli(capsys, "sums", "--family", "adversarial", "--k", "3", "--Q", "100000")
+        assert code == 0 and flags.splitlines()[1:3] == ["1,0", "2,0"]
+        assert run_cli(capsys, "sums", "--family-json", json.dumps(spec), "--Q", "100000") == (0, flags, "")
 
 
 class TestFiberCheck:
@@ -367,6 +430,43 @@ class TestExperiment:
         assert code == 2
         assert out == "" and "samples must be >= 1" in err
         assert not out_dir.exists()
+
+    def test_builtin_overrides_equal_a_config_that_sets_them(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            capsys, "experiment", "--builtin", "theorem2-demo", "--samples", "300", "--seed", "9",
+            "--out", str(tmp_path / "builtin"),
+        )
+        assert code == 0
+        battery = theorem2_demo_battery().to_dict()
+        for e in battery["experiments"]:
+            e.update(samples=300, seed=9)
+        cfg = tmp_path / "set.json"
+        cfg.write_text(json.dumps(battery))
+        assert run_cli(capsys, "experiment", str(cfg), "--out", str(tmp_path / "config"))[0] == 0
+        summary = json.loads((tmp_path / "builtin" / "theorem2-demo-summary.json").read_text())
+        assert [(e["samples"], e["seed"]) for e in summary["battery"]["experiments"]] == [(300, 9), (300, 9)]
+        for name in ("summary.json", "divergent-n2.csv", "convergent-tail-n2.csv"):
+            path = f"theorem2-demo-{name}"
+            assert (tmp_path / "builtin" / path).read_bytes() == (tmp_path / "config" / path).read_bytes()
+
+    def test_anomalies_go_to_stderr_and_exit_1(self, capsys, tmp_path):
+        battery = tiny_battery_dict()
+        div = battery["experiments"][0]
+        div.update(name="mid", n=1, Q=4, seed=0, expect="expect-full", justification={"kind": "plain", "n": 1})
+        loud = dict(div, name="loud", family={"family": "power_log", "c": 1.0, "a": 2.0, "b": 0.0},
+                    expect="expect-null")
+        battery["experiments"] = [loud, div]
+        cfg = tmp_path / "b.json"
+        cfg.write_text(json.dumps(battery))
+        code, out, err = run_cli(capsys, "experiment", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert [line.split(" -> ")[0] for line in out.splitlines()] == ["loud: full-trending", "mid: inconclusive"]
+        assert err.splitlines() == [
+            "anomaly: loud: expected null-trending, got full-trending (1)",
+            "anomaly: mid: expected full-trending, got inconclusive (0.786667)",
+        ]
+        summary = json.loads((tmp_path / "out" / "tiny-summary.json").read_text())
+        assert [r["classification"] for r in summary["results"]] == ["full-trending", "inconclusive"]
 
     def test_empty_battery(self, capsys, tmp_path):
         cfg = tmp_path / "empty.json"

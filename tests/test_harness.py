@@ -44,6 +44,28 @@ class TestBatteryValidation:
                 "bad", cfg_of(table_psi([0.5])), "expect-null", SumCriterion("plain", 1)
             )
 
+    @pytest.mark.parametrize(
+        "expect, family, message",
+        [
+            ("expect-full", power_log(1, 2, 0), "entry 'bad': expect-full must cite a known-divergent criterion"),
+            ("expect-null", power_log(1, 1, 0), "entry 'bad': expect-null must cite a known-convergent criterion"),
+        ],
+    )
+    def test_expectation_messages(self, expect, family, message):
+        for justification in (SumCriterion("plain", 1), None):
+            with pytest.raises(ValueError) as exc:
+                BatteryEntry("bad", cfg_of(family), expect, justification)
+            assert str(exc.value) == message
+
+    def test_unknown_expectation(self):
+        with pytest.raises(ValueError, match="unknown expectation 'expect-half'"):
+            BatteryEntry("bad", cfg_of(power_log(1, 1, 0)), "expect-half")
+
+    @pytest.mark.parametrize("payload", [[1], "battery", {"schema_version": 1, "experiments": [5]}])
+    def test_a_config_that_is_not_an_object_is_a_value_error(self, payload):
+        with pytest.raises(ValueError, match="must be an object"):
+            Battery.from_dict(payload)
+
     def test_round_trip(self):
         b = theorem2_demo_battery()
         again = Battery.from_dict(b.to_dict())
@@ -86,6 +108,19 @@ class TestDichotomyScan:
         rep = run_dichotomy_scan(Battery("starved", (entry,)))
         assert rep.results[0].classification != "full-trending"
         assert len(rep.anomalies) == 1
+
+    def test_expect_null_anomaly_and_inconclusive_class(self):
+        # q = 1 fills the whole circle when psi(1) = 1; four early slices of 0.25/q hit 236 of 300 samples
+        loud = BatteryEntry("loud", cfg_of(power_log(1, 2, 0), Q=4, samples=300, seed=0), "expect-null",
+                            SumCriterion("plain", 1))
+        mid = BatteryEntry("mid", cfg_of(power_log(0.25, 1, 0), Q=4, samples=300, seed=0), "expect-full",
+                           SumCriterion("plain", 1))
+        rep = run_dichotomy_scan(Battery("b", (loud, mid)))
+        assert [r.classification for r in rep.results] == ["full-trending", "inconclusive"]
+        assert rep.anomalies == [
+            "loud: expected null-trending, got full-trending (1)",
+            "mid: expected full-trending, got inconclusive (0.786667)",
+        ]
 
     def test_reproducible(self):
         battery = theorem2_demo_battery(samples=500)

@@ -575,6 +575,15 @@ class TestSupport:
         assert not np.any(f.values(np.array([1, 2**62, 2**63 - 1])))
         assert partial_sum_scan(f, SumCriterion("phi_plain", 2), [1, 10**12]) == [(1, 0.0), (10**12, 0.0)]
 
+    @pytest.mark.parametrize("k, modulus", [(1, 2), (2, 6), (3, 30), (4, 210), (5, 2310), (6, 30030)])
+    def test_primorial_modulus(self, k, modulus):
+        assert adversarial_primorial(k).support.modulus == modulus
+
+    def test_primorial_modulus_past_int64_is_exact(self):
+        first16 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+        modulus = adversarial_primorial(16).support.modulus
+        assert type(modulus) is int and modulus == math.prod(first16) == 32589158477190044730
+
     def test_a_sparse_scan_reads_only_the_support(self, monkeypatch):
         read, sieved = [], []
         values = IndicatorSupport.values
@@ -647,3 +656,11 @@ def test_adversarial_support_structure():
     vals = f.values(qs)
     nz = qs[vals > 0]
     assert list(nz) == [210 * k for k in range(1, len(nz) + 1)]
+
+
+@pytest.mark.parametrize("spec", [[1, 2], "power_log", 3, None], ids=["list", "str", "int", "null"])
+def test_a_spec_that_is_not_an_object_is_a_value_error(spec):
+    with pytest.raises(ValueError, match="a family spec must be an object"):
+        family_from_spec(spec)
+    with pytest.raises(ValueError, match="a family spec must be an object"):
+        family_from_spec({"family": "conditional", "base": spec, "anchors": [0.5]})

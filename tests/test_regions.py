@@ -95,6 +95,14 @@ class TestIntervalUnion:
         assert a.intersection_measure(b) == pytest.approx(0.3)
         assert b.intersection_measure(a) == pytest.approx(0.3)
 
+    def test_intersection_of_zero_length_intervals(self):
+        # built directly, so nothing drops them: every cut is one point and no segment lies between two
+        point = IntervalUnion(np.array([0.3]), np.array([0.3]))
+        points = IntervalUnion(np.array([0.2, 0.3]), np.array([0.2, 0.3]))
+        whole = IntervalUnion(np.array([0.0]), np.array([1.0]))
+        for a, b in [(point, point), (point, points), (points, whole), (whole, point)]:
+            assert a.intersection_measure(b) == 0.0 == b.intersection_measure(a)
+
     def test_intersection_against_grid(self):
         rng = np.random.default_rng(10)
         for _ in range(30):

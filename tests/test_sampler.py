@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from diolab.arith import dist_nearest, dist_nearest_coprime, nearest_coprime_distance
 from diolab.errors import ResourceBudgetError
 from diolab.measure import MeasureEstimate
-from diolab.psi import power_log, table_psi
+from diolab.psi import ApproxFunction, power_log, table_psi
 from diolab.regions import RegionSpec, region_measure_1d
 from diolab.sampler import (
     GENERATOR_ID,
@@ -565,6 +566,52 @@ class TestSolutionCount:
             assert solution_counts(x, f, grid, mode=mode, coprime=True) == want
 
 
+def scalar_linear_forms_count(X, Psi, Qbound, coprime=False):
+    """The per-vector scalar loop that ``linear_forms_count`` replaced, kept as its oracle."""
+    X = np.asarray(X, dtype=np.float64)
+    m = X.shape[0]
+    if isinstance(Psi, ApproxFunction):
+        table = Psi.values(np.arange(1, Qbound + 1, dtype=np.int64)).tolist()
+        psi_of = lambda qv: table[int(np.max(np.abs(qv))) - 1]
+    else:
+        psi_of = lambda qv: float(Psi(tuple(int(c) for c in qv)))
+    count = 0
+    for q_tuple in itertools.product(range(-Qbound, Qbound + 1), repeat=m):
+        if not any(q_tuple):
+            continue
+        qv = np.array(q_tuple, dtype=np.float64)
+        y = qv @ X
+        prod = 1.0
+        if coprime:
+            g = 0
+            for c in q_tuple:
+                g = math.gcd(g, abs(c))
+            for yi in y:
+                prod *= nearest_coprime_distance(float(yi), g)
+        else:
+            for yi in y:
+                prod *= abs(yi - round(yi))
+        if prod < psi_of(qv):
+            count += 1
+    return count
+
+
+@st.composite
+def linear_forms_cases(draw):
+    """(X, Psi, Qbound): m, n <= 3, entries from [0, 1] or simple rationals, psi a family or a callable."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1 / 3, 0.25, 0.75, 1.0])
+    X = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+    Q = draw(st.integers(0, {1: 60, 2: 12, 3: 5}[m]))
+    c = draw(st.floats(0.0, 2.0))
+    Psi = draw(st.sampled_from([
+        power_log(c, 0.8, 0),
+        table_psi([c / k for k in range(1, Q + 1)]),
+        lambda q: c / (1 + sum(abs(v) for v in q)),
+    ]))
+    return X, Psi, Q
+
+
 class TestLinearForms:
     def test_zero_psi(self):
         assert linear_forms_count(np.array([[0.5]]), lambda q: 0.0, 10) == 0
@@ -602,6 +649,24 @@ class TestLinearForms:
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
             linear_forms_count(np.array([[0.5, 0.5]]), lambda q: 1.0, 10**6)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=linear_forms_cases(), coprime=st.booleans())
+    def test_equals_the_scalar_loop(self, case, coprime):
+        X, Psi, Q = case
+        assert linear_forms_count(X, Psi, Q, coprime=coprime) == scalar_linear_forms_count(X, Psi, Q, coprime)
+
+    @pytest.mark.parametrize("coprime", [False, True])
+    def test_blocks_cross_a_boundary(self, coprime):
+        # 20,000 nonzero vectors span two blocks of 2**14
+        X, f = np.array([[0.381966, 0.7071]]), power_log(0.5, 0.9, 0)
+        got = linear_forms_count(X, f, 10**4, coprime=coprime)
+        assert got == scalar_linear_forms_count(X, f, 10**4, coprime) > 0
+
+    def test_pinned_counts(self):
+        X = [[0.3, 0.7, 0.1], [0.51, 0.12, 0.9]]
+        f = power_log(0.6, 0.8, 0)
+        assert [linear_forms_count(X, f, 200, coprime=c) for c in (False, True)] == [96372, 74714]
 
 
 def test_config_round_trip_and_hash():
