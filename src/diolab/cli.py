@@ -2,8 +2,13 @@
 
 Data files never embed wall-clock information; timestamps go to a sidecar
 ``.log`` file so runs with equal configs and seeds are byte-identical.
-Floating output uses 12 significant digits; exact rationals print as
-numerator/denominator.
+Every table row is ``_row`` of its cells: an int as written, a float with 12
+significant digits (``fmt``), None as an empty field, and a ``MeasureEstimate``
+as its ``ESTIMATE_FIELDS``, which the summary JSON's rows carry too.  Headers:
+``CSV_HEADER`` (measure, union, experiment), ``q,partial_sum`` (sums),
+``q,ratio,running_max`` (sums --cond1), ``q,bound,union,union_ci_low,union_ci_high``
+(bc-bound) and ``alpha_index,q,count,weighted_log_sum`` (padic).  fiber-check
+reports print exact rationals as numerator/denominator.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import sys
 import time
 from dataclasses import replace
@@ -42,7 +48,8 @@ from .psi import (
 from .regions import RegionSpec, region_measure, truncated_union_1d
 from .sampler import ExperimentConfig
 
-CSV_HEADER = "q,phi_q,psi_q,measure,provenance,ci_low,ci_high"
+ESTIMATE_FIELDS = ("measure", "provenance", "ci_low", "ci_high")
+CSV_HEADER = ",".join(("q", "phi_q", "psi_q", *ESTIMATE_FIELDS))
 
 BUILTIN_BATTERIES = {"theorem2-demo": theorem2_demo_battery}
 
@@ -51,15 +58,13 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _estimate_fields(est: MeasureEstimate) -> tuple[str, str, str]:
-    if est.provenance == "monte-carlo":
-        return est.provenance, fmt(est.ci_low), fmt(est.ci_high)
-    return est.provenance, "", ""
+_estimate_cells = operator.attrgetter("value", "provenance", "ci_low", "ci_high")  # in ESTIMATE_FIELDS order
 
 
-def _csv_row(q: int, psi_q: float, est: MeasureEstimate) -> str:
-    prov, lo, hi = _estimate_fields(est)
-    return f"{q},{euler_phi(q)},{fmt(psi_q)},{fmt(est.value)},{prov},{lo},{hi}"
+def _row(*cells) -> str:
+    """One CSV line: ints and strings as written, floats by ``fmt``, None empty, an estimate as its four fields."""
+    flat = itertools.chain.from_iterable(_estimate_cells(c) if isinstance(c, MeasureEstimate) else (c,) for c in cells)
+    return ",".join("" if c is None else fmt(c) if isinstance(c, float) else str(c) for c in flat)
 
 
 def _family_from_args(args) -> object:
@@ -102,7 +107,7 @@ def cmd_measure(args) -> int:
     )
     est = region_measure(spec, tol=args.tol)
     print(CSV_HEADER)
-    print(_csv_row(args.q, args.delta, est))
+    print(_row(args.q, euler_phi(args.q), args.delta, est))
     return 0
 
 
@@ -117,7 +122,7 @@ def cmd_union(args) -> int:
     psis = fam.values(np.asarray(checkpoints, dtype=np.int64)).tolist()  # the psi each union reads
     for qc, psi_q in zip(checkpoints, psis):
         est = truncated_union_1d(fam, args.Q0, qc, coprime=bool(args.coprime))
-        print(_csv_row(qc, psi_q, est))
+        print(_row(qc, euler_phi(qc), psi_q, est))
     return 0
 
 
@@ -126,17 +131,17 @@ def cmd_sums(args) -> int:
     cfg = ExperimentConfig(family=fam, n=args.n, Q0=1, Q=args.Q, samples=1, seed=0)
     grid = cfg.checkpoints
     if args.cond1:
-        points, running = cond1_scan(fam, args.n, grid)
+        points, _ = cond1_scan(fam, args.n, grid)
         print("q,ratio,running_max")
-        best = 0.0
-        for qc, ratio in points:
-            best = max(best, ratio)
-            print(f"{qc},{fmt(ratio)},{fmt(best)}")
+        running = itertools.accumulate((ratio for _, ratio in points), max, initial=0.0)
+        next(running)  # the maximum starts from 0.0, so a nan first ratio reads 0, not nan
+        for (qc, ratio), best in zip(points, running):
+            print(_row(qc, ratio, best))
         return 0
     sums = partial_sum_scan(fam, SumCriterion(args.criterion, args.n), grid)
     print("q,partial_sum")
     for qc, s in sums:
-        print(f"{qc},{fmt(s)}")
+        print(_row(qc, s))
     return 0
 
 
@@ -149,8 +154,7 @@ def cmd_bc_bound(args) -> int:
     rep = run_bc_evidence(cfg, pair_source=args.pairs, workers=args.workers)
     print("q,bound,union,union_ci_low,union_ci_high")
     for (qc, bound), (_, union) in zip(rep.bound_curve, rep.union_curve):
-        _, lo, hi = _estimate_fields(union)
-        print(f"{qc},{fmt(bound)},{fmt(union.value)},{lo},{hi}")
+        print(_row(qc, bound, union.value, union.ci_low, union.ci_high))
     for a in rep.anomalies:
         print(f"anomaly: {a}", file=sys.stderr)
     return 1 if rep.anomalies else 0
@@ -246,7 +250,7 @@ def cmd_experiment(args) -> int:
     for entry, result in zip(battery.entries, report.results):
         qcs = [qc for qc, _ in result.checkpoints]
         psis = entry.config.family.values(np.asarray(qcs, dtype=np.int64)).tolist()  # the psi each estimate read
-        rows = [_csv_row(qc, psi_q, est) for qc, psi_q, (_, est) in zip(qcs, psis, result.checkpoints)]
+        rows = [_row(qc, euler_phi(qc), psi_q, est) for qc, psi_q, (_, est) in zip(qcs, psis, result.checkpoints)]
         csv_path = out / f"{battery.name}-{entry.name}.csv"
         csv_path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
         summary["results"].append(
@@ -254,16 +258,7 @@ def cmd_experiment(args) -> int:
                 "name": entry.name,
                 "config_hash": result.config_hash,
                 "classification": result.classification,
-                "rows": [
-                    {
-                        "q": qc,
-                        "measure": est.value,
-                        "provenance": est.provenance,
-                        "ci_low": est.ci_low,
-                        "ci_high": est.ci_high,
-                    }
-                    for qc, est in result.checkpoints
-                ],
+                "rows": [{"q": qc, **dict(zip(ESTIMATE_FIELDS, _estimate_cells(est)))} for qc, est in result.checkpoints],
             }
         )
         print(f"{entry.name}: {result.classification} -> {csv_path}")
@@ -296,7 +291,7 @@ def cmd_padic(args) -> int:
     print("alpha_index,q,count,weighted_log_sum")
     for i, curve in enumerate(rep.count_curves):
         for (qc, count), (_, s) in zip(curve, rep.sum_curve):
-            print(f"{i},{qc},{count},{fmt(s)}")
+            print(_row(i, qc, count, s))
     return 0
 
 

@@ -218,10 +218,8 @@ class SupportPredicate:
         if self.kind == "multiples_of":
             return int(self.param)
         if self.kind == "primorial_multiples":  # the first k primes, multiplied as Python ints
-            k, limit = int(self.param), 16
-            while (primes := primes_up_to(limit)).size < k:
-                limit *= 2
-            return math.prod(primes[:k].tolist())
+            # the 16 primes up to 53 already multiply past int64, so a larger k has the same (empty) mask
+            return math.prod(primes_up_to(53)[: int(self.param)].tolist())
         raise ValueError("predicate has no modulus")
 
     def mask(self, qs: np.ndarray) -> np.ndarray:

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -6,9 +9,12 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diolab
 import diolab.arith
@@ -17,6 +23,7 @@ import diolab.psi
 from diolab.arith import phi_segment
 from diolab.cli import CSV_HEADER, main
 from diolab.harness import theorem2_demo_battery
+from diolab.measure import MeasureEstimate
 from diolab.psi import TablePsi, power_log
 
 
@@ -610,3 +617,267 @@ def test_union_raises_the_first_failure_in_q_order(capsys, anchor_bits, code, me
     assert diolab.arith.SCAN_BLOCK == 2**16
     assert got == code
     assert err.startswith(f"error: {message}")
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: the full stdout, stderr and exit code of every table the CLI prints
+
+GOLDEN = {
+    "measure-n1": (
+        ["measure", "--q", "12", "--delta", "0.1", "--coprime"],
+        0, "q,phi_q,psi_q,measure,provenance,ci_low,ci_high\n12,4,0.1,0.0666666666667,exact,,\n", "",
+    ),
+    "measure-n2": (
+        ["measure", "--q", "30", "--n", "2", "--delta", "0.01", "--coprime"],
+        0, "q,phi_q,psi_q,measure,provenance,ci_low,ci_high\n30,8,0.01,0.0189847799914,numeric-exact,,\n", "",
+    ),
+    "measure-n2-max-plain": (
+        ["measure", "--q", "7", "--n", "2", "--delta", "0.05", "--mode", "max", "--plain"],
+        0, "q,phi_q,psi_q,measure,provenance,ci_low,ci_high\n7,6,0.05,0.2,closed-form,,\n", "",
+    ),
+    "measure-n3": (
+        ["measure", "--q", "30", "--n", "3", "--delta", "0.001", "--coprime"],
+        0, "q,phi_q,psi_q,measure,provenance,ci_low,ci_high\n30,8,0.001,0.00698270244601,numeric-exact,,\n", "",
+    ),
+    "union-grid-coprime": (
+        ["union", "--c", "0.25", "--Q0", "3", "--Q", "100", "--grid", "--coprime"],
+        0,
+        "q,phi_q,psi_q,measure,provenance,ci_low,ci_high\n"
+        "3,2,0.0833333333333,0.111111111111,exact,,\n"
+        "6,2,0.0416666666667,0.281388888889,exact,,\n"
+        "12,4,0.0208333333333,0.48611161866,exact,,\n"
+        "24,8,0.0104166666667,0.647277754295,exact,,\n"
+        "48,16,0.00520833333333,0.768411162051,exact,,\n"
+        "96,32,0.00260416666667,0.850490276029,exact,,\n"
+        "100,40,0.0025,0.854492774681,exact,,\n",
+        "",
+    ),
+    "union-plain": (
+        ["union", "--c", "0.25", "--Q", "40", "--plain"],
+        0, "q,phi_q,psi_q,measure,provenance,ci_low,ci_high\n40,16,0.00625,0.95588676996,exact,,\n", "",
+    ),
+    "sums": (
+        ["sums", "--Q", "100"],
+        0,
+        "q,partial_sum\n1,1\n2,1.5\n4,2.08333333333\n8,2.71785714286\n16,3.38072899323\n32,4.05849519544\n"
+        "64,4.74389090371\n100,5.18737751764\n",
+        "",
+    ),
+    "sums-phi-log-weighted": (
+        ["sums", "--criterion", "phi_log_weighted", "--n", "2", "--Q", "100"],
+        0,
+        "q,partial_sum\n1,0\n2,0.08664339757\n4,0.336044171239\n8,0.844450970659\n16,1.49037746552\n"
+        "32,2.46704474838\n64,3.56139897598\n100,4.38221048051\n",
+        "",
+    ),
+    "sums-cond1": (  # the ratio dips at q = 64, and the running maximum holds
+        ["sums", "--cond1", "--n", "3", "--Q", "1000"],
+        0,
+        "q,ratio,running_max\n"
+        "2,0.125,0.125\n"
+        "4,0.186367364933,0.186367364933\n"
+        "8,0.27706724058,0.27706724058\n"
+        "16,0.283412021238,0.283412021238\n"
+        "32,0.325374093139,0.325374093139\n"
+        "64,0.325140153673,0.325374093139\n"
+        "128,0.330856902739,0.330856902739\n"
+        "256,0.332192134249,0.332192134249\n"
+        "512,0.334515314887,0.334515314887\n"
+        "1000,0.335033365247,0.335033365247\n",
+        "",
+    ),
+    "sums-adversarial": (
+        ["sums", "--family", "adversarial", "--k", "3", "--Q", "1000"],
+        0,
+        "q,partial_sum\n1,0\n2,0\n4,0\n8,0\n16,0\n32,0.0333333333333\n64,0.05\n128,0.0694444444444\n"
+        "256,0.0905952380952\n512,0.114651750755\n1000,0.136293274191\n",
+        "",
+    ),
+    "bc-bound-independence": (
+        ["bc-bound", "--c", "0.02", "--n", "2", "--Q", "32", "--samples", "200", "--coprime"],
+        0,
+        "q,bound,union,union_ci_low,union_ci_high\n"
+        "1,0.282058291545,0.235,0.179332503039,0.301074900231\n"
+        "2,0.309194450353,0.305,0.243054721462,0.374579713947\n"
+        "4,0.351728130907,0.395,0.327461318229,0.46664079072\n"
+        "8,0.403753917606,0.515,0.443646341756,0.585768085594\n"
+        "16,0.449457997803,0.6,0.528316019369,0.667777498812\n"
+        "32,0.49848348683,0.715,0.646234751368,0.775341681665\n",
+        "",
+    ),
+    "bc-bound-exact-1d": (
+        ["bc-bound", "--c", "0.25", "--Q", "32", "--samples", "200", "--coprime", "--pairs", "exact-1d"],
+        0,
+        "q,bound,union,union_ci_low,union_ci_high\n"
+        "1,0.5,0.5,,\n"
+        "2,0.625,0.625,,\n"
+        "4,0.740647401434,0.767361111111,,\n"
+        "8,0.786240849379,0.863802437642,,\n"
+        "16,0.808570419534,0.909451648025,,\n"
+        "32,0.837293879021,0.949930994701,,\n",
+        "",
+    ),
+    "bc-bound-monte-carlo": (
+        ["bc-bound", "--c", "0.02", "--n", "2", "--Q", "32", "--samples", "200", "--coprime",
+         "--pairs", "monte-carlo"],
+        0,
+        "q,bound,union,union_ci_low,union_ci_high\n"
+        "1,0.282058291545,0.235,0.179332503039,0.301074900231\n"
+        "2,0.338109993405,0.305,0.243054721462,0.374579713947\n"
+        "4,0.422849587146,0.395,0.327461318229,0.46664079072\n"
+        "8,0.536588794121,0.515,0.443646341756,0.585768085594\n"
+        "16,0.587151692267,0.6,0.528316019369,0.667777498812\n"
+        "32,0.663034532165,0.715,0.646234751368,0.775341681665\n",
+        "",
+    ),
+    "padic": (
+        ["padic", "--primes", "2,3", "--weights", "power:1,const:2", "--Q", "32", "--alphas", "2", "--seed", "3"],
+        0,
+        "alpha_index,q,count,weighted_log_sum\n"
+        "0,1,1,0.5\n0,2,2,1\n0,4,3,1.66666666667\n0,8,4,2.50476190476\n0,16,6,3.51566211566\n0,32,8,4.69972746507\n"
+        "1,1,1,0.5\n1,2,2,1\n1,4,4,1.66666666667\n1,8,5,2.50476190476\n1,16,7,3.51566211566\n1,32,10,4.69972746507\n",
+        "",
+    ),
+    # error paths: union prints its header before it sweeps; the others print nothing before they fail
+    "measure-error": (
+        ["measure", "--q", "12", "--delta", "nan", "--coprime"],
+        2, "", "error: delta must be >= 0\n",
+    ),
+    "union-error": (
+        ["union", "--family-json", INFINITE_FAMILY, "--Q", "10"],
+        2, "q,phi_q,psi_q,measure,provenance,ci_low,ci_high\n",
+        "error: family evaluates to +inf inside the truncation range\n",
+    ),
+    "sums-error": (
+        ["sums", "--family-json", INFINITE_FAMILY, "--Q", "10"],
+        2, "", "error: family evaluates to +inf inside the summation range\n",
+    ),
+    "sums-cond1-error": (
+        ["sums", "--cond1", "--family-json", INFINITE_FAMILY, "--Q", "10"],
+        2, "", "error: family evaluates to +inf inside the summation range\n",
+    ),
+    "bc-bound-error": (
+        ["bc-bound", "--family-json", INFINITE_FAMILY, "--Q", "10"],
+        2, "", "error: family must evaluate finite on [Q0, Q]\n",
+    ),
+    "padic-error": (
+        ["padic", "--primes", "2", "--weights", "power:1", "--n", "0", "--Q", "10"],
+        2, "", "error: n must be >= 1\n",
+    ),
+}
+
+GOLDEN_EXPERIMENT_CSV = {
+    "theorem2-demo-divergent-n2.csv": (
+        "q,phi_q,psi_q,measure,provenance,ci_low,ci_high\n"
+        "100,40,0.0025,0.015,monte-carlo,0.00552410950458,0.0323612944808\n"
+        "200,80,0.00125,0.8525,monte-carlo,0.813042734563,0.885012140099\n"
+        "400,160,0.000625,0.9675,monte-carlo,0.945065183249,0.982583853916\n"
+        "800,320,0.0003125,0.9925,monte-carlo,0.978239331486,0.99845064105\n"
+        "1600,640,0.00015625,0.995,monte-carlo,0.982055855394,0.999393902191\n"
+        "2000,800,0.000125,0.995,monte-carlo,0.982055855394,0.999393902191\n"
+    ),
+    "theorem2-demo-convergent-tail-n2.csv": (
+        "q,phi_q,psi_q,measure,provenance,ci_low,ci_high\n"
+        "1000,400,4.38935682924e-07,0,monte-carlo,0,0.00917980458367\n"
+        "2000,800,1.49759756304e-07,0.005,monte-carlo,0.000606097809322,0.0179441446056\n"
+        "4000,1600,5.28227652535e-08,0.0075,monte-carlo,0.00154935894991,0.0217606685144\n"
+    ),
+}
+GOLDEN_SUMMARY_SHA256 = "d422ac36c3072856736707d447eab49b9f5666f727d723fe07ee081713493455"
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("argv, code, out, err", GOLDEN.values(), ids=GOLDEN.keys())
+    def test_command(self, capsys, argv, code, out, err):
+        assert run_cli(capsys, *argv) == (code, out, err)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_experiment_files(self, capsys, tmp_path, workers):
+        code, out, err = run_cli(
+            capsys, "--workers", workers, "experiment", "--builtin", "theorem2-demo", "--samples", "400",
+            "--out", str(tmp_path),
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            f"divergent-n2: full-trending -> {tmp_path / 'theorem2-demo-divergent-n2.csv'}\n"
+            f"convergent-tail-n2: null-trending -> {tmp_path / 'theorem2-demo-convergent-tail-n2.csv'}\n"
+        )
+        for name, text in GOLDEN_EXPERIMENT_CSV.items():
+            assert (tmp_path / name).read_text() == text
+        summary = (tmp_path / "theorem2-demo-summary.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == GOLDEN_SUMMARY_SHA256
+
+    def test_experiment_error(self, capsys, tmp_path):
+        argv = ["experiment", "--builtin", "theorem2-demo", "--samples", "0", "--out", str(tmp_path / "out")]
+        assert run_cli(capsys, *argv) == (2, "", "error: samples must be >= 1\n")
+
+
+# the per-command formatting that the one cell rule replaced, kept as the oracle
+
+
+def _old_fmt(x):
+    return f"{x:.12g}"
+
+
+def _old_estimate_fields(est):
+    if est.provenance == "monte-carlo":
+        return est.provenance, _old_fmt(est.ci_low), _old_fmt(est.ci_high)
+    return est.provenance, "", ""
+
+
+def _old_csv_row(q, phi_q, psi_q, est):  # phi_q is the euler_phi(q) the old row computed
+    prov, lo, hi = _old_estimate_fields(est)
+    return f"{q},{phi_q},{_old_fmt(psi_q)},{_old_fmt(est.value)},{prov},{lo},{hi}"
+
+
+def _old_cond1_lines(points):
+    best, lines = 0.0, []
+    for qc, ratio in points:
+        best = max(best, ratio)
+        lines.append(f"{qc},{_old_fmt(ratio)},{_old_fmt(best)}")
+    return lines
+
+
+INTS = st.one_of(st.integers(0, 10**4), st.integers(10**12 - 5, 10**12 + 5), st.integers(0, 2**63 - 1))
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan, 1e12, 123456789012.5]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+UNIT = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(0.0, 1.0, allow_subnormal=True))
+ESTIMATES = st.one_of(
+    st.builds(MeasureEstimate.exact, UNIT),
+    st.builds(MeasureEstimate.closed_form, UNIT),
+    st.builds(MeasureEstimate.numeric, UNIT, FLOATS),
+    st.integers(1, 200).flatmap(
+        lambda n: st.builds(MeasureEstimate.monte_carlo, st.integers(0, n), st.just(n), INTS, st.just("g"))
+    ),
+)
+
+
+class TestRowRule:
+    @settings(max_examples=150, deadline=None)
+    @given(q=INTS, phi=INTS, psi=FLOATS, est=ESTIMATES)
+    def test_estimate_rows(self, q, phi, psi, est):
+        assert diolab.cli._row(q, phi, psi, est) == _old_csv_row(q, phi, psi, est)
+
+    @settings(max_examples=150, deadline=None)
+    @given(q=INTS, i=INTS, count=INTS, x=FLOATS, y=FLOATS, union=ESTIMATES)
+    def test_number_rows(self, q, i, count, x, y, union):
+        row = diolab.cli._row
+        assert row(q, x) == f"{q},{_old_fmt(x)}"  # sums
+        assert row(i, q, count, x) == f"{i},{q},{count},{_old_fmt(x)}"  # padic
+        _, lo, hi = _old_estimate_fields(union)  # bc-bound: the interval is None unless Monte Carlo
+        bc_line = f"{q},{_old_fmt(x)},{_old_fmt(union.value)},{lo},{hi}"
+        assert row(q, x, union.value, union.ci_low, union.ci_high) == bc_line
+        assert row(q, None, y) == f"{q},,{_old_fmt(y)}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.lists(st.tuples(INTS, FLOATS), min_size=1, max_size=8))
+    @example(points=[(2, math.nan), (4, 0.5)])  # a nan first ratio leaves the running maximum at 0
+    @example(points=[(2, -0.0), (4, -1.0)])
+    def test_cond1_running_maximum(self, points):
+        out = io.StringIO()
+        with mock.patch.object(diolab.cli, "cond1_scan", lambda f, n, grid: (points, None)), \
+                contextlib.redirect_stdout(out):
+            assert main(["sums", "--cond1", "--Q", "4"]) == 0
+        assert out.getvalue().splitlines() == ["q,ratio,running_max", *_old_cond1_lines(points)]

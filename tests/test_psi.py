@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -583,6 +584,15 @@ class TestSupport:
         first16 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
         modulus = adversarial_primorial(16).support.modulus
         assert type(modulus) is int and modulus == math.prod(first16) == 32589158477190044730
+
+    def test_a_huge_primorial_index_stops_past_int64(self):
+        # every k >= 16 gives a modulus past int64, so the product stops at the 16th prime;
+        # multiplying all k primes took 3.1 s at k = 10**5
+        start = time.perf_counter()
+        f = adversarial_primorial(10**6)
+        assert f.support.modulus == adversarial_primorial(16).support.modulus > 2**63 - 1
+        assert partial_sum_scan(f, SumCriterion("plain", 1), [1, 1000]) == [(1, 0.0), (1000, 0.0)]
+        assert time.perf_counter() - start < 0.5
 
     def test_a_sparse_scan_reads_only_the_support(self, monkeypatch):
         read, sieved = [], []

@@ -1,7 +1,7 @@
 """Summarise paired benchmark run records into one committed trend file.
 
     python3 tools/bench_trend.py --parent DIR --change DIR --parent-commit SHA \
-        --claim sums-large-q:wall_s --out BENCH_9.json
+        --claim sums-large-q:wall_s --tier1 pytest.log --out BENCH_9.json
 
 Each DIR holds the run records that ``bench/run.py`` writes to
 ``bench/results/`` (``<workload>-seed<s>-trace0.json``), taken on the parent
@@ -12,12 +12,17 @@ per-seed values; for a claimed metric it also counts the seeds the change
 won.  The host, the package versions and each side's ``src/`` line count
 come from the records themselves, so the line-count trend is committed
 beside the benchmark trend.
+
+``--tier1`` reads the log of a tier-1 run taken on the change with
+``--durations=10`` and records its wall time, its pass count and its ten
+slowest tests, so the tier-1 time is a trend read from the repo too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 from pathlib import Path
 
@@ -48,12 +53,32 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1}
 
 
+def tier1(log: str) -> dict:
+    """Wall time, pass count and slowest tests of one pytest run, from its ``--durations=10`` log."""
+    summaries = re.findall(r"^=* ?(.*\bpassed\b.*) in ([\d.]+)s\b", log, re.MULTILINE)
+    if not summaries:
+        raise SystemExit("error: the tier-1 log has no pytest summary line")
+    counts, wall = summaries[-1]
+    slowest = [
+        {"s": float(t), "phase": phase, "test": test}
+        for t, phase, test in re.findall(r"^([\d.]+)s (setup|call|teardown) +(\S.*?) *$", log, re.MULTILINE)
+    ]
+    return {
+        "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors --durations=10",
+        "wall_s": float(wall),
+        "passed": int(re.search(r"(\d+) passed", counts).group(1)),
+        "summary": counts,
+        "slowest": slowest[:10],
+    }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True, help="run records taken on the parent commit")
     p.add_argument("--change", type=Path, required=True, help="run records taken on the change")
     p.add_argument("--parent-commit", required=True)
     p.add_argument("--claim", action="append", default=[], help="WORKLOAD:METRIC whose gain is claimed")
+    p.add_argument("--tier1", type=Path, help="log of a tier-1 pytest run on the change, with --durations=10")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
@@ -89,6 +114,8 @@ def main(argv=None) -> int:
         "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "workloads": workloads,
     }
+    if args.tier1:
+        trend["tier1"] = tier1(args.tier1.read_text())
     args.out.write_text(json.dumps(trend, indent=1) + "\n")
     return 0
 
