@@ -459,6 +459,8 @@ def _scan(grid: list[int], qs: range, reads_phi: bool, streams: int, terms) -> l
             t[0] += carried[j]
             np.cumsum(t, out=t)
             carried[j] = t[-1]
+            if not math.isfinite(carried[j]):  # terms are >= 0, so a sum that overflows stays inf
+                raise ValueError(f"a running sum overflows float64 by q = {block[-1]}")
             picked[j].append(t[at])
     return [np.concatenate(p) for p in picked]
 

@@ -26,7 +26,10 @@ which filter coprime membership (``||qx||' >= ||qx||`` coordinatewise); its
 candidate (q, sample) pairs wait in a window that ``_resolve`` decides in
 one vector call (see ``_scan_chunk``).  Every pair goes through the same
 float operations whatever its block or window.  Pair sums come from
-per-sample depths (see ``depth_counts``), in O(samples) memory.
+per-sample depths (see ``depth_counts``), in O(samples) memory.  A pass is
+a dozen short ufunc calls, each a GIL handoff between threads, so a thread
+takes 2^15 samples or more; a lone thread walks chunks of at most 2^15, as
+past L2 each sample costs more (``_chunk_plan``).
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ __all__ = [
 
 GENERATOR_ID = "splitmix64-v1"
 _LF_BLOCK = 1 << 14  # integer vectors per block of linear_forms_count
+_CHUNK = 1 << 15  # samples: the least a thread takes, the most a chunk holds on a lone thread
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -387,17 +391,23 @@ def _scan_chunk(
     return first_hit
 
 
-def _map_chunks(run: Callable[[int, int], object], samples: int, workers: int) -> list:
-    """run(start, stop) over up to ``workers`` contiguous chunks of [0, samples), in chunk order."""
+def _chunk_plan(samples: int, workers: int) -> tuple[int, list[tuple[int, int]]]:
+    """Threads (at most ``workers``) and the contiguous chunks of [0, samples) they run, in order (see ``_CHUNK``)."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    bounds = [samples * w // workers for w in range(workers + 1)]
-    chunks = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if workers == 1:
+    threads = max(1, min(workers, samples // _CHUNK))
+    parts = threads if threads > 1 else max(1, -(-samples // _CHUNK))
+    bounds = [samples * w // parts for w in range(parts + 1)]
+    return threads, [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
+def _map_chunks(run: Callable[[int, int], object], samples: int, workers: int) -> list:
+    """run(start, stop) over the chunks of ``_chunk_plan``, in chunk order; a pool only for two or more threads."""
+    threads, chunks = _chunk_plan(samples, workers)
+    if threads == 1:
         return [run(a, b) for a, b in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, a, b) for a, b in chunks]
-        return [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda c: run(*c), chunks))
 
 
 def estimate_union_measure(

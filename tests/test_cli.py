@@ -213,6 +213,27 @@ class TestSums:
         code, out, err = run_cli(capsys, "sums", "--family-json", family, "--Q", str(2 * 10**19), *mode)
         assert code == 2 and out == "" and "past int64" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--c", "1e308", "--a", "0", "--Q", "8"],
+            [
+                "--cond1", "--n", "2", "--Q", "1000", "--family-json",
+                '{"family": "indicator_support", "base": {"family": "power_log", "c": 1.7e308, "a": 0, "b": 0},'
+                ' "support": {"kind": "multiples_of", "param": 100}}',
+            ],
+        ],
+        ids=["sum", "cond1"],
+    )
+    def test_a_sum_past_float64_exits_2(self, argv):
+        # these printed inf, and nan from inf / inf, and exited 0; numpy's overflow warnings are not the error
+        src = str(Path(diolab.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "diolab.cli", "sums", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].startswith("error: a running sum overflows float64")
 
     def test_adversarial_flags_equal_the_family_json(self, capsys):
         spec = {

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from diolab.psi import ApproxFunction, power_log, table_psi
 from diolab.regions import RegionSpec, region_measure_1d
 from diolab.sampler import (
     GENERATOR_ID,
+    _CHUNK,
     ExperimentConfig,
     _aggregate,
+    _chunk_plan,
     _coprime_distances,
     _member_rows,
     _plain_distances,
@@ -316,6 +319,71 @@ class TestScanChunk:
         runs = [estimate_union_measure(cfg, workers=w) for w in (1, 2, 3)]
         assert runs[0][-1][1].value > 0.0
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+class TestChunkPlan:
+    """A thread only for a chunk of at least _CHUNK samples; chunks of at most _CHUNK on a lone thread."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(samples=st.integers(0, 10**8), workers=st.integers(1, 64))
+    @example(samples=0, workers=2)
+    @example(samples=_CHUNK - 1, workers=64)
+    @example(samples=_CHUNK + 1, workers=1)
+    @example(samples=2 * _CHUNK - 1, workers=2)
+    @example(samples=2 * _CHUNK, workers=2)
+    @example(samples=20_000, workers=16)
+    @example(samples=10**8, workers=64)
+    def test_chunks_tile_the_samples(self, samples, workers):
+        threads, chunks = _chunk_plan(samples, workers)
+        edges = [0] + [b for _, b in chunks]
+        assert [a for a, _ in chunks] == edges[:-1] and edges[-1] == samples
+        assert all(b > a for a, b in chunks)
+        sizes = [b - a for a, b in chunks]
+        if threads > 1:
+            assert threads <= min(workers, samples // _CHUNK)
+            assert len(chunks) == threads and min(sizes) >= _CHUNK
+        else:
+            assert threads == 1 and max(sizes, default=0) <= _CHUNK
+            assert samples < _CHUNK or min(sizes) >= _CHUNK // 2
+
+    def test_short_runs_start_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started for a chunk under _CHUNK samples")
+
+        f, qs = table_window(2290, [1e-3, 0.0, 0.02, 1e-4] * 3)
+        cfg = ExperimentConfig(
+            family=f, n=2, coprime=True, Q0=int(qs[0]), Q=int(qs[-1]), samples=20_000, seed=31
+        )
+        want = estimate_union_measure(cfg)
+        pairs = depth_counts(qs.tolist(), f, 2, "product", True, 20_000, 31, 1)
+        monkeypatch.setattr("diolab.sampler.ThreadPoolExecutor", no_pool)
+        assert estimate_union_measure(cfg, workers=16) == want
+        assert depth_counts(qs.tolist(), f, 2, "product", True, 20_000, 31, 16) == pairs
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_thread_chunks_match_a_lone_thread(self, monkeypatch, workers):
+        # 2 * _CHUNK + 1 samples: two threads at any worker count above 1, three chunks on a lone thread
+        samples, pools = 2 * _CHUNK + 1, []
+
+        def spy(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers=max_workers)
+
+        f, qs = table_window(2290, [1e-3, 0.0, 0.02, 1e-4, 1e-3, 0.01])
+        cfg = ExperimentConfig(
+            family=f, n=2, coprime=True, Q0=int(qs[0]), Q=int(qs[-1]), samples=samples, seed=37
+        )
+        psis = f.values(qs)
+        alone = estimate_union_measure(cfg)
+        pairs = depth_counts(qs.tolist(), f, 2, "product", True, samples, 37, 1)
+        monkeypatch.setattr("diolab.sampler.ThreadPoolExecutor", spy)
+        assert estimate_union_measure(cfg, workers=workers) == alone
+        assert depth_counts(qs.tolist(), f, 2, "product", True, samples, 37, workers) == pairs
+        assert pools == [2, 2]
+        for w in (1, workers):
+            for a, b in _chunk_plan(samples, w)[1]:
+                args = (cfg.seed, a, b, cfg.n, qs, psis, cfg.mode, cfg.coprime)
+                assert np.array_equal(_scan_chunk(*args), dense_scan(*args))
 
 
 def bits(values):
