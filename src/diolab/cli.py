@@ -71,7 +71,7 @@ def _family_from_args(args) -> object:
     if getattr(args, "family_json", None):
         try:
             return family_from_spec(json.loads(args.family_json))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, ValueError, TypeError, ArithmeticError) as exc:
             raise SystemExit(f"error: bad --family-json: {exc}")
     name = getattr(args, "family", "power_log")
     if name == "power_log":
@@ -230,7 +230,7 @@ def cmd_experiment(args) -> int:
             raise SystemExit(f"error: config parse error at line {exc.lineno} col {exc.colno}")
         try:
             battery = Battery.from_dict(payload)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
             raise SystemExit(f"error: bad config: {exc}")
     if args.samples is not None or args.seed is not None:
         battery = _override_battery(battery, args.samples, args.seed)

@@ -142,6 +142,8 @@ class PowerLog(ApproxFunction):
     b: float
 
     def __post_init__(self):
+        if math.isnan(self.c) or math.isnan(self.a) or math.isnan(self.b):
+            raise ValueError("power_log parameters c, a and b must not be nan")
         if self.c < 0:
             raise ValueError("power_log coefficient c must be >= 0")
 
@@ -175,7 +177,7 @@ class TablePsi(ApproxFunction):
 
     def __post_init__(self):
         for v in self.entries:
-            if not isinstance(v, (int, float, Fraction)):
+            if not isinstance(v, (int, float, Fraction)) or isinstance(v, bool):
                 raise ValueError("table entries must be numbers")
             if not v >= 0:  # also rejects nan
                 raise ValueError("table entries must be >= 0")

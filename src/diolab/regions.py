@@ -80,8 +80,14 @@ Q0 <= q <= Q, rounded once, for psi as the family gives it: psi(q) is the
 rational a/b of a ``TablePsi`` entry as written (int, Fraction or float)
 and of any other family's float value.  That is its ``exact`` label: no
 decision is float-rounded.  It reads only the family's ``support_range``
-and caps delta at q, where a slice covers [0, 1] already.  The centres c
-of slice q, -delta < c < q + delta, are chosen in integers, and each float
+and caps delta at q, where a slice covers [0, 1] already.  A plain union
+is the coprime union of its reduced fractions (the finite form of Catlin's
+conjecture): each centre p/q is a/b in lowest terms with b | q, and its
+interval a/b -+ (delta b/q)/b nests with every other interval at a/b, so
+the sweep takes slice b at the largest delta b/q over the swept multiples
+q of b, compared as rationals.  The budget still counts the q + 1
+intervals of each plain slice.  The centres c of slice q, coprime to q
+with -delta < c < q + delta, are chosen in integers, and each float
 key (c -+ float(delta))/q is within bound = 4u (1 + 2 max delta/q) + _TINY
 of its rational: u each for the sum and the quotient, u delta/q for
 float(delta) when delta is no float, _TINY below the normal range, and
@@ -786,9 +792,22 @@ def _key_bound(ratio: float) -> float:
     return 4 * _U * (1 + 2 * ratio) + _TINY
 
 
-def _exact_union(slices: list[tuple[int, object]], coprime: bool) -> float:
-    """Measure of the union of the 1-D slices (q, delta), 0 < delta <= q: the certified sweep of the module docstring."""
-    parts = [_slice_raw_intervals(q, d, coprime) for q, d in slices]
+def _reduced_slices(slices: list[tuple[int, object]]) -> list[tuple[int, Fraction]]:
+    """The coprime slices (b, largest delta b/q over the slices (q, delta) with b | q) of a plain union, ascending in b."""
+    best = {}  # b -> (n, m): the largest delta b/q so far is n/m
+    for q, d in slices:
+        n, m = d.as_integer_ratio()
+        small = [b for b in range(1, math.isqrt(q) + 1) if q % b == 0]
+        for b in small + [q // b for b in small]:
+            top = best.get(b)
+            if top is None or n * top[1] > top[0] * m * (q // b):
+                best[b] = (n, m * (q // b))
+    return [(b, Fraction(*best[b])) for b in sorted(best)]
+
+
+def _exact_union(slices: list[tuple[int, object]]) -> float:
+    """Measure of the union of the coprime 1-D slices (q, delta), 0 < delta <= q: the certified sweep of the module docstring."""
+    parts = [_slice_raw_intervals(q, d, True) for q, d in slices]
     offsets = np.cumsum([0] + [c.size for _, _, c in parts])  # slice k holds keys offsets[k]:offsets[k+1]
     starts, ends, centres = (np.concatenate(x) for x in zip(*parts))
     del parts
@@ -873,6 +892,8 @@ def truncated_union_1d(
     blocks of SCAN_BLOCK, each checked for an infinite psi, then counted, then
     turned into slices: a sweep whose interval count would exceed ``budget``
     raises ResourceBudgetError before it is built, the first failure in q order.
+    A plain slice counts its q + 1 intervals, then is swept as the coprime
+    slices of its reduced fractions a/b (module docstring).
     """
     if not 1 <= Q0 <= Q:
         raise ValueError("need 1 <= Q0 <= Q")
@@ -894,4 +915,4 @@ def truncated_union_1d(
                 f"sweep would build more than budget={budget} intervals; raise the budget explicitly"
             )
         slices += [(q, min(v, q)) for q, v in zip(qs.tolist(), psis.tolist())]
-    return MeasureEstimate.exact(_exact_union(slices, coprime) if slices else 0.0)
+    return MeasureEstimate.exact(_exact_union(slices if coprime else _reduced_slices(slices)) if slices else 0.0)

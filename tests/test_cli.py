@@ -138,6 +138,13 @@ MALFORMED_FAMILIES = [
     '{"family": "table", "values": 5}',
     '{"family": "power_log", "c": null, "a": 1, "b": 0}',
     '{"family": "indicator_support", "base": 3, "support": {"kind": "multiples_of", "param": 2}}',
+    '{"family": "table", "values": ["1/0"]}',
+    '{"family": "table", "values": [true, 0.5]}',
+    '{"family": "power_log", "c": NaN, "a": 1, "b": 0}',
+    '{"family": "indicator_support", "base": {"family": "power_log", "c": 1, "a": 1, "b": 0},'
+    ' "support": {"kind": "multiples_of", "param": 1e400}}',
+    '{"family": "padic_weighted", "base": {"family": "power_log", "c": 1, "a": 1, "b": 0},'
+    ' "primes": [1e400], "weights": [{"kind": "power", "param": 1}]}',
 ]
 
 
@@ -148,7 +155,26 @@ class TestMalformedInput:
             main(["union", "--Q", "10", "--family-json", spec])
         assert str(exc.value.code).startswith("error: bad --family-json: ")
 
-    @pytest.mark.parametrize("payload", [[1], {"schema_version": 1, "experiments": [5]}])
+    @pytest.mark.parametrize("flag", ["--c", "--a", "--b"])
+    def test_a_nan_power_log_flag_is_a_clean_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "union", "--Q", "10", flag, "nan")
+        assert (code, out) == (2, "")
+        assert err == "error: power_log parameters c, a and b must not be nan\n"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1],
+            {"schema_version": 1, "experiments": [5]},
+            {
+                "schema_version": 1,
+                "experiments": [
+                    {"name": "zero_den", "family": {"family": "table", "values": ["1/0"]},
+                     "n": 1, "Q": 10, "samples": 10, "seed": 0}
+                ],
+            },
+        ],
+    )
     def test_config_is_a_clean_error(self, tmp_path, payload):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(payload))

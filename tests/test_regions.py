@@ -1330,9 +1330,10 @@ class TestTruncatedUnion:
         swept = []
         make = diolab.regions._slice_raw_intervals
         monkeypatch.setattr(diolab.regions, "_slice_raw_intervals", lambda q, d, c: swept.append(q) or make(q, d, c))
-        # slice 2 has the three intervals around 0, 1/2 and 1: the budget counts exactly those
+        # slice 2 has the three intervals around 0, 1/2 and 1: the budget counts exactly those.  They are
+        # swept as the reduced fractions 0/1 and 1/1 of slice 1 and 1/2 of slice 2
         assert truncated_union_1d(f, 1, 2, budget=3).value == 0.0
-        assert swept == [2]
+        assert swept == [1, 2]
         with pytest.raises(ResourceBudgetError):
             truncated_union_1d(f, 1, 2, budget=2)
 
@@ -1522,6 +1523,46 @@ def float_tables(draw):
     return entries, coprime
 
 
+@st.composite
+def plain_tables(draw):
+    """(entries, Q0): a table of int, float and Fraction entries whose multiples tie, for a plain union from Q0.
+
+    An entry is 0, a float or a Fraction up to 1/(4q), a float below an
+    ulp of 1 or subnormal, or, in one table in ten, an int of q or more.  In one
+    table in four every entry is instead 0 or a Fraction of about 2**-1074
+    to 2**-1064, so the union itself is subnormal.  Up to four pairs
+    (b, k b) are then tied: psi(k b)/k is psi(b) exactly, or moved from it
+    by a quarter or three quarters of an ulp of psi(b), so the two radii at
+    the centres of b share a float or lie in adjacent ones.
+    """
+    Q = draw(st.integers(1, 20))
+    if draw(st.integers(0, 3)) == 0:
+        entries = [draw(st.sampled_from([0, Fraction(draw(st.integers(1, 2**10)), 2**1074)])) for _ in range(Q)]
+    else:
+        entries = [
+            draw(
+                st.one_of(
+                    st.just(0),
+                    st.sampled_from([5e-324, 1e-300, 5e-17]),
+                    st.floats(0.0, 1.0 / (4 * q)),
+                    st.fractions(0, Fraction(1, 4 * q), max_denominator=10**6),
+                )
+            )
+            for q in range(1, Q + 1)
+        ]
+        if draw(st.integers(0, 9)) == 0:
+            q = draw(st.integers(1, Q))
+            entries[q - 1] = q + draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 4)) if Q > 1 else 0):
+        b = draw(st.integers(1, Q // 2))
+        k = draw(st.integers(2, Q // b))
+        d = Fraction(entries[b - 1] or Fraction(1, 2**1070))
+        entries[b - 1] = d
+        move = Fraction(draw(st.sampled_from([0, -3, -1, 1, 3])), 4) * Fraction(math.ulp(float(d)))
+        entries[k * b - 1] = max(k * (d + move), Fraction(0))
+    return entries, draw(st.integers(1, Q))
+
+
 class TestExactSweep:
     """The union sweep of rational tables, float tables and power_log against Fraction intervals built by brute force."""
 
@@ -1570,6 +1611,44 @@ class TestExactSweep:
         want = brute_union([Fraction(d) if q >= Q0 else 0 for q, d in enumerate(psis, 1)], coprime)
         got = truncated_union_1d(f, Q0, Q, coprime=coprime)
         assert got.provenance == "exact" and got.value == float(want)
+
+
+class TestPlainReduction:
+    """A plain union is the coprime union of its reduced fractions a/b, at the largest delta b/q of their q."""
+
+    # the radii of 0/1 and 1/1 are 10 and 10.4 times 2**-1074, one float: the union 41.6 times
+    # 2**-1074 rounds to 42 of them, and a sweep at the smaller radius gives 40.8, rounded to 41
+    @example(([Fraction(10, 2**1074), Fraction(104, 5 * 2**1074)], 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(plain_tables())
+    def test_matches_the_fraction_oracle(self, table):
+        entries, Q0 = table
+        want = brute_union([Fraction(d) if q >= Q0 else 0 for q, d in enumerate(entries, 1)], False)
+        got = truncated_union_1d(table_psi(entries), Q0, len(entries))
+        assert got.provenance == "exact" and got.value == float(want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(1e-3, 2.0), st.floats(-1.0, 3.0), st.floats(0.0, 3.0), st.integers(1, 60))
+    def test_equals_the_coprime_union_when_psi_over_q_does_not_rise(self, c, a, b, Q):
+        # with psi(q)/q non-increasing, every delta b/q of a multiple q of b is at most psi(b)
+        f = power_log(c, a, b)
+        ratios = [Fraction(d) / q for q, d in enumerate(f.values(np.arange(1, Q + 1)).tolist(), 1)]
+        assume(all(x >= y for x, y in zip(ratios, ratios[1:])))
+        assert truncated_union_1d(f, 1, Q).value == truncated_union_1d(f, 1, Q, coprime=True).value
+
+    @pytest.mark.parametrize(
+        "c, a, Q0, Q, want",
+        [
+            (1e-20, 0, 1, 1000, 1.2163106258169465e-17),
+            (1e-20, 0, 1, 2000, 2.4324413852139254e-17),
+            (0.25, 1, 1, 2800, 0.9983009230959473),
+            (0.25, 1, 500, 2000, 0.5015451711123415),
+            (0.5, 0.5, 1, 1500, 1.0),
+        ],
+    )
+    def test_pins_plain_unions(self, c, a, Q0, Q, want):
+        # each pin is the value of the sweep of every plain slice p/q, before the reduction
+        assert truncated_union_1d(power_log(c, a, 0), Q0, Q).value == want
 
 
 def test_max_mode_measures():
